@@ -51,7 +51,12 @@ def _parser() -> argparse.ArgumentParser:
         ana.add_argument(f"--{section}", action="store_true", help=f"include the {section} section")
     ana.add_argument("--json", action="store_true", help="emit JSON instead of text")
     ana.add_argument("--out", help="write the report to a file instead of stdout")
-    ana.add_argument("--workers", type=int, default=1)
+    ana.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        help="accepted for compatibility; has no effect (the analysis runs in one thread)",
+    )
     ana.add_argument("--budget", type=int, help=f"subset budget (default {DEFAULT_SUBSET_BUDGET}, env {ENV_VAR})")
     ana.add_argument("--strip-self-loops", action="store_true")
 
@@ -92,12 +97,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 def _cmd_analyze(args: argparse.Namespace) -> int:
     g = load_graph_file(args.input, strip_self_loops=args.strip_self_loops)
     picked = tuple(s for s in SECTIONS if getattr(args, s))
-    doc = build_report(
-        g,
-        sections=picked or None,
-        budget=resolve_budget(args.budget),
-        workers=max(1, args.workers),
-    )
+    doc = build_report(g, sections=picked or None, budget=resolve_budget(args.budget))
     text = render_json(doc) if args.json else render_text(doc)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:

@@ -1,4 +1,4 @@
-"""Unit-capacity flow machinery: controllability degrees and cut witnesses.
+"""Max-flow machinery: controllability degrees and cut witnesses.
 
 The link controllability degree (``lc``) is the size of the smallest edge
 set whose removal breaks controllability; the agent controllability
@@ -14,6 +14,7 @@ returned cuts are canonical and all results are deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .digraph import Digraph, Edge, removal_breaks_controllability
 from .errors import (
@@ -56,8 +57,8 @@ class WitnessSet:
         return len(self.edges) + len(self.vertices)
 
 
-class _UnitFlow:
-    """Dinic's algorithm over an explicit arc list.
+class _Flow:
+    """Dinic's algorithm over an explicit arc list with integer capacities.
 
     Arcs are stored as parallel lists; arc ``i ^ 1`` is the reverse of
     arc ``i``.  Insertion order is fixed by the callers, which makes the
@@ -105,19 +106,38 @@ class _UnitFlow:
                     queue.append(self.to[arc])
         return level
 
-    def _augment(self, v: int, sink: int, level: list[int], it: list[int]) -> int:
-        if v == sink:
-            return 1
-        while it[v] < len(self.adj[v]):
-            arc = self.adj[v][it[v]]
-            head = self.to[arc]
-            if self.cap[arc] > 0 and level[head] == level[v] + 1:
-                if self._augment(head, sink, level, it):
-                    self.cap[arc] -= 1
-                    self.cap[arc ^ 1] += 1
-                    return 1
-            it[v] += 1
-        return 0
+    def _augment(self, source: int, sink: int, level: list[int], it: list[int]) -> int:
+        """Push the bottleneck of one level-increasing source-sink path; 0 if none is left.
+
+        An explicit arc stack replaces recursion, so path length is not
+        bounded by the interpreter's recursion limit.
+        """
+        adj, to, cap = self.adj, self.to, self.cap
+        path: list[int] = []
+        v = source
+        while v != sink:
+            arcs = adj[v]
+            next_level = level[v] + 1
+            i = it[v]
+            while i < len(arcs):
+                arc = arcs[i]
+                if cap[arc] > 0 and level[to[arc]] == next_level:
+                    break
+                i += 1
+            it[v] = i
+            if i < len(arcs):
+                path.append(arc)
+                v = to[arc]
+            elif path:
+                v = to[path.pop() ^ 1]  # dead end: retreat and skip the arc
+                it[v] += 1
+            else:
+                return 0
+        pushed = min(map(cap.__getitem__, path))
+        for arc in path:
+            cap[arc] -= pushed
+            cap[arc ^ 1] += pushed
+        return pushed
 
     def source_side(self, source: int) -> set[int]:
         """Nodes reachable from the source in the final residual graph."""
@@ -158,7 +178,7 @@ def max_edge_disjoint(g: Digraph, target: int) -> FlowResult:
     """
     _check_target(g, target)
     ids = {v: i + 1 for i, v in enumerate(sorted(g.vertices - g.root_set))}
-    net = _UnitFlow(len(ids) + 1)
+    net = _Flow(len(ids) + 1)
     for edge in g.sorted_edges:
         tail, head = edge
         tail_node = 0 if tail in g.root_set else ids[tail]
@@ -170,30 +190,27 @@ def max_edge_disjoint(g: Digraph, target: int) -> FlowResult:
     return FlowResult(value=value, cut_edges=cut, cut_vertices=frozenset())
 
 
-def max_vertex_disjoint(g: Digraph, target: int) -> FlowResult:
-    """Minimum number of intermediate vertices separating the target.
+def _min_vertex_cut(
+    g: Digraph, target: int, cost: Callable[[int], int]
+) -> tuple[int, frozenset[int]]:
+    """Cheapest set of followers other than the target that separates it from the roots.
 
-    Computed by node splitting: every non-root vertex other than the
-    target becomes a unit-capacity gadget, edges get non-binding
-    capacities, and the roots are contracted to a super-source.  When
-    some edge connects a root directly to the target no follower set can
-    separate it; the value is then reported as ``|V| - |R|`` with the
-    full follower set as the only consistent witness.
+    Computed by node splitting: every follower other than the target
+    becomes an in-node/out-node gadget whose arc carries the vertex's
+    positive ``cost``, edges get capacities no cut can afford, and the
+    roots are contracted to a super-source.  Returns the cut's total cost
+    and its canonical vertex set.  The caller guarantees that no edge
+    runs from a root straight to the target, so a finite cut exists.
     """
-    _check_target(g, target)
-    followers = g.followers
-    if any(tail in g.root_set for tail, head in g.edges if head == target):
-        cap = len(g.vertices) - len(g.roots)
-        return FlowResult(value=cap, cut_edges=frozenset(), cut_vertices=frozenset(followers))
-
     middle = sorted(g.vertices - g.root_set - {target})
     node_in = {v: 1 + 2 * i for i, v in enumerate(middle)}
     node_out = {v: 2 + 2 * i for i, v in enumerate(middle)}
     sink = 1 + 2 * len(middle)
-    net = _UnitFlow(sink + 1)
-    big = g.n + len(g.edges) + 1
+    net = _Flow(sink + 1)
+    costs = {v: cost(v) for v in middle}
+    big = sum(costs.values()) + 1
     for v in middle:
-        net.add_arc(node_in[v], node_out[v], 1, tag=v)
+        net.add_arc(node_in[v], node_out[v], costs[v], tag=v)
     for tail, head in g.sorted_edges:
         if tail == target:
             continue
@@ -203,7 +220,25 @@ def max_vertex_disjoint(g: Digraph, target: int) -> FlowResult:
     value = net.max_flow(0, sink)
     side = net.source_side(0)
     cut = frozenset(net.crossing_tags(side))
-    assert len(cut) == value, "max-flow/min-cut duality violated"
+    assert sum(costs[v] for v in cut) == value, "max-flow/min-cut duality violated"
+    return value, cut
+
+
+def max_vertex_disjoint(g: Digraph, target: int) -> FlowResult:
+    """Minimum number of intermediate vertices separating the target.
+
+    Every follower other than the target costs one in the node-split
+    network of :func:`_min_vertex_cut`.  When some edge connects a root
+    directly to the target no follower set can separate it; the value is
+    then reported as ``|V| - |R|`` with the full follower set as the only
+    consistent witness.
+    """
+    _check_target(g, target)
+    followers = g.followers
+    if any(tail in g.root_set for tail, head in g.edges if head == target):
+        cap = len(g.vertices) - len(g.roots)
+        return FlowResult(value=cap, cut_edges=frozenset(), cut_vertices=frozenset(followers))
+    value, cut = _min_vertex_cut(g, target, lambda v: 1)
     return FlowResult(value=value, cut_edges=frozenset(), cut_vertices=cut)
 
 
@@ -229,11 +264,6 @@ def agent_controllability(g: Digraph) -> int:
     if not g.followers or not g.is_controllable():
         return 0
     return min(agent_controllability_vertex(g, v) for v in g.followers)
-
-
-# Short initialisms for the two degrees, matching the report vocabulary.
-lc = link_controllability
-ac = agent_controllability
 
 
 def _replay(g: Digraph, edges: frozenset[Edge], vertices: frozenset[int]) -> tuple[int, ...]:

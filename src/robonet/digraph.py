@@ -254,11 +254,15 @@ class EdgeDuplicate:
     def black_vertices(self) -> tuple[int, ...]:
         return tuple(sorted(self.black_of.values()))
 
+    @cached_property
+    def _edge_of_black(self) -> Mapping[int, Edge]:
+        return {b: edge for edge, b in self.black_of.items()}
+
     def edge_for_black(self, black: int) -> Edge:
-        for edge, b in self.black_of.items():
-            if b == black:
-                return edge
-        raise UnknownEdgeError(f"{black} is not a black vertex")
+        try:
+            return self._edge_of_black[black]
+        except KeyError:
+            raise UnknownEdgeError(f"{black} is not a black vertex") from None
 
 
 def edge_duplicate(g: Digraph) -> EdgeDuplicate:

@@ -5,7 +5,9 @@ removal of u <= r links and v <= s followers with u + v < r + s.  The
 joint controllability degree is the largest t with joint (u, v)-
 controllability for all u + v <= t; it always equals min(lc, ac), and it
 also equals the agent controllability of the edge-duplicate transform
-restricted to original-vertex targets.
+restricted to original-vertex targets.  Mixed witnesses come from that
+transform too: one minimum-weight vertex cut in which a link costs a
+little less than an agent.
 
 The joint region (all (r, s) pairs) is computed exactly.  Instead of
 enumerating edge subsets, each quantifier block "all u-edge-subsets after
@@ -15,15 +17,16 @@ oracle cross-checks the result cell for cell in the test suite.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
-from typing import Callable, Iterable, Sequence
+from typing import Iterable
 
 from .budget import DEFAULT_SUBSET_BUDGET
 from .connectivity import (
     WitnessSet,
+    _min_vertex_cut,
+    _replay,
     agent_controllability,
     link_controllability,
     max_edge_disjoint,
@@ -56,9 +59,6 @@ def joint_controllability(g: Digraph) -> int:
     return min(link_controllability(g), agent_controllability(g))
 
 
-jc = joint_controllability
-
-
 def duplicate_agent_controllability(dup: EdgeDuplicate) -> int:
     """Agent controllability of an edge-duplicate, targeting white vertices.
 
@@ -88,18 +88,8 @@ def joint_controllability_via_duplicate(g: Digraph) -> int:
     return duplicate_agent_controllability(edge_duplicate(g))
 
 
-jc_via_duplicate = joint_controllability_via_duplicate
-
-
 # ---------------------------------------------------------------------------
 # joint (r, s) membership and the region
-
-
-def _map_ordered(fn: Callable, items: Sequence, workers: int) -> list:
-    if workers <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def _maximal_patterns(r: int, s: int, edge_count: int, follower_count: int) -> list[tuple[int, int]]:
@@ -186,17 +176,13 @@ class JointRegion:
         return tuple(pair) in set(self.members)
 
 
-def joint_region(
-    g: Digraph,
-    budget: int = DEFAULT_SUBSET_BUDGET,
-    workers: int = 1,
-) -> JointRegion:
+def joint_region(g: Digraph, budget: int = DEFAULT_SUBSET_BUDGET) -> JointRegion:
     """Enumerate the joint region over its bounding box.
 
     Non-membership propagates up and to the right (the region is downward
     closed), so cells dominated by a known non-member are skipped.  Cells
-    on one anti-diagonal are independent and may be evaluated in
-    parallel; results do not depend on the worker count.
+    are visited one anti-diagonal at a time, so an over-budget error names
+    a cell on the lowest diagonal that exceeds the budget.
     """
     if not g.is_controllable():
         raise UncontrollableError("the joint region is defined for controllable graphs")
@@ -205,22 +191,10 @@ def joint_region(
     memo: dict = {}
     members: dict[tuple[int, int], bool] = {}
     for diag in range(lcv + acv + 1):
-        cells = [
-            (r, diag - r)
-            for r in range(max(0, diag - acv), min(lcv, diag) + 1)
-        ]
-        pending = []
-        for r, s in cells:
-            if (r > 0 and not members[(r - 1, s)]) or (s > 0 and not members[(r, s - 1)]):
-                members[(r, s)] = False
-            else:
-                pending.append((r, s))
-        results = _map_ordered(
-            lambda pair: is_joint_rs_controllable(g, pair[0], pair[1], budget, memo),
-            pending,
-            workers,
-        )
-        members.update(zip(pending, results))
+        for r in range(max(0, diag - acv), min(lcv, diag) + 1):
+            s = diag - r
+            dominated = (r > 0 and not members[(r - 1, s)]) or (s > 0 and not members[(r, s - 1)])
+            members[(r, s)] = not dominated and is_joint_rs_controllable(g, r, s, budget, memo)
     inside = sorted(pair for pair, ok in members.items() if ok)
     member_set = set(inside)
     frontier = tuple(
@@ -231,7 +205,7 @@ def joint_region(
     return JointRegion(
         lc=lcv,
         ac=acv,
-        jc=joint_controllability(g),
+        jc=min(lcv, acv),
         members=tuple(inside),
         frontier=frontier,
     )
@@ -241,61 +215,39 @@ def joint_region(
 # mixed witnesses
 
 
-def _replay_mixed(g: Digraph, edges: frozenset[Edge], vertices: frozenset[int]) -> tuple[int, ...]:
-    assert removal_breaks_controllability(g, edges, vertices)
-    for edge in sorted(edges):
-        assert not removal_breaks_controllability(g, edges - {edge}, vertices)
-    for v in sorted(vertices):
-        assert not removal_breaks_controllability(g, edges, vertices - {v})
-    return g.remove_edges(edges).remove_vertices(vertices).unreachable_followers()
+def critical_agent_link_witness(g: Digraph) -> WitnessSet:
+    """One minimal mixed breaking set of size jc(g), with as few agents as possible.
 
-
-def critical_agent_link_witness(g: Digraph, budget: int = DEFAULT_SUBSET_BUDGET) -> WitnessSet:
-    """One minimal mixed breaking set of size jc(g).
-
-    Within budget, all minimal breaking sets of that size are enumerated
-    and the one with the fewest agents (then lexicographically smallest)
-    is returned; agents are usually the costlier failures, so witnesses
-    lean on links when possible.  Over budget, the canonical minimum cut
-    of the edge-duplicate graph is pulled instead and mapped back through
-    the white/black correspondence.
+    A breaking set of links and agents is a vertex cut of the
+    edge-duplicate graph that separates some white follower from the
+    roots, with each link cut as its black vertex.  Black vertices cost
+    ``K`` and white followers ``K + 1``, where ``K`` exceeds the follower
+    count, so one minimum-weight cut per white target minimises the size
+    first and the agent count second; agents are usually the costlier
+    failures, so witnesses lean on links when possible.  Ties go to the
+    smallest target, whose canonical residual cut is returned.  When that
+    cut has more than ``|F|`` elements, the full follower set breaks with
+    fewer and is returned instead, as in
+    :func:`~robonet.connectivity.min_agent_cut_witness`.
     """
     if not g.followers or not g.is_controllable():
         raise UncontrollableError("degrees are zero; every element is already critical")
-    degree = joint_controllability(g)
-    elements: list[tuple[str, object]] = [("edge", e) for e in g.sorted_edges]
-    elements += [("agent", v) for v in g.followers]
-    if comb(len(elements), degree) <= budget:
-        best = None
-        for combo in combinations(elements, degree):
-            edges = frozenset(e for kind, e in combo if kind == "edge")
-            vertices = frozenset(v for kind, v in combo if kind == "agent")
-            if not removal_breaks_controllability(g, edges, vertices):
-                continue
-            if any(
-                removal_breaks_controllability(
-                    g,
-                    edges - ({item} if kind == "edge" else frozenset()),
-                    vertices - ({item} if kind == "agent" else frozenset()),
-                )
-                for kind, item in combo
-            ):
-                continue
-            key = (len(vertices), tuple(sorted(vertices)), tuple(sorted(edges)))
-            if best is None or key < best[0]:
-                best = (key, edges, vertices)
-        assert best is not None, "a controllable graph with followers has a breaking set"
-        _, edges, vertices = best
+    dup = edge_duplicate(g)
+    followers = frozenset(g.followers)
+    black_cost = len(followers) + 1
+
+    def cost(v: int) -> int:
+        return black_cost + 1 if v in followers else black_cost
+
+    cuts = {t: _min_vertex_cut(dup.graph, t, cost) for t in g.followers}
+    best = min(cuts, key=lambda t: (cuts[t][0], t))
+    cut = cuts[best][1]
+    if len(cut) > len(followers):
+        edges, vertices = frozenset(), followers
     else:
-        dup = edge_duplicate(g)
-        white_targets = sorted(v for v in dup.white_of.values() if v not in g.root_set)
-        flows = {v: max_vertex_disjoint(dup.graph, v) for v in white_targets}
-        best_target = min(flows, key=lambda v: (flows[v].value, v))
-        black_ids = {b: e for e, b in dup.black_of.items()}
-        cut = flows[best_target].cut_vertices
-        edges = frozenset(black_ids[v] for v in cut if v in black_ids)
-        vertices = frozenset(v for v in cut if v not in black_ids)
-    unreachable = _replay_mixed(g, edges, vertices)
+        vertices = cut & followers
+        edges = frozenset(dup.edge_for_black(v) for v in cut - vertices)
+    unreachable = _replay(g, edges, vertices)
     return WitnessSet(kind="mixed", edges=edges, vertices=vertices, unreachable=unreachable)
 
 

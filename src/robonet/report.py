@@ -18,7 +18,7 @@ from .connectivity import (
     min_agent_cut_witness,
     min_link_cut_witness,
 )
-from .criticality import agent_records, edge_records, rank_agents
+from .criticality import AgentIndexRecord, agent_records, edge_records
 from .digraph import Digraph
 from .errors import GraphFormatError, InstanceTooLargeError, UncontrollableError
 from .graphio import graph_to_json_dict
@@ -28,7 +28,6 @@ from .joint import (
     check_bounds,
     classify,
     critical_agent_link_witness,
-    joint_controllability,
     joint_region,
 )
 
@@ -52,7 +51,6 @@ def build_report(
     g: Digraph,
     sections: tuple[str, ...] | None = None,
     budget: int = DEFAULT_SUBSET_BUDGET,
-    workers: int = 1,
 ) -> dict:
     """Assemble the selected report sections (all of them by default)."""
     wanted = tuple(sections) if sections else SECTIONS
@@ -68,13 +66,12 @@ def build_report(
     }
 
     if "degrees" in wanted:
-        doc["degrees"] = {
-            "lc": link_controllability(g),
-            "ac": agent_controllability(g),
-            "jc": joint_controllability(g),
-        }
+        lcv = link_controllability(g)
+        acv = agent_controllability(g)
+        doc["degrees"] = {"lc": lcv, "ac": acv, "jc": min(lcv, acv)}
 
     if "indices" in wanted:
+        agents = agent_records(g)
         doc["indices"] = {
             "edges": [
                 {
@@ -94,9 +91,13 @@ def build_report(
                     "critical_link_index": r.critical_link_index,
                     "uncritical_link_index": r.uncritical_link_index,
                 }
-                for r in agent_records(g)
+                for r in agents
             ],
-            "ranking": rank_agents(g) if controllable else None,
+            "ranking": (
+                [r.vertex for r in sorted(agents, key=AgentIndexRecord.sort_key)]
+                if controllable
+                else None
+            ),
         }
 
     classification: Classification | None = None
@@ -117,7 +118,7 @@ def build_report(
             doc["region"] = None
         else:
             try:
-                region = joint_region(g, budget=budget, workers=workers)
+                region = joint_region(g, budget=budget)
                 doc["region"] = {
                     "lc": region.lc,
                     "ac": region.ac,
@@ -131,7 +132,7 @@ def build_report(
                 doc["region"] = {"error": str(exc)}
 
     if "witnesses" in wanted:
-        doc["witnesses"] = _witness_section(g, budget)
+        doc["witnesses"] = _witness_section(g)
 
     if "classify" in wanted and "region" in wanted:
         doc["bounds"] = [
@@ -156,18 +157,16 @@ def _witness_payload(w: WitnessSet) -> dict:
     }
 
 
-def _witness_section(g: Digraph, budget: int) -> dict | None:
+def _witness_section(g: Digraph) -> dict | None:
     try:
         link = min_link_cut_witness(g)
         agent = min_agent_cut_witness(g)
     except UncontrollableError:
         return None
-    # over budget the mixed witness falls back to the duplicate-graph cut,
-    # so this section never exhausts
     return {
         "link": _witness_payload(link),
         "agent": _witness_payload(agent),
-        "mixed": _witness_payload(critical_agent_link_witness(g, budget=budget)),
+        "mixed": _witness_payload(critical_agent_link_witness(g)),
     }
 
 

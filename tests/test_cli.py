@@ -85,6 +85,21 @@ class TestAnalyze:
         out = capsys.readouterr().out
         assert "agent: edges=- vertices=3 6" in out
 
+    def test_witnesses_ignore_the_budget(self, g4_file, tmp_path, capsys):
+        # two roots feeding one follower: the follower itself is the only
+        # one-element breaking set
+        fan_in = tmp_path / "fan_in.json"
+        fan_in.write_text('{"n": 3, "roots": [1, 2], "edges": [[1, 3], [2, 3]]}')
+        for path in (g4_file, str(fan_in)):
+            assert cli.main(["analyze", path, "--witnesses"]) == 0
+            default = capsys.readouterr().out
+            assert cli.main(["analyze", path, "--witnesses", "--budget", "1"]) == 0
+            tiny = capsys.readouterr().out
+            # only the echoed limit differs
+            assert tiny == default.replace("limit=1000000 ", "limit=1 ")
+            assert "limit=1 " in tiny
+        assert "mixed: edges=- vertices=3 strands=-" in tiny
+
     def test_report_to_file(self, g4_file, tmp_path):
         out = tmp_path / "report.txt"
         assert cli.main(["analyze", g4_file, "--degrees", "--out", str(out)]) == 0

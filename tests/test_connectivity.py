@@ -37,6 +37,12 @@ class TestEdgeDisjoint:
         for v in double_loop5.followers:
             assert max_edge_disjoint(double_loop5, v).value == 2
 
+    def test_long_chain_far_end(self):
+        # augmenting paths as long as the graph must not hit the recursion limit
+        chain = new_digraph(1200, [1], [(v, v + 1) for v in range(1, 1200)])
+        assert max_edge_disjoint(chain, 1200).value == 1
+        assert max_vertex_disjoint(chain, 1200).value == 1
+
     def test_unreachable_target_has_zero_flow(self):
         g = new_digraph(3, [1], [(1, 2)])
         flow = max_edge_disjoint(g, 3)

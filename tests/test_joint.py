@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 
@@ -24,7 +26,7 @@ from robonet.joint import (
     joint_region,
     link_set_from_agent_set,
 )
-from robonet.oracle import oracle_jc, oracle_region
+from robonet.oracle import oracle_jc, oracle_region, random_digraph
 
 from conftest import digraphs
 
@@ -145,9 +147,6 @@ class TestRegion:
         with pytest.raises(UncontrollableError):
             joint_region(new_digraph(3, [1], [(1, 2)]))
 
-    def test_worker_counts_agree(self, g4):
-        assert joint_region(g4, workers=1) == joint_region(g4, workers=4)
-
 
 class TestMixedWitness:
     def test_path_prefers_links(self, path3):
@@ -163,10 +162,35 @@ class TestMixedWitness:
     def test_complete4_size(self, complete4):
         assert critical_agent_link_witness(complete4).size == 3
 
-    def test_duplicate_fallback_route(self, g4):
-        w = critical_agent_link_witness(g4, budget=1)
-        assert w.size == 2
-        assert removal_breaks_controllability(g4, w.edges, w.vertices)
+    def test_fewest_agents_among_minimum_breaking_sets(self):
+        # reference: every mixed subset of size jc, tested literally
+        checked = 0
+        for seed in range(240):
+            n = 3 + seed % 5
+            roots = 1 + seed % 2
+            cap = min(14, (n - roots) * (n - 1))
+            g = random_digraph(n, cap // 2 + (seed * 7919) % (cap - cap // 2 + 1), roots, seed)
+            if not g.followers or not g.is_controllable():
+                continue
+            checked += 1
+            w = critical_agent_link_witness(g)
+            degree = oracle_jc(g)
+            assert w.size == degree, f"seed {seed}"
+            pool = [("edge", e) for e in g.sorted_edges] + [("agent", v) for v in g.followers]
+            fewest = None
+            for combo in combinations(pool, degree):
+                edges = frozenset(x for kind, x in combo if kind == "edge")
+                vertices = frozenset(x for kind, x in combo if kind == "agent")
+                if not removal_breaks_controllability(g, edges, vertices):
+                    continue
+                if any(
+                    removal_breaks_controllability(g, edges - {x}, vertices - {x})
+                    for _, x in combo
+                ):
+                    continue
+                fewest = len(vertices) if fewest is None else min(fewest, len(vertices))
+            assert len(w.vertices) == fewest, f"seed {seed}"
+        assert checked >= 190
 
 
 class TestCutSubstitution:

@@ -9,10 +9,15 @@ ENV_VAR = "ROBONET_BUDGET"
 
 
 def resolve_budget(explicit: int | None = None) -> int:
-    """Pick the subset budget: explicit value, else environment, else default."""
+    """Pick the subset budget: explicit value, else environment, else default.
+
+    Raises :class:`ValueError` unless the chosen budget is a positive integer.
+    """
     if explicit is not None:
-        return int(explicit)
-    raw = os.environ.get(ENV_VAR)
-    if raw:
-        return int(raw)
-    return DEFAULT_SUBSET_BUDGET
+        budget = int(explicit)
+    else:
+        raw = os.environ.get(ENV_VAR)
+        budget = int(raw) if raw else DEFAULT_SUBSET_BUDGET
+    if budget < 1:
+        raise ValueError(f"the subset budget must be positive, got {budget}")
+    return budget

@@ -82,7 +82,12 @@ class _Flow:
         self.cap.append(0)
         self.tag.append(None)
 
-    def max_flow(self, source: int, sink: int) -> int:
+    def max_flow(self, source: int, sink: int, limit: int | None = None) -> int:
+        """Value of a maximum flow, or stop as soon as it reaches ``limit``.
+
+        A limited call returns some value ``>= limit`` when the maximum
+        flow is at least ``limit``, and the exact value otherwise.
+        """
         total = 0
         while True:
             level = self._levels(source)
@@ -94,6 +99,8 @@ class _Flow:
                 if not pushed:
                     break
                 total += pushed
+                if limit is not None and total >= limit:
+                    return total
 
     def _levels(self, source: int) -> list[int]:
         level = [-1] * self.node_count
@@ -169,6 +176,70 @@ def _check_target(g: Digraph, target: int) -> None:
         raise TargetIsRootError(f"vertex {target} is a root")
 
 
+def _edge_network(g: Digraph) -> tuple[_Flow, dict[int, int]]:
+    """The unit-capacity edge network of ``g`` with the root-set contracted.
+
+    Node 0 is the root-set and the followers are nodes ``1..|F|`` in
+    ascending order (returned as ``ids``).  Edge ``k`` of
+    ``g.sorted_edges`` is arc ``2k``, tagged with the edge.
+    """
+    ids = {v: i + 1 for i, v in enumerate(g.followers)}
+    net = _Flow(len(ids) + 1)
+    for edge in g.sorted_edges:
+        tail, head = edge
+        net.add_arc(ids.get(tail, 0), ids[head], 1, tag=edge)
+    return net, ids
+
+
+class _DeletionDegrees:
+    """``lc`` of one graph after deleting follower sets, on one network.
+
+    The edge network of the graph is built once.  Deleting a follower set
+    zeroes the capacity of every arc that touches it, which leaves the
+    network of the vertex-deleted graph with the deleted nodes isolated.
+    Each surviving follower's flow starts from those masked capacities and
+    is capped at the running minimum, since only the minimum is wanted;
+    an unreachable survivor gives 0 at once.  Values are memoised per
+    deleted set.
+    """
+
+    def __init__(self, g: Digraph) -> None:
+        self._net, self._ids = _edge_network(g)
+        self._base = list(self._net.cap)
+        to = self._net.to
+        self._arcs_at: list[list[int]] = [[] for _ in range(self._net.node_count)]
+        for arc in range(0, len(to), 2):
+            self._arcs_at[to[arc]].append(arc)
+            self._arcs_at[to[arc + 1]].append(arc)
+        self._memo: dict[frozenset[int], int] = {}
+
+    def lc_without(self, removed: frozenset[int]) -> int:
+        """``link_controllability(g.remove_vertices(removed))`` for a set of followers."""
+        value = self._memo.get(removed)
+        if value is None:
+            value = self._memo[removed] = self._solve(removed)
+        return value
+
+    def _solve(self, removed: frozenset[int]) -> int:
+        gone = {self._ids[v] for v in removed}
+        if len(gone) == len(self._ids):
+            return 0  # no follower survives: the vacuous degree
+        masked = self._base[:]
+        for node in gone:
+            for arc in self._arcs_at[node]:
+                masked[arc] = 0
+        net = self._net
+        best = len(masked) // 2  # no flow exceeds the edge count
+        for node in range(1, net.node_count):
+            if node in gone:
+                continue
+            net.cap[:] = masked
+            best = min(best, net.max_flow(0, node, best))
+            if best == 0:
+                break
+        return best
+
+
 def max_edge_disjoint(g: Digraph, target: int) -> FlowResult:
     """Maximum number of edge-disjoint root-to-target paths.
 
@@ -177,12 +248,7 @@ def max_edge_disjoint(g: Digraph, target: int) -> FlowResult:
     side.
     """
     _check_target(g, target)
-    ids = {v: i + 1 for i, v in enumerate(sorted(g.vertices - g.root_set))}
-    net = _Flow(len(ids) + 1)
-    for edge in g.sorted_edges:
-        tail, head = edge
-        tail_node = 0 if tail in g.root_set else ids[tail]
-        net.add_arc(tail_node, ids[head], 1, tag=edge)
+    net, ids = _edge_network(g)
     value = net.max_flow(0, ids[target])
     side = net.source_side(0)
     cut = frozenset(net.crossing_tags(side))

@@ -20,6 +20,7 @@ from typing import Iterable, Mapping
 
 from .errors import (
     EmptyRootSetError,
+    GraphTooLargeError,
     IndexOutOfRangeError,
     RootInEdgeHeadError,
     RootRemovalError,
@@ -28,6 +29,10 @@ from .errors import (
 )
 
 Edge = tuple[int, int]
+
+# Largest vertex count new_digraph accepts, checked before anything is
+# allocated per vertex; graph files and the family generators share it.
+MAX_GENERATED_VERTICES = 100_000
 
 
 def _normalize_edge(value: Iterable[int]) -> Edge:
@@ -206,10 +211,16 @@ def new_digraph(
 
     Edge lists are deduplicated; ``strip_self_loops`` downgrades explicit
     self-loops from an error to a silent drop (used by file ingestion).
+    A vertex count above :data:`MAX_GENERATED_VERTICES` is rejected
+    before anything is allocated for it.
     """
     n = int(n)
     if n < 1:
         raise IndexOutOfRangeError(f"vertex count must be positive, got {n}")
+    if n > MAX_GENERATED_VERTICES:
+        raise GraphTooLargeError(
+            f"vertex count {n} exceeds the limit of {MAX_GENERATED_VERTICES}"
+        )
     root_list = [int(r) for r in roots]
     for r in root_list:
         if not 1 <= r <= n:

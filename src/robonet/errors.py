@@ -29,6 +29,10 @@ class EmptyRootSetError(GraphValidationError):
     """The root-set must contain at least one vertex."""
 
 
+class GraphTooLargeError(GraphValidationError):
+    """A graph would have more vertices than the package accepts."""
+
+
 class GraphFormatError(GraphValidationError):
     """A graph file could not be parsed; the message carries position info."""
 

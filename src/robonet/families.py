@@ -9,14 +9,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .digraph import Digraph, Edge, new_digraph
+from .digraph import MAX_GENERATED_VERTICES, Digraph, Edge, new_digraph
 from .errors import (
     IndexOutOfRangeError,
     InvalidConnectionSetError,
     ParameterOverflowError,
 )
-
-MAX_GENERATED_VERTICES = 100_000
 
 PRESET_KINDS = ("simple_loop", "double_loop", "daisy_chain")
 

@@ -13,7 +13,10 @@ The joint region (all (r, s) pairs) is computed exactly.  Instead of
 enumerating edge subsets, each quantifier block "all u-edge-subsets after
 deleting the follower set A" collapses to the single polynomial test
 ``lc(g - A) > u``, so only follower subsets are enumerated; a brute-force
-oracle cross-checks the result cell for cell in the test suite.
+oracle cross-checks the result cell for cell in the test suite.  No graph
+is built per subset: one flow network of g is built per region, each
+subset masks the arcs that touch it, and each surviving target's flow is
+capped at the running minimum over the targets before it.
 """
 from __future__ import annotations
 
@@ -25,6 +28,7 @@ from typing import Iterable
 from .budget import DEFAULT_SUBSET_BUDGET
 from .connectivity import (
     WitnessSet,
+    _DeletionDegrees,
     _min_vertex_cut,
     _replay,
     agent_controllability,
@@ -117,7 +121,7 @@ def is_joint_rs_controllable(
     r: int,
     s: int,
     budget: int = DEFAULT_SUBSET_BUDGET,
-    _lc_memo: dict | None = None,
+    _degrees: _DeletionDegrees | None = None,
 ) -> bool:
     """Exact joint (r, s)-controllability test.
 
@@ -125,30 +129,27 @@ def is_joint_rs_controllable(
     empty removal is quantified) is anchored to plain controllability so
     that an uncontrollable graph is never vacuously joint-controllable.
     Deleting the full follower set counts as a break, mirroring
-    :func:`~robonet.digraph.removal_breaks_controllability`.
+    :func:`~robonet.digraph.removal_breaks_controllability`.  Callers
+    testing several pairs of one graph pass one ``_degrees`` kernel, so
+    its network and its memo of ``lc(g - A)`` are shared between them.
     """
     if r < 0 or s < 0:
         raise ValueError("r and s must be non-negative")
     followers = g.followers
     if r + s == 0 or not followers:
         return g.is_controllable()
-    memo = _lc_memo if _lc_memo is not None else {}
     patterns = _maximal_patterns(r, s, len(g.edges), len(followers))
     candidates = sum(comb(len(followers), v) for _, v in patterns)
     if candidates > budget:
         raise InstanceTooLargeError(
             f"joint ({r},{s}) test needs {candidates} follower subsets, budget is {budget}"
         )
+    degrees = _degrees if _degrees is not None else _DeletionDegrees(g)
     for u, v in patterns:
         if v == len(followers):
             return False  # deleting every follower breaks by convention
         for combo in combinations(followers, v):
-            key = frozenset(combo)
-            surviving_lc = memo.get(key)
-            if surviving_lc is None:
-                surviving_lc = link_controllability(g.remove_vertices(key))
-                memo[key] = surviving_lc
-            if u <= len(g.edges) and surviving_lc <= u:
+            if degrees.lc_without(frozenset(combo)) <= u:
                 return False
     return True
 
@@ -188,13 +189,13 @@ def joint_region(g: Digraph, budget: int = DEFAULT_SUBSET_BUDGET) -> JointRegion
         raise UncontrollableError("the joint region is defined for controllable graphs")
     lcv = link_controllability(g)
     acv = agent_controllability(g)
-    memo: dict = {}
+    degrees = _DeletionDegrees(g)
     members: dict[tuple[int, int], bool] = {}
     for diag in range(lcv + acv + 1):
         for r in range(max(0, diag - acv), min(lcv, diag) + 1):
             s = diag - r
             dominated = (r > 0 and not members[(r - 1, s)]) or (s > 0 and not members[(r, s - 1)])
-            members[(r, s)] = not dominated and is_joint_rs_controllable(g, r, s, budget, memo)
+            members[(r, s)] = not dominated and is_joint_rs_controllable(g, r, s, budget, degrees)
     inside = sorted(pair for pair, ok in members.items() if ok)
     member_set = set(inside)
     frontier = tuple(
@@ -447,11 +448,11 @@ def _region_is_exact(g: Digraph, budget: int) -> bool | None:
     degree = min(lcv, acv)
     if lcv != acv:
         return False
-    memo: dict = {}
+    degrees = _DeletionDegrees(g)
     try:
         for r in range(max(0, degree + 1 - acv), min(lcv, degree + 1) + 1):
             s = degree + 1 - r
-            if is_joint_rs_controllable(g, r, s, budget, memo):
+            if is_joint_rs_controllable(g, r, s, budget, degrees):
                 return False
     except InstanceTooLargeError:
         return None

@@ -1,8 +1,18 @@
+import os
+
 import pytest
 from hypothesis import strategies as st
 
+import robonet
 from robonet.digraph import new_digraph
 from robonet.families import circulant_rooted, complete_rooted, preset
+
+# child processes that run `python -m robonet` import the same source tree
+# as the tests, also when pytest alone put it on the path
+_SOURCE_ROOT = os.path.dirname(os.path.dirname(robonet.__file__))
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [_SOURCE_ROOT, os.environ.get("PYTHONPATH")])
+)
 
 
 @pytest.fixture(scope="session")

@@ -1,4 +1,5 @@
 import json
+import resource
 import subprocess
 import sys
 
@@ -7,6 +8,20 @@ import pytest
 from robonet import cli
 from robonet.graphio import dumps_json_graph, load_graph_file
 from robonet.families import complete_rooted, kautz_rooted, preset
+
+
+def _run_robonet(*args, address_space=None):
+    """Run ``python -m robonet`` in a child process, optionally with capped address space."""
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
+
+    return subprocess.run(
+        [sys.executable, "-m", "robonet", *args],
+        capture_output=True,
+        text=True,
+        preexec_fn=cap if address_space else None,
+    )
 
 
 @pytest.fixture()
@@ -136,6 +151,37 @@ class TestAnalyze:
         assert cli.main(["analyze", str(path), "--region"]) == 0
 
 
+class TestIngestionLimits:
+    # a 1 GiB address-space cap turns an accidental allocation for 10**9
+    # vertices into a MemoryError in the child instead of exhausting memory
+    @pytest.mark.parametrize(
+        "name, text",
+        [
+            ("huge.json", '{"n": 1000000000, "roots": [1], "edges": []}'),
+            ("huge.dot", "digraph { 1000000000 [root=true]; }"),
+        ],
+    )
+    def test_huge_vertex_count_exits_2(self, tmp_path, name, text):
+        path = tmp_path / name
+        path.write_text(text)
+        proc = _run_robonet("analyze", str(path), "--degrees", address_space=1 << 30)
+        assert proc.returncode == 2
+        assert "exceeds the limit of 100000" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_non_positive_budget_flag_exits_2(self, g4_file, value, capsys):
+        for command in (["analyze", g4_file], ["verify", g4_file]):
+            assert cli.main(command + ["--budget", value]) == 2
+            assert "budget must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_non_positive_env_budget_exits_2(self, g4_file, value, monkeypatch, capsys):
+        monkeypatch.setenv("ROBONET_BUDGET", value)
+        assert cli.main(["analyze", g4_file, "--region"]) == 2
+        assert "budget must be positive" in capsys.readouterr().err
+
+
 class TestVerify:
     def test_path_agrees(self, tmp_path, path3, capsys):
         path = tmp_path / "p.json"
@@ -151,6 +197,20 @@ class TestVerify:
         monkeypatch.setattr(cli.oracle, "oracle_lc", lambda g, budget=None: 99)
         assert cli.main(["verify", g4_file, "--skip-region"]) == 4
         assert "MISMATCH" in capsys.readouterr().out
+
+    def test_jc_oracle_runs_once(self, g4_file, monkeypatch, capsys):
+        calls = []
+        original = cli.oracle.oracle_jc
+
+        def counting(g, budget):
+            calls.append(g)
+            return original(g, budget)
+
+        monkeypatch.setattr(cli.oracle, "oracle_jc", counting)
+        assert cli.main(["verify", g4_file, "--skip-region"]) == 0
+        assert len(calls) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[3:5] == ["jc                 2       2", "jc(duplicate)      2       2"]
 
     def test_over_budget_exits_3(self, tmp_path, capsys):
         big = complete_rooted(12)
@@ -187,10 +247,6 @@ class TestExportRegion:
 
 
 def test_module_entry_point(g4_file):
-    proc = subprocess.run(
-        [sys.executable, "-m", "robonet", "analyze", g4_file, "--degrees"],
-        capture_output=True,
-        text=True,
-    )
+    proc = _run_robonet("analyze", g4_file, "--degrees")
     assert proc.returncode == 0
     assert "lc=3 ac=2 jc=2" in proc.stdout

@@ -3,7 +3,8 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings
 
-from robonet.connectivity import agent_controllability, link_controllability
+from robonet import digraph
+from robonet.connectivity import _DeletionDegrees, agent_controllability, link_controllability
 from robonet.digraph import edge_duplicate, new_digraph, removal_breaks_controllability
 from robonet.errors import (
     ConditionUnmetError,
@@ -146,6 +147,57 @@ class TestRegion:
     def test_region_requires_controllable(self):
         with pytest.raises(UncontrollableError):
             joint_region(new_digraph(3, [1], [(1, 2)]))
+
+
+def _proper_follower_subsets(g):
+    followers = g.followers
+    for size in range(len(followers)):
+        for combo in combinations(followers, size):
+            yield frozenset(combo)
+
+
+class TestDeletionDegrees:
+    def test_matches_vertex_deleted_graphs_on_families(self, g4):
+        for g in (g4, kautz_rooted(2, 3), complete_rooted(6)):
+            degrees = _DeletionDegrees(g)
+            for removed in _proper_follower_subsets(g):
+                assert degrees.lc_without(removed) == link_controllability(
+                    g.remove_vertices(removed)
+                ), sorted(removed)
+
+    def test_matches_vertex_deleted_graphs_on_random_graphs(self):
+        stranded = 0
+        for seed in range(120):
+            n = 3 + seed % 6
+            roots = 1 + seed % 2
+            cap = (n - roots) * (n - 1)
+            g = random_digraph(n, (seed * 7919) % (cap + 1), roots, seed)
+            degrees = _DeletionDegrees(g)
+            for removed in _proper_follower_subsets(g):
+                expected = link_controllability(g.remove_vertices(removed))
+                assert degrees.lc_without(removed) == expected, (seed, sorted(removed))
+                stranded += expected == 0
+        assert stranded > 100  # subsets that strand a follower are covered
+
+    def test_no_surviving_follower_is_zero(self, path3):
+        assert _DeletionDegrees(path3).lc_without(frozenset(path3.followers)) == 0
+
+    def test_region_builds_no_graph_per_subset(self, monkeypatch):
+        g = complete_rooted(8)
+        built = []
+        original = digraph.Digraph.__post_init__
+
+        def counting(self):
+            built.append(1)
+            original(self)
+
+        monkeypatch.setattr(digraph.Digraph, "__post_init__", counting)
+        region = joint_region(g)
+        assert region.members == tuple(
+            sorted((r, s) for r in range(8) for s in range(8) if r + s <= 7)
+        )
+        # the region tests hundreds of follower subsets; none is built as a graph
+        assert len(built) <= 2
 
 
 class TestMixedWitness:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .digraph import Digraph, Edge, removal_breaks_controllability
+from .digraph import Digraph, Edge, removal_breaks_controllability, stranded_followers
 from .errors import (
     IndexOutOfRangeError,
     TargetIsRootError,
@@ -343,7 +343,7 @@ def _replay(g: Digraph, edges: frozenset[Edge], vertices: frozenset[int]) -> tup
         assert not removal_breaks_controllability(g, edges, vertices - {v}), (
             f"witness is not minimal: dropping {v} still breaks"
         )
-    return g.remove_edges(edges).remove_vertices(vertices).unreachable_followers()
+    return stranded_followers(g, edges, vertices)
 
 
 def min_link_cut_witness(g: Digraph) -> WitnessSet:

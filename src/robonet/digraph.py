@@ -33,6 +33,9 @@ Edge = tuple[int, int]
 # Largest vertex count new_digraph accepts, checked before anything is
 # allocated per vertex; graph files and the family generators share it.
 MAX_GENERATED_VERTICES = 100_000
+# Largest edge set a family generator builds, checked from its parameters
+# before the first edge is made.
+MAX_GENERATED_EDGES = 1_000_000
 
 
 def _normalize_edge(value: Iterable[int]) -> Edge:
@@ -153,17 +156,34 @@ class Digraph:
 
     # ---- reachability ----------------------------------------------------
 
-    def reachable_from_roots(self) -> frozenset[int]:
-        """All vertices reachable from the root-set (roots included)."""
-        seen = set(self.roots)
-        stack = list(self.roots)
+    def _reach(
+        self,
+        seeds: Iterable[int],
+        gone_vertices: frozenset[int] = frozenset(),
+        gone_edges: frozenset[Edge] = frozenset(),
+    ) -> set[int]:
+        """Vertices reachable from the seeds once the given followers and links are gone.
+
+        The walk runs over this graph's adjacency and masks the removed
+        elements as it goes, so no reduced graph is built.  Removed
+        vertices are never entered and are not in the result; no seed
+        may be among them.
+        """
+        stack = list(seeds)
+        seen = set(gone_vertices)
+        seen.update(stack)
+        succ = self._succ
         while stack:
             v = stack.pop()
-            for head in self._succ[v]:
-                if head not in seen:
+            for head in succ[v]:
+                if head not in seen and not (gone_edges and (v, head) in gone_edges):
                     seen.add(head)
                     stack.append(head)
-        return frozenset(seen)
+        return seen - gone_vertices if gone_vertices else seen
+
+    def reachable_from_roots(self) -> frozenset[int]:
+        """All vertices reachable from the root-set (roots included)."""
+        return frozenset(self._reach(self.roots))
 
     def is_controllable(self) -> bool:
         """True when every follower is reachable from the root-set.
@@ -317,5 +337,32 @@ def removal_breaks_controllability(
     vertex_set = frozenset(int(v) for v in vertices)
     if g.followers and vertex_set >= frozenset(g.followers):
         return True
-    stripped = g.remove_edges(edges).remove_vertices(vertex_set)
-    return not stripped.is_controllable()
+    return bool(stranded_followers(g, edges, vertex_set))
+
+
+def stranded_followers(
+    g: Digraph,
+    edges: Iterable[Edge] = (),
+    vertices: Iterable[int] = (),
+) -> tuple[int, ...]:
+    """Surviving followers that lose root access when the links and followers are removed.
+
+    Answers ``g.remove_edges(edges).remove_vertices(vertices)
+    .unreachable_followers()``, with the same errors for unknown
+    elements and roots, from one masked walk over ``g`` that builds no
+    graph.
+    """
+    edge_set = frozenset(_normalize_edge(e) for e in edges)
+    unknown_edges = edge_set - g.edges
+    if unknown_edges:
+        tail, head = min(unknown_edges)
+        raise UnknownEdgeError(f"edge {tail}->{head} is not in the graph")
+    vertex_set = frozenset(int(v) for v in vertices)
+    unknown = vertex_set - g.vertices
+    if unknown:
+        raise IndexOutOfRangeError(f"unknown vertex {min(unknown)}")
+    doomed_roots = vertex_set & g.root_set
+    if doomed_roots:
+        raise RootRemovalError(f"root {min(doomed_roots)} cannot fail")
+    reached = g._reach(g.roots, vertex_set, edge_set)
+    return tuple(v for v in g.followers if v not in reached and v not in vertex_set)

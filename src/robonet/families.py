@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .digraph import MAX_GENERATED_VERTICES, Digraph, Edge, new_digraph
+from .digraph import MAX_GENERATED_EDGES, MAX_GENERATED_VERTICES, Digraph, Edge, new_digraph
 from .errors import (
     IndexOutOfRangeError,
     InvalidConnectionSetError,
@@ -31,6 +31,18 @@ class FamilySpec:
     root: int = 1
 
 
+def _check_counts(family: str, n: int, edge_count: int) -> None:
+    """Reject an instance whose counts exceed the limits, before any edge is built."""
+    if n > MAX_GENERATED_VERTICES:
+        raise ParameterOverflowError(
+            f"{family} digraph would have {n} vertices, above the limit of {MAX_GENERATED_VERTICES}"
+        )
+    if edge_count > MAX_GENERATED_EDGES:
+        raise ParameterOverflowError(
+            f"{family} digraph would have {edge_count} edges, above the limit of {MAX_GENERATED_EDGES}"
+        )
+
+
 def _rootify(n: int, edges: set[Edge], root: int) -> Digraph:
     if not 1 <= root <= n:
         raise IndexOutOfRangeError(f"root {root} outside 1..{n}")
@@ -47,6 +59,7 @@ def complete_rooted(n: int, root: int = 1) -> Digraph:
     n = int(n)
     if n < 2:
         raise IndexOutOfRangeError("a complete rooted digraph needs n >= 2")
+    _check_counts("complete", n, n * (n - 1))
     edges = {(a, b) for a in range(1, n + 1) for b in range(1, n + 1) if a != b}
     return _rootify(n, edges, root)
 
@@ -62,9 +75,13 @@ def kautz_edges(d: int, kappa: int) -> tuple[int, set[Edge]]:
     d, kappa = int(d), int(kappa)
     if d < 2 or kappa < 1:
         raise ParameterOverflowError("Kautz parameters need d >= 2 and kappa >= 1")
+    if kappa > MAX_GENERATED_VERTICES.bit_length():
+        # d**kappa >= 2**kappa already exceeds the vertex limit
+        raise ParameterOverflowError(
+            f"Kautz digraph K({d},{kappa}) would have more than {MAX_GENERATED_VERTICES} vertices"
+        )
     n = d**kappa + d ** (kappa - 1)
-    if n > MAX_GENERATED_VERTICES:
-        raise ParameterOverflowError(f"Kautz digraph would have {n} vertices")
+    _check_counts("Kautz", n, n * d)
     edges: set[Edge] = set()
     for i in range(1, n + 1):
         for tau in range(1, d + 1):
@@ -92,6 +109,7 @@ def circulant_edges(n: int, b_set) -> set[Edge]:
     bad = [b for b in offsets if not 1 <= b <= n - 1]
     if bad:
         raise InvalidConnectionSetError(f"offset {bad[0]} outside 1..{n - 1}")
+    _check_counts("circulant", n, n * len(offsets))
     return {
         (i, (i - 1 + b) % n + 1)
         for i in range(1, n + 1)

@@ -9,21 +9,29 @@ restricted to original-vertex targets.  Mixed witnesses come from that
 transform too: one minimum-weight vertex cut in which a link costs a
 little less than an agent.
 
-The joint region (all (r, s) pairs) is computed exactly.  Instead of
-enumerating edge subsets, each quantifier block "all u-edge-subsets after
-deleting the follower set A" collapses to the single polynomial test
-``lc(g - A) > u``, so only follower subsets are enumerated; a brute-force
-oracle cross-checks the result cell for cell in the test suite.  No graph
-is built per subset: one flow network of g is built per region, each
-subset masks the arcs that touch it, and each surviving target's flow is
-capped at the running minimum over the targets before it.
+The joint region (all (r, s) pairs) is computed exactly.  Every pair with
+r + s <= jc is a member by the definition of the joint degree, so only the
+pairs above that triangle are tested.  Instead of enumerating edge
+subsets, each quantifier block "all u-edge-subsets after deleting the
+follower set A" collapses to the single polynomial test ``lc(g - A) > u``,
+so only follower subsets are enumerated; a brute-force oracle
+cross-checks the result cell for cell in the test suite.  No graph is
+built per subset: one flow network of g is built per region, each subset
+masks the arcs that touch it, and each surviving target's flow is capped
+at the running minimum over the targets before it.
+
+The subset budget bounds the follower subsets of each tested pair, so it
+applies to the pairs above the triangle only; a region over budget names
+the first tested pair that needs more subsets than the budget allows.
+:func:`is_joint_rs_controllable` itself tests any pair, triangle or not,
+by enumeration.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .budget import DEFAULT_SUBSET_BUDGET
 from .connectivity import (
@@ -178,22 +186,31 @@ class JointRegion:
 
 
 def joint_region(g: Digraph, budget: int = DEFAULT_SUBSET_BUDGET) -> JointRegion:
-    """Enumerate the joint region over its bounding box.
+    """The joint region over its bounding box [0..lc] x [0..ac].
 
-    Non-membership propagates up and to the right (the region is downward
-    closed), so cells dominated by a known non-member are skipped.  Cells
-    are visited one anti-diagonal at a time, so an over-budget error names
-    a cell on the lowest diagonal that exceeds the budget.
+    Every cell with r + s <= jc is a member without a test: such a cell
+    quantifies only over removals of fewer than jc elements, and the
+    joint degree jc = min(lc, ac) is survived by all of them.  The cells
+    on the diagonals above are enumerated one anti-diagonal at a time.
+    Non-membership propagates up and to the right (the region is
+    downward closed), so cells dominated by a known non-member are
+    skipped.  The budget bounds each enumerated cell on its own, so an
+    over-budget error names the first enumerated cell whose test
+    exceeds it; the triangle never needs the budget.
     """
     if not g.is_controllable():
         raise UncontrollableError("the joint region is defined for controllable graphs")
     lcv = link_controllability(g)
     acv = agent_controllability(g)
+    degree = min(lcv, acv)
     degrees = _DeletionDegrees(g)
     members: dict[tuple[int, int], bool] = {}
     for diag in range(lcv + acv + 1):
         for r in range(max(0, diag - acv), min(lcv, diag) + 1):
             s = diag - r
+            if diag <= degree:
+                members[(r, s)] = True
+                continue
             dominated = (r > 0 and not members[(r - 1, s)]) or (s > 0 and not members[(r, s - 1)])
             members[(r, s)] = not dominated and is_joint_rs_controllable(g, r, s, budget, degrees)
     inside = sorted(pair for pair, ok in members.items() if ok)
@@ -206,7 +223,7 @@ def joint_region(g: Digraph, budget: int = DEFAULT_SUBSET_BUDGET) -> JointRegion
     return JointRegion(
         lc=lcv,
         ac=acv,
-        jc=min(lcv, acv),
+        jc=degree,
         members=tuple(inside),
         frontier=frontier,
     )
@@ -272,7 +289,7 @@ def agent_set_from_cut(g: Digraph, cut: Iterable[Edge]) -> frozenset[int]:
         raise UnknownEdgeError(f"edge {tail}->{head} is not in the graph")
     tails = {t for t, _ in cut_edges}
     heads = {h for _, h in cut_edges}
-    closure = _forward_closure(g.remove_edges(cut_edges), set(g.roots) | tails)
+    closure = g._reach(set(g.roots) | tails, gone_edges=cut_edges)
     if closure & heads:
         raise NotAnOutCutError(
             "the edge set is not the out-cut of any root-containing vertex set"
@@ -283,18 +300,6 @@ def agent_set_from_cut(g: Digraph, cut: Iterable[Edge]) -> frozenset[int]:
         if pick not in agents:
             agents.append(pick)
     return frozenset(agents)
-
-
-def _forward_closure(g: Digraph, seed: set[int]) -> set[int]:
-    seen = set(seed)
-    stack = list(seed)
-    while stack:
-        v = stack.pop()
-        for _, head in g.out_edges(v):
-            if head not in seen:
-                seen.add(head)
-                stack.append(head)
-    return seen
 
 
 def agent_substitution_witness(g: Digraph) -> tuple[frozenset[Edge], frozenset[int]]:
@@ -392,13 +397,15 @@ class Classification:
 def classify(g: Digraph, budget: int = DEFAULT_SUBSET_BUDGET) -> Classification:
     if not g.is_controllable():
         raise UncontrollableError("classification is defined for controllable graphs")
+    acv = agent_controllability(g)
+    unit_index = _unit_index_test(g, acv)
     root_out = g.out_cut(g.roots).sorted_members
-    agent_critical = all(agent_controllability_index(g, e) == 1 for e in root_out)
-    link_critical = _link_critical(g, budget)
+    agent_critical = all(unit_index(e) for e in root_out)
+    link_critical = _link_critical(g, acv, unit_index, budget)
     if agent_critical and link_critical:
         jointly: bool | None = True
     else:
-        jointly = _region_is_exact(g, budget)
+        jointly = _region_is_exact(g, link_controllability(g), acv, budget)
     return Classification(
         agent_critical=agent_critical,
         link_critical=link_critical,
@@ -406,19 +413,30 @@ def classify(g: Digraph, budget: int = DEFAULT_SUBSET_BUDGET) -> Classification:
     )
 
 
-def _link_critical(g: Digraph, budget: int) -> bool | None:
+def _unit_index_test(g: Digraph, acv: int) -> Callable[[Edge], bool]:
+    """Memoised "agent controllability index is 1" test against the base degree ``acv``.
+
+    Asks what :func:`~robonet.criticality.agent_controllability_index`
+    asks, but the caller solves ``ac(g)`` once for all edges instead of
+    once per edge.
+    """
+    cache: dict[Edge, bool] = {}
+
+    def unit_index(edge: Edge) -> bool:
+        if edge not in cache:
+            cache[edge] = acv - agent_controllability(g.remove_edges({edge})) == 1
+        return cache[edge]
+
+    return unit_index
+
+
+def _link_critical(
+    g: Digraph, q: int, unit_index: Callable[[Edge], bool], budget: int
+) -> bool | None:
     """Does some minimum breaking agent set have a unit-index out-edge per member?"""
     followers = g.followers
     if not followers:
         return False
-    q = agent_controllability(g)
-    index_cache: dict[Edge, int] = {}
-
-    def unit_index(edge: Edge) -> bool:
-        if edge not in index_cache:
-            index_cache[edge] = agent_controllability_index(g, edge)
-        return index_cache[edge] == 1
-
     scanned = 0
     for combo in combinations(followers, q):
         scanned += 1
@@ -436,15 +454,13 @@ def _link_critical(g: Digraph, budget: int) -> bool | None:
     return False
 
 
-def _region_is_exact(g: Digraph, budget: int) -> bool | None:
+def _region_is_exact(g: Digraph, lcv: int, acv: int, budget: int) -> bool | None:
     """Is the joint region exactly the triangle r + s <= jc?
 
     By downward closure it suffices to show no pair on the diagonal
     r + s = jc + 1 is joint-controllable; degree equality lc == ac is
     necessary first.
     """
-    lcv = link_controllability(g)
-    acv = agent_controllability(g)
     degree = min(lcv, acv)
     if lcv != acv:
         return False

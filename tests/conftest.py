@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 import robonet
 from robonet.digraph import new_digraph
 from robonet.families import circulant_rooted, complete_rooted, preset
+from robonet.oracle import random_digraph
 
 # child processes that run `python -m robonet` import the same source tree
 # as the tests, also when pytest alone put it on the path
@@ -65,3 +66,18 @@ def digraphs(draw, max_n: int = 7, max_edges: int = 14):
     cap = min(max_edges, len(pool))
     edges = draw(st.frozensets(st.sampled_from(pool), max_size=cap))
     return new_digraph(n, range(1, root_count + 1), edges)
+
+
+def seeded_sweep(size: int = 500) -> list:
+    """The deterministic (seed, graph) population the oracle cross-checks run on.
+
+    Graph ``seed`` has 3-8 vertices, one or two roots and at most 16
+    edges, drawn by :func:`~robonet.oracle.random_digraph`.
+    """
+    population = []
+    for seed in range(size):
+        n = 3 + seed % 6
+        roots = 1 + seed % 2
+        cap = min(16, (n - roots) * (n - 1))
+        population.append((seed, random_digraph(n, (seed * 7919) % (cap + 1), roots, seed)))
+    return population

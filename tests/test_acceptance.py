@@ -50,23 +50,12 @@ from robonet.joint import (
 )
 from robonet.oracle import oracle_ac, oracle_jc, oracle_lc, oracle_region, random_digraph
 
-SWEEP_SIZE = 500
-
-
-def _sweep_params(seed: int) -> tuple[int, int, int]:
-    n = 3 + seed % 6
-    roots = 1 + seed % 2
-    cap = min(16, (n - roots) * (n - 1))
-    return n, (seed * 7919) % (cap + 1), roots
+from conftest import seeded_sweep
 
 
 @pytest.fixture(scope="module")
 def sweep():
-    return [
-        (seed, random_digraph(n, edge_count, roots, seed))
-        for seed in range(SWEEP_SIZE)
-        for n, edge_count, roots in [_sweep_params(seed)]
-    ]
+    return seeded_sweep(500)
 
 
 @pytest.fixture(scope="module")

@@ -140,7 +140,10 @@ class TestAnalyze:
         path.write_text(dumps_json_graph(complete_rooted(5)))
         code = cli.main(["analyze", str(path), "--region", "--budget", "1"])
         assert code == 3
-        assert "over budget" in capsys.readouterr().out
+        # the triangle r + s <= jc = 4 is certified without subsets, so
+        # the budget first meets the cell (1,4) above it
+        out = capsys.readouterr().out
+        assert "region: over budget (joint (1,4) test needs 5 follower subsets, budget is 1)" in out
 
     def test_env_budget(self, tmp_path, monkeypatch, capsys):
         path = tmp_path / "c5.json"
@@ -168,6 +171,18 @@ class TestIngestionLimits:
         assert proc.returncode == 2
         assert "exceeds the limit of 100000" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "family",
+        [("complete", "--n", "50000"), ("circulant", "--n", "1000000000", "--b", "1")],
+    )
+    def test_huge_family_exits_2_before_building_edges(self, tmp_path, family):
+        out = tmp_path / "huge.json"
+        proc = _run_robonet("generate", *family, "--out", str(out), address_space=1 << 30)
+        assert proc.returncode == 2
+        assert "above the limit of" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
 
     @pytest.mark.parametrize("value", ["0", "-3"])
     def test_non_positive_budget_flag_exits_2(self, g4_file, value, capsys):

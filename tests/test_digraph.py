@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,6 +8,7 @@ from robonet.digraph import (
     edge_duplicate,
     new_digraph,
     removal_breaks_controllability,
+    stranded_followers,
 )
 from robonet.errors import (
     EmptyRootSetError,
@@ -16,7 +19,7 @@ from robonet.errors import (
     UnknownEdgeError,
 )
 
-from conftest import digraphs
+from conftest import digraphs, seeded_sweep
 
 
 class TestConstruction:
@@ -175,6 +178,33 @@ class TestBreakConvention:
     def test_plain_unreachability_breaks(self, path3):
         assert removal_breaks_controllability(path3, edges={(2, 3)})
         assert not removal_breaks_controllability(path3)
+
+    def test_masked_walk_matches_built_graphs_on_the_seeded_sweep(self):
+        # reference: build the reduced graph and search it
+        rng = random.Random(6)
+        breaking = 0
+        for seed, g in seeded_sweep(500):
+            edges, followers = g.sorted_edges, g.followers
+            for _ in range(12):
+                loss_e = frozenset(rng.sample(edges, rng.randint(0, min(3, len(edges)))))
+                loss_v = frozenset(rng.sample(followers, rng.randint(0, len(followers))))
+                reduced = g.remove_edges(loss_e).remove_vertices(loss_v)
+                stranded = reduced.unreachable_followers()
+                assert stranded_followers(g, loss_e, loss_v) == stranded, (seed, loss_e, loss_v)
+                expected = bool(stranded) or (bool(followers) and loss_v == frozenset(followers))
+                assert removal_breaks_controllability(g, loss_e, loss_v) == expected, (
+                    seed, loss_e, loss_v,
+                )
+                breaking += expected
+        assert breaking > 1000
+
+    def test_masked_walk_rejects_what_removal_rejects(self, path3):
+        with pytest.raises(UnknownEdgeError):
+            removal_breaks_controllability(path3, edges={(3, 2)})
+        with pytest.raises(IndexOutOfRangeError):
+            removal_breaks_controllability(path3, vertices={9})
+        with pytest.raises(RootRemovalError):
+            removal_breaks_controllability(path3, vertices={1})
 
 
 @settings(max_examples=80)

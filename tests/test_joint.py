@@ -3,7 +3,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings
 
-from robonet import digraph
+from robonet import connectivity, digraph
 from robonet.connectivity import _DeletionDegrees, agent_controllability, link_controllability
 from robonet.digraph import edge_duplicate, new_digraph, removal_breaks_controllability
 from robonet.errors import (
@@ -29,7 +29,7 @@ from robonet.joint import (
 )
 from robonet.oracle import oracle_jc, oracle_region, random_digraph
 
-from conftest import digraphs
+from conftest import digraphs, seeded_sweep
 
 
 # ledger counterexample: agent-critical, but the canonical minimum cut of
@@ -147,6 +147,44 @@ class TestRegion:
     def test_region_requires_controllable(self):
         with pytest.raises(UncontrollableError):
             joint_region(new_digraph(3, [1], [(1, 2)]))
+
+    def test_matches_oracle_on_the_seeded_sweep(self):
+        past_triangle = 0
+        for seed, g in seeded_sweep(500):
+            if not g.is_controllable():
+                continue
+            region = joint_region(g)
+            assert region.members == oracle_region(g), f"seed {seed}"
+            past_triangle += not region.exact_for_degree
+        # the enumerated cells above the triangle are exercised, not only the certified ones
+        assert past_triangle >= 50
+
+    def test_triangle_cells_pass_the_enumeration(self, g4):
+        # the region certifies r + s <= jc without a test; the literal
+        # enumeration agrees on every such cell
+        population = [g for _, g in seeded_sweep(500)] + [g4, kautz_rooted(2, 3), complete_rooted(6)]
+        for g in population:
+            if not g.is_controllable():
+                continue
+            degree = joint_controllability(g)
+            for r in range(degree + 1):
+                for s in range(degree + 1 - r):
+                    assert is_joint_rs_controllable(g, r, s), (g, r, s)
+
+    def test_complete_region_is_certified_not_enumerated(self, monkeypatch):
+        solved = []
+        original = connectivity._DeletionDegrees._solve
+
+        def counting(self, removed):
+            solved.append(removed)
+            return original(self, removed)
+
+        monkeypatch.setattr(connectivity._DeletionDegrees, "_solve", counting)
+        region = joint_region(complete_rooted(10))
+        assert region.members == tuple(
+            sorted((r, s) for r in range(10) for s in range(10) if r + s <= 9)
+        )
+        assert len(solved) <= 10  # only the diagonal above the triangle is tested
 
 
 def _proper_follower_subsets(g):

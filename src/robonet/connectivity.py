@@ -7,6 +7,10 @@ minimum cuts: the degree equals the minimum over followers of the number
 of edge-disjoint (respectively internally vertex-disjoint) paths from the
 contracted root-set to that follower.
 
+Every cut is a minimum cut of one network, :func:`_network`, in which
+links and followers carry costs: links only for ``lc``, followers only
+for ``ac``, and both for the mixed cuts of :mod:`robonet.joint`.
+
 Cuts are recovered from residual reachability after a maximum flow.  The
 source-side residual set is the same for every maximum flow, so the
 returned cuts are canonical and all results are deterministic.
@@ -14,7 +18,6 @@ returned cuts are canonical and all results are deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 from .digraph import Digraph, Edge, removal_breaks_controllability, stranded_followers
 from .errors import (
@@ -28,8 +31,9 @@ from .errors import (
 class FlowResult:
     """Value and canonical minimum cut of one root-to-target flow.
 
-    ``value == len(cut_edges)`` in edge mode and ``value ==
-    len(cut_vertices)`` in vertex mode (max-flow/min-cut duality).
+    A link cut leaves ``cut_vertices`` empty and an agent cut leaves
+    ``cut_edges`` empty; every element costs one, so ``value`` is the
+    size of the cut (max-flow/min-cut duality).
     """
 
     value: int
@@ -176,19 +180,58 @@ def _check_target(g: Digraph, target: int) -> None:
         raise TargetIsRootError(f"vertex {target} is a root")
 
 
-def _edge_network(g: Digraph) -> tuple[_Flow, dict[int, int]]:
-    """The unit-capacity edge network of ``g`` with the root-set contracted.
+def _network(
+    g: Digraph, edge_cost: int | None, vertex_cost: int | None
+) -> tuple[_Flow, dict[int, int]]:
+    """The flow network of ``g`` whose cuts are sets of links and followers.
 
-    Node 0 is the root-set and the followers are nodes ``1..|F|`` in
-    ascending order (returned as ``ids``).  Edge ``k`` of
-    ``g.sorted_edges`` is arc ``2k``, tagged with the edge.
+    Node 0 is the contracted root-set.  Each edge is an arc tagged with the
+    edge and costing ``edge_cost``; with ``edge_cost`` None it is untagged
+    and costs more than all followers together, so no minimum cut holds it.
+    Without a ``vertex_cost`` the followers are nodes ``1..|F|`` in
+    ascending order and edge ``k`` of ``g.sorted_edges`` is arc ``2k``.
+    With one, each follower is split (Even & Tarjan) into an in-node and an
+    out-node joined by an arc tagged with the follower and costing
+    ``vertex_cost``.  Returns the network and each follower's entry node,
+    the sink when that follower is the target.
     """
-    ids = {v: i + 1 for i, v in enumerate(g.followers)}
-    net = _Flow(len(ids) + 1)
-    for edge in g.sorted_edges:
-        tail, head = edge
-        net.add_arc(ids.get(tail, 0), ids[head], 1, tag=edge)
-    return net, ids
+    if vertex_cost is None:
+        entry = {v: i + 1 for i, v in enumerate(g.followers)}
+        leave = entry
+        net = _Flow(len(entry) + 1)
+    else:
+        entry = {v: 2 * i + 1 for i, v in enumerate(g.followers)}
+        leave = {v: node + 1 for v, node in entry.items()}
+        net = _Flow(2 * len(entry) + 1)
+        for v, node in entry.items():
+            net.add_arc(node, node + 1, vertex_cost, tag=v)
+    if edge_cost is None:
+        uncuttable = vertex_cost * len(entry) + 1
+        for tail, head in g.sorted_edges:
+            net.add_arc(leave.get(tail, 0), entry[head], uncuttable)
+    else:
+        for edge in g.sorted_edges:
+            tail, head = edge
+            net.add_arc(leave.get(tail, 0), entry[head], edge_cost, tag=edge)
+    return net, entry
+
+
+def _min_cut(
+    g: Digraph, target: int, edge_cost: int | None, vertex_cost: int | None
+) -> tuple[int, frozenset]:
+    """Cheapest cut of :func:`_network` that separates the target from the roots.
+
+    Returns its total cost and its canonical elements: edges and followers
+    other than the target.  With ``edge_cost`` None no cut exists when an
+    edge runs from a root straight to the target; the caller excludes that.
+    """
+    net, entry = _network(g, edge_cost, vertex_cost)
+    value = net.max_flow(0, entry[target])
+    cut = frozenset(net.crossing_tags(net.source_side(0)))
+    assert value == sum(
+        vertex_cost if type(element) is int else edge_cost for element in cut
+    ), "max-flow/min-cut duality violated"
+    return value, cut
 
 
 class _DeletionDegrees:
@@ -204,7 +247,7 @@ class _DeletionDegrees:
     """
 
     def __init__(self, g: Digraph) -> None:
-        self._net, self._ids = _edge_network(g)
+        self._net, self._ids = _network(g, 1, None)
         self._base = list(self._net.cap)
         to = self._net.to
         self._arcs_at: list[list[int]] = [[] for _ in range(self._net.node_count)]
@@ -243,68 +286,28 @@ class _DeletionDegrees:
 def max_edge_disjoint(g: Digraph, target: int) -> FlowResult:
     """Maximum number of edge-disjoint root-to-target paths.
 
-    The root-set is contracted to a single super-source.  ``cut_edges``
-    is the canonical minimum edge cut induced by the residual source
-    side.
+    The minimum cut in which every link costs one and no follower can be
+    cut; ``cut_edges`` is its canonical edge set.
     """
     _check_target(g, target)
-    net, ids = _edge_network(g)
-    value = net.max_flow(0, ids[target])
-    side = net.source_side(0)
-    cut = frozenset(net.crossing_tags(side))
-    assert len(cut) == value, "max-flow/min-cut duality violated"
+    value, cut = _min_cut(g, target, 1, None)
     return FlowResult(value=value, cut_edges=cut, cut_vertices=frozenset())
-
-
-def _min_vertex_cut(
-    g: Digraph, target: int, cost: Callable[[int], int]
-) -> tuple[int, frozenset[int]]:
-    """Cheapest set of followers other than the target that separates it from the roots.
-
-    Computed by node splitting: every follower other than the target
-    becomes an in-node/out-node gadget whose arc carries the vertex's
-    positive ``cost``, edges get capacities no cut can afford, and the
-    roots are contracted to a super-source.  Returns the cut's total cost
-    and its canonical vertex set.  The caller guarantees that no edge
-    runs from a root straight to the target, so a finite cut exists.
-    """
-    middle = sorted(g.vertices - g.root_set - {target})
-    node_in = {v: 1 + 2 * i for i, v in enumerate(middle)}
-    node_out = {v: 2 + 2 * i for i, v in enumerate(middle)}
-    sink = 1 + 2 * len(middle)
-    net = _Flow(sink + 1)
-    costs = {v: cost(v) for v in middle}
-    big = sum(costs.values()) + 1
-    for v in middle:
-        net.add_arc(node_in[v], node_out[v], costs[v], tag=v)
-    for tail, head in g.sorted_edges:
-        if tail == target:
-            continue
-        tail_node = 0 if tail in g.root_set else node_out[tail]
-        head_node = sink if head == target else node_in[head]
-        net.add_arc(tail_node, head_node, big)
-    value = net.max_flow(0, sink)
-    side = net.source_side(0)
-    cut = frozenset(net.crossing_tags(side))
-    assert sum(costs[v] for v in cut) == value, "max-flow/min-cut duality violated"
-    return value, cut
 
 
 def max_vertex_disjoint(g: Digraph, target: int) -> FlowResult:
     """Minimum number of intermediate vertices separating the target.
 
-    Every follower other than the target costs one in the node-split
-    network of :func:`_min_vertex_cut`.  When some edge connects a root
-    directly to the target no follower set can separate it; the value is
-    then reported as ``|V| - |R|`` with the full follower set as the only
+    The minimum cut in which every follower other than the target costs
+    one and no link can be cut.  When some edge connects a root directly
+    to the target no follower set can separate it; the value is then
+    reported as ``|V| - |R|`` with the full follower set as the only
     consistent witness.
     """
     _check_target(g, target)
-    followers = g.followers
     if any(tail in g.root_set for tail, head in g.edges if head == target):
         cap = len(g.vertices) - len(g.roots)
-        return FlowResult(value=cap, cut_edges=frozenset(), cut_vertices=frozenset(followers))
-    value, cut = _min_vertex_cut(g, target, lambda v: 1)
+        return FlowResult(value=cap, cut_edges=frozenset(), cut_vertices=frozenset(g.followers))
+    value, cut = _min_cut(g, target, None, 1)
     return FlowResult(value=value, cut_edges=frozenset(), cut_vertices=cut)
 
 

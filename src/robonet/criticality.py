@@ -75,13 +75,7 @@ def is_agent_critical(g: Digraph, v: int) -> bool:
     v = _check_follower(g, v)
     if not g.is_controllable():
         return True
-    base = agent_controllability(g)
-    critical = agent_controllability(g.remove_vertices({v})) == base - 1
-    if base < len(g.vertices) - len(g.roots):
-        # Outside the all-directly-connected corner, criticality is fully
-        # determined by the agent criticality index.
-        assert critical == (agent_criticality_index(g, v) == 1)
-    return critical
+    return agent_controllability(g.remove_vertices({v})) == agent_controllability(g) - 1
 
 
 def agent_controllability_index(g: Digraph, edge: Edge) -> int:

@@ -41,6 +41,8 @@ def parse_json_graph(text: str, strip_self_loops: bool = False) -> Digraph:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise GraphFormatError(f"invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise GraphFormatError("invalid JSON: values nested too deeply") from exc
     if not isinstance(payload, dict):
         raise GraphFormatError("top-level JSON value must be an object")
     missing = {"n", "roots", "edges"} - payload.keys()

@@ -4,10 +4,12 @@ A graph is joint (r, s)-controllable when it survives every simultaneous
 removal of u <= r links and v <= s followers with u + v < r + s.  The
 joint controllability degree is the largest t with joint (u, v)-
 controllability for all u + v <= t; it always equals min(lc, ac), and it
-also equals the agent controllability of the edge-duplicate transform
-restricted to original-vertex targets.  Mixed witnesses come from that
-transform too: one minimum-weight vertex cut in which a link costs a
-little less than an agent.
+also equals the cheapest mixed cut of links and followers when each costs
+one.  That cut is the agent cut of the edge-duplicate transform (each link
+split through a vertex of its own), priced on the node-split flow network
+of the graph itself, so the duplicate graph is never built.  Mixed
+witnesses are one such cost-weighted cut in which a link costs a little
+less than an agent.
 
 The joint region (all (r, s) pairs) is computed exactly.  Every pair with
 r + s <= jc is a member by the definition of the joint degree, so only the
@@ -37,21 +39,14 @@ from .budget import DEFAULT_SUBSET_BUDGET
 from .connectivity import (
     WitnessSet,
     _DeletionDegrees,
-    _min_vertex_cut,
+    _min_cut,
     _replay,
     agent_controllability,
     link_controllability,
     max_edge_disjoint,
-    max_vertex_disjoint,
 )
 from .criticality import agent_controllability_index
-from .digraph import (
-    Digraph,
-    Edge,
-    EdgeDuplicate,
-    edge_duplicate,
-    removal_breaks_controllability,
-)
+from .digraph import Digraph, Edge, removal_breaks_controllability
 from .errors import (
     ConditionUnmetError,
     InstanceTooLargeError,
@@ -71,33 +66,21 @@ def joint_controllability(g: Digraph) -> int:
     return min(link_controllability(g), agent_controllability(g))
 
 
-def duplicate_agent_controllability(dup: EdgeDuplicate) -> int:
-    """Agent controllability of an edge-duplicate, targeting white vertices.
-
-    Black vertices stand for links of the source graph.  They may be cut
-    (that is the point of the transform) but they are not reachability
-    targets: a black vertex whose tail agent was removed corresponds to a
-    link that disappeared with its endpoint, not to a stranded agent.
-    Restricting targets to white followers makes the minimum cut equal to
-    the source graph's joint controllability degree.
-
-    The white-follower count caps the result for the same reason the
-    plain agent degree is capped at ``|V| - |R|``: wiping out every
-    follower counts as a break, and that breaking set has no per-target
-    cut.  Both conventions are the same rule carried through the
-    white/black correspondence.
-    """
-    g = dup.graph
-    white_followers = sorted(v for v in dup.white_of.values() if v not in g.root_set)
-    if not white_followers:
-        return 0
-    per_target = min(max_vertex_disjoint(g, v).value for v in white_followers)
-    return min(per_target, len(white_followers))
-
-
 def joint_controllability_via_duplicate(g: Digraph) -> int:
-    """Joint degree computed through the edge-duplicate transform only."""
-    return duplicate_agent_controllability(edge_duplicate(g))
+    """Joint degree as the cheapest mixed cut, with links and followers costing one each.
+
+    This is the agent controllability of the edge-duplicate transform
+    with the original followers as the only targets: a link is cut where
+    the transform would put its black vertex, and a link that dies with
+    its tail agent strands no one.  The follower count caps the result
+    for the same reason the plain agent degree is capped at ``|V| - |R|``:
+    wiping out every follower counts as a break, and that breaking set
+    has no per-target cut.
+    """
+    followers = g.followers
+    if not followers:
+        return 0
+    return min(min(_min_cut(g, t, 1, 1)[0] for t in followers), len(followers))
 
 
 # ---------------------------------------------------------------------------
@@ -236,35 +219,28 @@ def joint_region(g: Digraph, budget: int = DEFAULT_SUBSET_BUDGET) -> JointRegion
 def critical_agent_link_witness(g: Digraph) -> WitnessSet:
     """One minimal mixed breaking set of size jc(g), with as few agents as possible.
 
-    A breaking set of links and agents is a vertex cut of the
-    edge-duplicate graph that separates some white follower from the
-    roots, with each link cut as its black vertex.  Black vertices cost
-    ``K`` and white followers ``K + 1``, where ``K`` exceeds the follower
-    count, so one minimum-weight cut per white target minimises the size
-    first and the agent count second; agents are usually the costlier
-    failures, so witnesses lean on links when possible.  Ties go to the
-    smallest target, whose canonical residual cut is returned.  When that
-    cut has more than ``|F|`` elements, the full follower set breaks with
-    fewer and is returned instead, as in
+    A breaking set of links and agents is a mixed cut that separates some
+    follower from the roots.  Links cost ``K`` and followers ``K + 1``,
+    where ``K`` exceeds the follower count, so one minimum-cost cut per
+    target minimises the size first and the agent count second; agents
+    are usually the costlier failures, so witnesses lean on links when
+    possible.  Ties go to the smallest target, whose canonical residual
+    cut is returned.  When that cut has more than ``|F|`` elements, the
+    full follower set breaks with fewer and is returned instead, as in
     :func:`~robonet.connectivity.min_agent_cut_witness`.
     """
     if not g.followers or not g.is_controllable():
         raise UncontrollableError("degrees are zero; every element is already critical")
-    dup = edge_duplicate(g)
     followers = frozenset(g.followers)
-    black_cost = len(followers) + 1
-
-    def cost(v: int) -> int:
-        return black_cost + 1 if v in followers else black_cost
-
-    cuts = {t: _min_vertex_cut(dup.graph, t, cost) for t in g.followers}
+    link_cost = len(followers) + 1
+    cuts = {t: _min_cut(g, t, link_cost, link_cost + 1) for t in g.followers}
     best = min(cuts, key=lambda t: (cuts[t][0], t))
     cut = cuts[best][1]
     if len(cut) > len(followers):
         edges, vertices = frozenset(), followers
     else:
         vertices = cut & followers
-        edges = frozenset(dup.edge_for_black(v) for v in cut - vertices)
+        edges = cut - vertices
     unreachable = _replay(g, edges, vertices)
     return WitnessSet(kind="mixed", edges=edges, vertices=vertices, unreachable=unreachable)
 

@@ -265,10 +265,7 @@ def render_text(doc: dict) -> str:
         else:
             lines.append("witnesses:")
             for kind in ("link", "agent", "mixed"):
-                payload = wit.get(kind)
-                if payload is None:
-                    lines.append(f"  {kind}: undefined (over budget)")
-                    continue
+                payload = wit[kind]
                 edges = _pair_list(payload["edges"]) or "-"
                 vertices = (
                     " ".join(str(v) for v in payload["vertices"]) or "-"

@@ -1,4 +1,5 @@
 import json
+import random
 import resource
 import subprocess
 import sys
@@ -6,7 +7,7 @@ import sys
 import pytest
 
 from robonet import cli
-from robonet.graphio import dumps_json_graph, load_graph_file
+from robonet.graphio import dumps_json_graph, graph_to_dot, load_graph_file
 from robonet.families import complete_rooted, kautz_rooted, preset
 
 
@@ -195,6 +196,94 @@ class TestIngestionLimits:
         monkeypatch.setenv("ROBONET_BUDGET", value)
         assert cli.main(["analyze", g4_file, "--region"]) == 2
         assert "budget must be positive" in capsys.readouterr().err
+
+
+def _fuzzed_files(seed):
+    """Seeded hostile graph files: (name, bytes) pairs."""
+    rng = random.Random(seed)
+    g = preset("double_loop", 5)
+    originals = [("json", dumps_json_graph(g).encode()), ("dot", graph_to_dot(g).encode())]
+    cases = []
+    for ext, data in originals:
+        cases.append((f"original.{ext}", data))
+        digits = [i for i, byte in enumerate(data) if chr(byte).isdigit()]
+        for i in range(12):
+            cases.append((f"cut{i}.{ext}", data[: rng.randrange(len(data))]))
+        for i in range(24):
+            # any byte, or a digit for a digit, which keeps the syntax valid
+            mutated = bytearray(data)
+            for _ in range(rng.randint(1, 4)):
+                if i % 2:
+                    mutated[rng.choice(digits)] = ord(rng.choice("0123456789"))
+                else:
+                    mutated[rng.randrange(len(mutated))] = rng.randrange(256)
+            cases.append((f"mutated{i}.{ext}", bytes(mutated)))
+    deep = 100_000
+    for i, text in enumerate(
+        [
+            '{"n": 3, "roots": [1], "edges": [' + "[" * deep + "]" * deep + "]}",
+            '{"n": 3, "roots": ' + "[" * deep + "]" * deep + ', "edges": []}',
+            '{"n": ' + "[" * deep + "]" * deep + ', "roots": [1], "edges": []}',
+            "{" * deep,
+            '{"n": 3, "roots": [1], "edges": [[1, 2], [' + "[" * 900 + "]" * 900 + "]]}",
+            "digraph " + "{" * deep,
+            "digraph { 1 " + "[" * deep + " }",
+        ]
+    ):
+        cases.append((f"deep{i}.{'dot' if text.startswith('digraph') else 'json'}", text.encode()))
+    for i, text in enumerate(
+        [
+            '{"n": 3, "roots": [1], "edges": [[1, 2], [2, 1000000000000000000000000000000]]}',
+            '{"n": 1000000000000000000000000000000, "roots": [1], "edges": []}',
+            '{"n": ' + "9" * 5000 + ', "roots": [1], "edges": []}',
+            '{"n": 3, "roots": [-1], "edges": [[-1, 2], [2, 3]]}',
+            '{"n": -3, "roots": [1], "edges": []}',
+            '{"n": 3, "roots": [1], "edges": [[1, -2], [1, 3]]}',
+            '{"n": 1e400, "roots": [1], "edges": []}',
+            "digraph { 1 [root=true]; 1 -> 1000000000000000000000000000000; }",
+            "digraph { 1 [root=true]; 1 -> " + "9" * 5000 + "; }",
+            "digraph { 1 [root=true]; -1 -> 2; }",
+        ]
+    ):
+        cases.append((f"ids{i}.{'dot' if text.startswith('digraph') else 'json'}", text.encode()))
+    return cases
+
+
+class TestFuzz:
+    # every seeded hostile input goes through cli.main in process and must
+    # end in a contract exit code; an escaping exception fails the test
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_hostile_files_end_in_contract_codes(self, tmp_path, seed, capsys):
+        codes = set()
+        for name, data in _fuzzed_files(seed):
+            path = tmp_path / name
+            path.write_bytes(data)
+            for command in (["analyze", str(path), "--json"], ["verify", str(path)]):
+                code = cli.main(command)
+                assert code in (0, 2, 3, 4), (name, command[0], code)
+                codes.add(code)
+            capsys.readouterr()
+        assert {0, 2} <= codes  # some mutations survive parsing, most do not
+
+    def test_deep_json_nesting_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text('{"n": 3, "roots": [1], "edges": [' + "[" * 100_000 + "]" * 100_000 + "]}")
+        assert cli.main(["analyze", str(path)]) == 2
+        assert "nested too deeply" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["0", "-1", str(-(10**30)), str(10**30)])
+    def test_out_of_range_budget_flags(self, g4_file, value, capsys):
+        for command in (["analyze", g4_file], ["verify", g4_file], ["export-region", g4_file]):
+            extra = ["--out", g4_file + ".csv"] if command[0] == "export-region" else []
+            assert cli.main(command + extra + ["--budget", value]) in (0, 2, 3, 4)
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("value", ["-5", "abc", "1e9", " ", "9" * 5000, str(10**30)])
+    def test_out_of_range_budget_env(self, g4_file, value, monkeypatch, capsys):
+        monkeypatch.setenv("ROBONET_BUDGET", value)
+        for command in (["analyze", g4_file], ["verify", g4_file]):
+            assert cli.main(command) in (0, 2, 3, 4)
+        capsys.readouterr()
 
 
 class TestVerify:

@@ -22,9 +22,10 @@ from robonet.errors import (
     UncontrollableError,
     UnknownEdgeError,
 )
+from robonet.connectivity import agent_controllability
 from robonet.families import complete_rooted
 
-from conftest import digraphs
+from conftest import digraphs, seeded_sweep
 
 
 @pytest.fixture(scope="module")
@@ -83,6 +84,20 @@ class TestAgentCriticality:
     def test_root_queried(self, path3):
         with pytest.raises(RootQueriedError):
             is_agent_critical(path3, 1)
+
+    def test_matches_unit_criticality_index_on_the_seeded_sweep(self):
+        # outside the all-directly-fed corner ac = |V| - |R|, a follower is
+        # critical exactly when stripping its out-edges lowers ac by one
+        checked = 0
+        for seed, g in seeded_sweep(500):
+            if not g.followers or not g.is_controllable():
+                continue
+            if agent_controllability(g) >= len(g.vertices) - len(g.roots):
+                continue
+            for v in g.followers:
+                checked += 1
+                assert is_agent_critical(g, v) == (agent_criticality_index(g, v) == 1), (seed, v)
+        assert checked > 500
 
 
 class TestEdgeIndex:

@@ -4,7 +4,12 @@ import pytest
 from hypothesis import given, settings
 
 from robonet import connectivity, digraph
-from robonet.connectivity import _DeletionDegrees, agent_controllability, link_controllability
+from robonet.connectivity import (
+    _DeletionDegrees,
+    agent_controllability,
+    link_controllability,
+    max_vertex_disjoint,
+)
 from robonet.digraph import edge_duplicate, new_digraph, removal_breaks_controllability
 from robonet.errors import (
     ConditionUnmetError,
@@ -20,7 +25,6 @@ from robonet.joint import (
     check_bounds,
     classify,
     critical_agent_link_witness,
-    duplicate_agent_controllability,
     is_joint_rs_controllable,
     joint_controllability,
     joint_controllability_via_duplicate,
@@ -83,7 +87,7 @@ class TestDuplicateRoute:
         g = complete_rooted(3)
         dup = edge_duplicate(g)
         assert agent_controllability(dup.graph) == 1
-        assert duplicate_agent_controllability(dup) == 2 == joint_controllability(g)
+        assert joint_controllability_via_duplicate(g) == 2 == joint_controllability(g)
 
     def test_white_count_cap(self):
         # both followers are directly fed; the joint degree is attained
@@ -92,6 +96,18 @@ class TestDuplicateRoute:
         g = new_digraph(4, [1, 2], [(1, 3), (1, 4), (2, 3), (2, 4), (3, 4), (4, 3)])
         assert joint_controllability(g) == 2
         assert joint_controllability_via_duplicate(g) == 2
+
+    def test_matches_the_literal_transform_on_the_seeded_sweep(self):
+        # reference: build the edge-duplicate graph and take the agent
+        # degree over its white followers, capped at the follower count
+        for seed, g in seeded_sweep(500):
+            dup = edge_duplicate(g).graph
+            followers = g.followers
+            literal = 0
+            if followers:
+                per_target = min(max_vertex_disjoint(dup, v).value for v in followers)
+                literal = min(per_target, len(followers))
+            assert joint_controllability_via_duplicate(g) == literal, f"seed {seed}"
 
 
 class TestJointPairs:
@@ -187,6 +203,20 @@ class TestRegion:
         assert len(solved) <= 10  # only the diagonal above the triangle is tested
 
 
+@pytest.fixture()
+def built_graphs(monkeypatch):
+    """Grows by one entry for every ``Digraph`` built while the test runs."""
+    built = []
+    original = digraph.Digraph.__post_init__
+
+    def counting(self):
+        built.append(1)
+        original(self)
+
+    monkeypatch.setattr(digraph.Digraph, "__post_init__", counting)
+    return built
+
+
 def _proper_follower_subsets(g):
     followers = g.followers
     for size in range(len(followers)):
@@ -220,22 +250,13 @@ class TestDeletionDegrees:
     def test_no_surviving_follower_is_zero(self, path3):
         assert _DeletionDegrees(path3).lc_without(frozenset(path3.followers)) == 0
 
-    def test_region_builds_no_graph_per_subset(self, monkeypatch):
-        g = complete_rooted(8)
-        built = []
-        original = digraph.Digraph.__post_init__
-
-        def counting(self):
-            built.append(1)
-            original(self)
-
-        monkeypatch.setattr(digraph.Digraph, "__post_init__", counting)
-        region = joint_region(g)
+    def test_region_builds_no_graph_per_subset(self, built_graphs):
+        region = joint_region(complete_rooted(8))
         assert region.members == tuple(
             sorted((r, s) for r in range(8) for s in range(8) if r + s <= 7)
         )
         # the region tests hundreds of follower subsets; none is built as a graph
-        assert len(built) <= 2
+        assert len(built_graphs) <= 2
 
 
 class TestMixedWitness:
@@ -251,6 +272,10 @@ class TestMixedWitness:
 
     def test_complete4_size(self, complete4):
         assert critical_agent_link_witness(complete4).size == 3
+
+    def test_builds_no_graph(self, g4, built_graphs):
+        assert critical_agent_link_witness(g4).size == 2
+        assert built_graphs == []  # no edge-duplicate graph, no graph per removal test
 
     def test_fewest_agents_among_minimum_breaking_sets(self):
         # reference: every mixed subset of size jc, tested literally

@@ -13,11 +13,11 @@ import sys
 
 from . import oracle
 from .budget import DEFAULT_SUBSET_BUDGET, ENV_VAR, resolve_budget
-from .connectivity import agent_controllability, link_controllability
+from .connectivity import _degree_kernels
 from .errors import GraphValidationError, InstanceTooLargeError, RobonetError
 from .families import PRESET_KINDS, FamilySpec, build
 from .graphio import dumps_json_graph, load_graph_file
-from .joint import joint_controllability, joint_controllability_via_duplicate, joint_region
+from .joint import joint_controllability_via_duplicate, joint_region
 from .report import SECTIONS, build_report, render_json, render_text
 
 EXIT_OK = 0
@@ -114,13 +114,15 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     subset_budget = resolve_budget(args.budget)
     g = load_graph_file(args.input, strip_self_loops=args.strip_self_loops)
     budget = oracle.OracleBudget(max_subset_candidates=subset_budget)
+    # the lc, ac and jc rows and the region come from the kernels analyze uses
+    kernels = link, agent = _degree_kernels(g)
     rows = [
-        ("lc", link_controllability(g), oracle.oracle_lc(g, budget)),
-        ("ac", agent_controllability(g), oracle.oracle_ac(g, budget)),
+        ("lc", link.base, oracle.oracle_lc(g, budget)),
+        ("ac", agent.base, oracle.oracle_ac(g, budget)),
     ]
     slow_jc = oracle.oracle_jc(g, budget)
     rows += [
-        ("jc", joint_controllability(g), slow_jc),
+        ("jc", min(link.base, agent.base), slow_jc),
         ("jc(duplicate)", joint_controllability_via_duplicate(g), slow_jc),
     ]
     mismatch = False
@@ -130,7 +132,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         mismatch = mismatch or fast != slow
         print(f"{name:<15} {fast:>4}  {slow:>6}{marker}")
     if not args.skip_region and g.is_controllable():
-        fast_region = joint_region(g, budget=subset_budget).members
+        fast_region = joint_region(g, budget=subset_budget, _kernels=kernels).members
         slow_region = oracle.oracle_region(g, budget)
         ok = fast_region == slow_region
         mismatch = mismatch or not ok

@@ -11,6 +11,13 @@ Every cut is a minimum cut of one network, :func:`_network`, in which
 links and followers carry costs: links only for ``lc``, followers only
 for ``ac``, and both for the mixed cuts of :mod:`robonet.joint`.
 
+The report's degrees, its unit-index tests and its joint region read
+their degrees from :class:`_DeletionDegrees`: one network per graph and
+mode, on which deleting followers or edges masks arcs instead of building
+a new graph and network.  :func:`link_controllability`,
+:func:`agent_controllability` and the witnesses still build one network
+per target.
+
 Cuts are recovered from residual reachability after a maximum flow.  The
 source-side residual set is the same for every maximum flow, so the
 returned cuts are canonical and all results are deterministic.
@@ -18,6 +25,7 @@ returned cuts are canonical and all results are deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .digraph import Digraph, Edge, removal_breaks_controllability, stranded_followers
 from .errors import (
@@ -189,11 +197,11 @@ def _network(
     edge and costing ``edge_cost``; with ``edge_cost`` None it is untagged
     and costs more than all followers together, so no minimum cut holds it.
     Without a ``vertex_cost`` the followers are nodes ``1..|F|`` in
-    ascending order and edge ``k`` of ``g.sorted_edges`` is arc ``2k``.
-    With one, each follower is split (Even & Tarjan) into an in-node and an
-    out-node joined by an arc tagged with the follower and costing
-    ``vertex_cost``.  Returns the network and each follower's entry node,
-    the sink when that follower is the target.
+    ascending order.  With one, each follower is split (Even & Tarjan) into
+    an in-node and the out-node after it, joined by an arc tagged with the
+    follower and costing ``vertex_cost``.  The edge arcs come last, in
+    ``g.sorted_edges`` order.  Returns the network and each follower's
+    entry node, the sink when that follower is the target.
     """
     if vertex_cost is None:
         entry = {v: i + 1 for i, v in enumerate(g.followers)}
@@ -235,52 +243,91 @@ def _min_cut(
 
 
 class _DeletionDegrees:
-    """``lc`` of one graph after deleting follower sets, on one network.
+    """One degree of one graph after deleting followers and edges, on one network.
 
-    The edge network of the graph is built once.  Deleting a follower set
-    zeroes the capacity of every arc that touches it, which leaves the
-    network of the vertex-deleted graph with the deleted nodes isolated.
-    Each surviving follower's flow starts from those masked capacities and
-    is capped at the running minimum, since only the minimum is wanted;
-    an unreachable survivor gives 0 at once.  Values are memoised per
-    deleted set.
+    The network of ``g`` with the given costs (see :func:`_network`) is
+    built once: ``(1, None)`` gives ``lc`` and ``(None, 1)`` gives ``ac``.
+    Deleting a follower zeroes the capacity of every arc at its node, or at
+    both of its split nodes, and deleting an edge zeroes the edge's arc;
+    this leaves the network of the reduced graph with the deleted parts
+    isolated.  Each surviving follower's flow starts from those masked
+    capacities and is capped at the running minimum, since only the
+    minimum is wanted; the minimum starts at the mode's own cap, the edge
+    count for ``lc`` and the surviving follower count (``|V| - |R|`` when
+    none is deleted) for ``ac``.  An unreachable survivor gives 0 at once,
+    and in agent mode a survivor with a surviving edge from a root takes
+    the cap without a flow, as in :func:`max_vertex_disjoint`.  Values are
+    memoised per deleted (followers, edges) pair.
     """
 
-    def __init__(self, g: Digraph) -> None:
-        self._net, self._ids = _network(g, 1, None)
+    def __init__(self, g: Digraph, edge_cost: int | None, vertex_cost: int | None) -> None:
+        self._net, self._entry = _network(g, edge_cost, vertex_cost)
         self._base = list(self._net.cap)
+        self._split = vertex_cost is not None
         to = self._net.to
-        self._arcs_at: list[list[int]] = [[] for _ in range(self._net.node_count)]
+        owner = [0] * self._net.node_count  # the follower of each node, 0 at the roots
+        for v, node in self._entry.items():
+            owner[node] = v
+            if self._split:
+                owner[node + 1] = v  # the out-node
+        self._arcs_at: dict[int, list[int]] = {v: [] for v in self._entry}
         for arc in range(0, len(to), 2):
-            self._arcs_at[to[arc]].append(arc)
-            self._arcs_at[to[arc + 1]].append(arc)
-        self._memo: dict[frozenset[int], int] = {}
+            for v in {owner[to[arc]], owner[to[arc + 1]]} - {0}:
+                self._arcs_at[v].append(arc)
+        first = len(to) - 2 * len(g.edges)  # the edge arcs come last
+        self._arc_of = {edge: first + 2 * k for k, edge in enumerate(g.sorted_edges)}
+        self._from_root: dict[int, list[int]] = {v: [] for v in self._entry}
+        if self._split:
+            for (tail, head), arc in self._arc_of.items():
+                if tail in g.root_set:
+                    self._from_root[head].append(arc)
+        self._memo: dict[tuple[frozenset[int], frozenset[Edge]], int] = {}
 
-    def lc_without(self, removed: frozenset[int]) -> int:
-        """``link_controllability(g.remove_vertices(removed))`` for a set of followers."""
-        value = self._memo.get(removed)
+    @cached_property
+    def base(self) -> int:
+        """The degree of ``g`` itself."""
+        return self._min_flow(self._base, frozenset())
+
+    def without(
+        self, followers: frozenset[int] = frozenset(), edges: frozenset[Edge] = frozenset()
+    ) -> int:
+        """The degree of ``g.remove_vertices(followers).remove_edges(edges)``."""
+        if not followers and not edges:
+            return self.base
+        key = (followers, edges)
+        value = self._memo.get(key)
         if value is None:
-            value = self._memo[removed] = self._solve(removed)
+            value = self._memo[key] = self._solve(followers, edges)
         return value
 
-    def _solve(self, removed: frozenset[int]) -> int:
-        gone = {self._ids[v] for v in removed}
-        if len(gone) == len(self._ids):
-            return 0  # no follower survives: the vacuous degree
+    def _solve(self, followers: frozenset[int], edges: frozenset[Edge]) -> int:
         masked = self._base[:]
-        for node in gone:
-            for arc in self._arcs_at[node]:
+        for v in followers:
+            for arc in self._arcs_at[v]:
                 masked[arc] = 0
+        for edge in edges:
+            masked[self._arc_of[edge]] = 0
+        return self._min_flow(masked, followers)
+
+    def _min_flow(self, masked: list[int], gone: frozenset[int]) -> int:
         net = self._net
-        best = len(masked) // 2  # no flow exceeds the edge count
-        for node in range(1, net.node_count):
-            if node in gone:
-                continue
+        targets = [(v, node) for v, node in self._entry.items() if v not in gone]
+        if not targets:
+            return 0  # no follower survives: the vacuous degree
+        best = len(targets) if self._split else len(self._arc_of)
+        for v, sink in targets:
+            if any(masked[arc] for arc in self._from_root[v]):
+                continue  # a root edge no follower set can cut: the cap
             net.cap[:] = masked
-            best = min(best, net.max_flow(0, node, best))
+            best = min(best, net.max_flow(0, sink, best))
             if best == 0:
                 break
         return best
+
+
+def _degree_kernels(g: Digraph) -> tuple[_DeletionDegrees, _DeletionDegrees]:
+    """The ``lc`` and the ``ac`` kernel of ``g``, in that order."""
+    return _DeletionDegrees(g, 1, None), _DeletionDegrees(g, None, 1)
 
 
 def max_edge_disjoint(g: Digraph, target: int) -> FlowResult:

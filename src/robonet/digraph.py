@@ -34,7 +34,8 @@ Edge = tuple[int, int]
 # allocated per vertex; graph files and the family generators share it.
 MAX_GENERATED_VERTICES = 100_000
 # Largest edge set a family generator builds, checked from its parameters
-# before the first edge is made.
+# before the first edge is made; graph files are held to it while they are
+# read, before any edge is validated or built.
 MAX_GENERATED_EDGES = 1_000_000
 
 

@@ -30,7 +30,7 @@ class EmptyRootSetError(GraphValidationError):
 
 
 class GraphTooLargeError(GraphValidationError):
-    """A graph would have more vertices than the package accepts."""
+    """A graph would have more vertices or edges than the package accepts."""
 
 
 class GraphFormatError(GraphValidationError):

@@ -8,14 +8,20 @@ A small DOT subset is accepted as a convenience import: integer node
 names, plain ``a -> b;`` edges, and a ``root=true`` node attribute
 marking leaders.  Anything else (chains, subgraphs, edge attributes,
 comments) is rejected with line/column information.
+
+Both readers hold a file to :data:`~robonet.digraph.MAX_GENERATED_EDGES`
+edges, counted before the edges are validated or built, and error
+messages quote at most a short prefix of a malformed value.
 """
 from __future__ import annotations
 
 import json
 import re
+import reprlib
 
+from . import digraph
 from .digraph import Digraph, new_digraph
-from .errors import GraphFormatError
+from .errors import GraphFormatError, GraphTooLargeError
 
 
 # ---------------------------------------------------------------------------
@@ -57,14 +63,23 @@ def parse_json_graph(text: str, strip_self_loops: bool = False) -> Digraph:
         raise GraphFormatError('"roots" must be a list of integers')
     if not isinstance(edges, list):
         raise GraphFormatError('"edges" must be a list of [tail, head] pairs')
+    _check_edge_count(len(edges))
     for item in edges:
         if (
             not isinstance(item, list)
             or len(item) != 2
             or not all(isinstance(x, int) for x in item)
         ):
-            raise GraphFormatError(f'"edges" entry {item!r} is not a [tail, head] pair')
+            raise GraphFormatError(
+                f'"edges" entry {reprlib.repr(item)} is not a [tail, head] pair'
+            )
     return new_digraph(n, roots, [tuple(e) for e in edges], strip_self_loops=strip_self_loops)
+
+
+def _check_edge_count(count: int) -> None:
+    limit = digraph.MAX_GENERATED_EDGES  # read per call, so tests can lower it
+    if count > limit:
+        raise GraphTooLargeError(f"edge count exceeds the limit of {limit}")
 
 
 # ---------------------------------------------------------------------------
@@ -171,6 +186,7 @@ def parse_dot_graph(text: str, strip_self_loops: bool = False) -> Digraph:
             head = int(hvalue)
             vertices.add(head)
             edges.append((first, head))
+            _check_edge_count(len(edges))
             nxt = scanner.peek()
             if nxt is not None and nxt[1] == "->":
                 raise GraphFormatError(

@@ -18,9 +18,12 @@ subsets, each quantifier block "all u-edge-subsets after deleting the
 follower set A" collapses to the single polynomial test ``lc(g - A) > u``,
 so only follower subsets are enumerated; a brute-force oracle
 cross-checks the result cell for cell in the test suite.  No graph is
-built per subset: one flow network of g is built per region, each subset
+built per subset: one flow network of g is built per report, each subset
 masks the arcs that touch it, and each surviving target's flow is capped
-at the running minimum over the targets before it.
+at the running minimum over the targets before it.  The report's
+classification tests, region and bound checks share that network and a
+second one for ``ac``, so ``lc(g - A)`` is solved once per follower set
+and every "agent controllability index is 1" test masks one edge.
 
 The subset budget bounds the follower subsets of each tested pair, so it
 applies to the pairs above the triangle only; a region over budget names
@@ -39,6 +42,7 @@ from .budget import DEFAULT_SUBSET_BUDGET
 from .connectivity import (
     WitnessSet,
     _DeletionDegrees,
+    _degree_kernels,
     _min_cut,
     _replay,
     agent_controllability,
@@ -121,8 +125,9 @@ def is_joint_rs_controllable(
     that an uncontrollable graph is never vacuously joint-controllable.
     Deleting the full follower set counts as a break, mirroring
     :func:`~robonet.digraph.removal_breaks_controllability`.  Callers
-    testing several pairs of one graph pass one ``_degrees`` kernel, so
-    its network and its memo of ``lc(g - A)`` are shared between them.
+    testing several pairs of one graph pass its ``lc`` kernel as
+    ``_degrees``, so its network and its memo of ``lc(g - A)`` are shared
+    between them.
     """
     if r < 0 or s < 0:
         raise ValueError("r and s must be non-negative")
@@ -135,12 +140,12 @@ def is_joint_rs_controllable(
         raise InstanceTooLargeError(
             f"joint ({r},{s}) test needs {candidates} follower subsets, budget is {budget}"
         )
-    degrees = _degrees if _degrees is not None else _DeletionDegrees(g)
+    degrees = _degrees if _degrees is not None else _DeletionDegrees(g, 1, None)
     for u, v in patterns:
         if v == len(followers):
             return False  # deleting every follower breaks by convention
         for combo in combinations(followers, v):
-            if degrees.lc_without(frozenset(combo)) <= u:
+            if degrees.without(frozenset(combo)) <= u:
                 return False
     return True
 
@@ -168,7 +173,11 @@ class JointRegion:
         return tuple(pair) in set(self.members)
 
 
-def joint_region(g: Digraph, budget: int = DEFAULT_SUBSET_BUDGET) -> JointRegion:
+def joint_region(
+    g: Digraph,
+    budget: int = DEFAULT_SUBSET_BUDGET,
+    _kernels: tuple[_DeletionDegrees, _DeletionDegrees] | None = None,
+) -> JointRegion:
     """The joint region over its bounding box [0..lc] x [0..ac].
 
     Every cell with r + s <= jc is a member without a test: such a cell
@@ -179,14 +188,15 @@ def joint_region(g: Digraph, budget: int = DEFAULT_SUBSET_BUDGET) -> JointRegion
     downward closed), so cells dominated by a known non-member are
     skipped.  The budget bounds each enumerated cell on its own, so an
     over-budget error names the first enumerated cell whose test
-    exceeds it; the triangle never needs the budget.
+    exceeds it; the triangle never needs the budget.  Callers that hold
+    the graph's ``lc`` and ``ac`` kernels pass them as ``_kernels``.
     """
     if not g.is_controllable():
         raise UncontrollableError("the joint region is defined for controllable graphs")
-    lcv = link_controllability(g)
-    acv = agent_controllability(g)
+    link, agent = _kernels or _degree_kernels(g)
+    lcv = link.base
+    acv = agent.base
     degree = min(lcv, acv)
-    degrees = _DeletionDegrees(g)
     members: dict[tuple[int, int], bool] = {}
     for diag in range(lcv + acv + 1):
         for r in range(max(0, diag - acv), min(lcv, diag) + 1):
@@ -195,7 +205,7 @@ def joint_region(g: Digraph, budget: int = DEFAULT_SUBSET_BUDGET) -> JointRegion
                 members[(r, s)] = True
                 continue
             dominated = (r > 0 and not members[(r - 1, s)]) or (s > 0 and not members[(r, s - 1)])
-            members[(r, s)] = not dominated and is_joint_rs_controllable(g, r, s, budget, degrees)
+            members[(r, s)] = not dominated and is_joint_rs_controllable(g, r, s, budget, link)
     inside = sorted(pair for pair, ok in members.items() if ok)
     member_set = set(inside)
     frontier = tuple(
@@ -370,18 +380,23 @@ class Classification:
     jointly_critical: bool | None
 
 
-def classify(g: Digraph, budget: int = DEFAULT_SUBSET_BUDGET) -> Classification:
+def classify(
+    g: Digraph,
+    budget: int = DEFAULT_SUBSET_BUDGET,
+    _kernels: tuple[_DeletionDegrees, _DeletionDegrees] | None = None,
+) -> Classification:
+    """The classes of ``g``; callers holding its kernels pass them as ``_kernels``."""
     if not g.is_controllable():
         raise UncontrollableError("classification is defined for controllable graphs")
-    acv = agent_controllability(g)
-    unit_index = _unit_index_test(g, acv)
+    link, agent = _kernels or _degree_kernels(g)
+    unit_index = _unit_index_test(agent)
     root_out = g.out_cut(g.roots).sorted_members
     agent_critical = all(unit_index(e) for e in root_out)
-    link_critical = _link_critical(g, acv, unit_index, budget)
+    link_critical = _link_critical(g, agent.base, unit_index, budget)
     if agent_critical and link_critical:
         jointly: bool | None = True
     else:
-        jointly = _region_is_exact(g, link_controllability(g), acv, budget)
+        jointly = _region_is_exact(g, link, agent.base, budget)
     return Classification(
         agent_critical=agent_critical,
         link_critical=link_critical,
@@ -389,21 +404,14 @@ def classify(g: Digraph, budget: int = DEFAULT_SUBSET_BUDGET) -> Classification:
     )
 
 
-def _unit_index_test(g: Digraph, acv: int) -> Callable[[Edge], bool]:
-    """Memoised "agent controllability index is 1" test against the base degree ``acv``.
+def _unit_index_test(agent: _DeletionDegrees) -> Callable[[Edge], bool]:
+    """The "agent controllability index is 1" test on the ``ac`` kernel of a graph.
 
     Asks what :func:`~robonet.criticality.agent_controllability_index`
-    asks, but the caller solves ``ac(g)`` once for all edges instead of
-    once per edge.
+    asks, ``ac(g) - ac(g - e) == 1``, with the edge masked on the kernel's
+    network instead of built out of a new graph; the kernel memoises it.
     """
-    cache: dict[Edge, bool] = {}
-
-    def unit_index(edge: Edge) -> bool:
-        if edge not in cache:
-            cache[edge] = acv - agent_controllability(g.remove_edges({edge})) == 1
-        return cache[edge]
-
-    return unit_index
+    return lambda edge: agent.base - agent.without(edges=frozenset((edge,))) == 1
 
 
 def _link_critical(
@@ -430,21 +438,23 @@ def _link_critical(
     return False
 
 
-def _region_is_exact(g: Digraph, lcv: int, acv: int, budget: int) -> bool | None:
+def _region_is_exact(
+    g: Digraph, link: _DeletionDegrees, acv: int, budget: int
+) -> bool | None:
     """Is the joint region exactly the triangle r + s <= jc?
 
     By downward closure it suffices to show no pair on the diagonal
     r + s = jc + 1 is joint-controllable; degree equality lc == ac is
-    necessary first.
+    necessary first.  ``link`` is the ``lc`` kernel of ``g``.
     """
+    lcv = link.base
     degree = min(lcv, acv)
     if lcv != acv:
         return False
-    degrees = _DeletionDegrees(g)
     try:
         for r in range(max(0, degree + 1 - acv), min(lcv, degree + 1) + 1):
             s = degree + 1 - r
-            if is_joint_rs_controllable(g, r, s, budget, degrees):
+            if is_joint_rs_controllable(g, r, s, budget, link):
                 return False
     except InstanceTooLargeError:
         return None
@@ -476,12 +486,15 @@ def check_bounds(
     g: Digraph,
     region: JointRegion | None = None,
     classification: Classification | None = None,
+    _kernels: tuple[_DeletionDegrees, _DeletionDegrees] | None = None,
 ) -> list[BoundCheck]:
+    """The bound rows of ``g``; callers holding its kernels pass them as ``_kernels``."""
     n = g.n
     m = len(g.roots)
     e = len(g.edges)
-    lcv = link_controllability(g)
-    acv = agent_controllability(g)
+    link, agent = _kernels or _degree_kernels(g)
+    lcv = link.base
+    acv = agent.base
     degree = min(lcv, acv)
     controllable = g.is_controllable()
     single_root = m == 1

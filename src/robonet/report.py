@@ -13,8 +13,7 @@ import json
 from .budget import DEFAULT_SUBSET_BUDGET
 from .connectivity import (
     WitnessSet,
-    agent_controllability,
-    link_controllability,
+    _degree_kernels,
     min_agent_cut_witness,
     min_link_cut_witness,
 )
@@ -52,7 +51,11 @@ def build_report(
     sections: tuple[str, ...] | None = None,
     budget: int = DEFAULT_SUBSET_BUDGET,
 ) -> dict:
-    """Assemble the selected report sections (all of them by default)."""
+    """Assemble the selected report sections (all of them by default).
+
+    The degrees, classify and region sections and the bound checks read
+    ``lc`` and ``ac`` from one pair of kernels, built once per report.
+    """
     wanted = tuple(sections) if sections else SECTIONS
     unknown = set(wanted) - set(SECTIONS)
     if unknown:
@@ -65,9 +68,10 @@ def build_report(
         "controllable": controllable,
     }
 
+    kernels = _degree_kernels(g) if {"degrees", "classify", "region"} & set(wanted) else None
+
     if "degrees" in wanted:
-        lcv = link_controllability(g)
-        acv = agent_controllability(g)
+        lcv, acv = kernels[0].base, kernels[1].base
         doc["degrees"] = {"lc": lcv, "ac": acv, "jc": min(lcv, acv)}
 
     if "indices" in wanted:
@@ -103,7 +107,7 @@ def build_report(
     classification: Classification | None = None
     if "classify" in wanted:
         if controllable:
-            classification = classify(g, budget=budget)
+            classification = classify(g, budget=budget, _kernels=kernels)
             doc["classification"] = {
                 "agent_critical": classification.agent_critical,
                 "link_critical": classification.link_critical,
@@ -118,7 +122,7 @@ def build_report(
             doc["region"] = None
         else:
             try:
-                region = joint_region(g, budget=budget)
+                region = joint_region(g, budget=budget, _kernels=kernels)
                 doc["region"] = {
                     "lc": region.lc,
                     "ac": region.ac,
@@ -142,7 +146,9 @@ def build_report(
                 "holds": row.holds,
                 "detail": row.detail,
             }
-            for row in check_bounds(g, region=region, classification=classification)
+            for row in check_bounds(
+                g, region=region, classification=classification, _kernels=kernels
+            )
         ]
 
     doc["budget"] = {"limit": budget, "exhausted_sections": sorted(exhausted)}

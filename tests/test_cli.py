@@ -198,6 +198,34 @@ class TestIngestionLimits:
         assert "budget must be positive" in capsys.readouterr().err
 
 
+class TestIngestionBounds:
+    def test_long_malformed_edge_entry_gives_a_short_error(self, tmp_path, capsys):
+        path = tmp_path / "long.json"
+        entry = json.dumps(list(range(100_000)))
+        path.write_text('{"n": 3, "roots": [1], "edges": [[1, 2], ' + entry + "]}")
+        assert cli.main(["analyze", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "is not a [tail, head] pair" in err
+        assert len(err.encode()) < 300
+
+    @pytest.mark.parametrize(
+        "name, write",
+        [
+            ("edges.json", lambda g: dumps_json_graph(g)),
+            ("edges.dot", lambda g: graph_to_dot(g)),
+        ],
+    )
+    def test_edge_count_is_capped_while_reading(self, tmp_path, monkeypatch, capsys, name, write):
+        monkeypatch.setattr("robonet.digraph.MAX_GENERATED_EDGES", 5)
+        at_cap = tmp_path / ("at_cap_" + name)
+        at_cap.write_text(write(preset("simple_loop", 6)))  # 5 edges
+        assert cli.main(["analyze", str(at_cap), "--degrees"]) == 0
+        over = tmp_path / ("over_" + name)
+        over.write_text(write(preset("double_loop", 4)))  # 6 edges
+        assert cli.main(["analyze", str(over), "--degrees"]) == 2
+        assert "exceeds the limit of 5" in capsys.readouterr().err
+
+
 def _fuzzed_files(seed):
     """Seeded hostile graph files: (name, bytes) pairs."""
     rng = random.Random(seed)

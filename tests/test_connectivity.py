@@ -3,6 +3,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from robonet.connectivity import (
+    _DeletionDegrees,
+    _degree_kernels,
     agent_controllability,
     agent_controllability_vertex,
     link_controllability,
@@ -16,7 +18,7 @@ from robonet.errors import TargetIsRootError, UncontrollableError
 from robonet.families import circulant_rooted
 from robonet.oracle import oracle_ac, oracle_lc
 
-from conftest import digraphs
+from conftest import digraphs, seeded_sweep
 
 
 class TestEdgeDisjoint:
@@ -105,6 +107,39 @@ class TestDegrees:
     def test_per_vertex_value_matches_flow(self, g4):
         for v in g4.followers:
             assert agent_controllability_vertex(g4, v) == max_vertex_disjoint(g4, v).value
+
+
+class TestDeletionKernels:
+    def test_unmasked_kernels_give_the_degrees_on_the_seeded_sweep(self):
+        for seed, g in seeded_sweep(500):
+            link, agent = _degree_kernels(g)
+            assert link.base == link.without() == link_controllability(g), f"seed {seed}"
+            assert agent.base == agent.without() == agent_controllability(g), f"seed {seed}"
+
+    def test_agent_kernel_masks_one_edge_on_the_seeded_sweep(self):
+        from_root = 0
+        for seed, g in seeded_sweep(500):
+            agent = _DeletionDegrees(g, None, 1)
+            for edge in g.sorted_edges:
+                expected = agent_controllability(g.remove_edges({edge}))
+                assert agent.without(edges=frozenset({edge})) == expected, (seed, edge)
+                # the direct-root corner: a root edge into the head, masked or not
+                from_root += any(
+                    tail in g.root_set for tail, head in g.edges if head == edge[1]
+                )
+        assert from_root >= 50
+
+    def test_follower_and_edge_masks_match_built_graphs(self, g4):
+        for g in (g4, circulant_rooted(7, (1, 3))):
+            link, agent = _degree_kernels(g)
+            for v in g.followers:
+                for edge in g.sorted_edges:
+                    if v in edge:
+                        continue
+                    reduced = g.remove_vertices({v}).remove_edges({edge})
+                    masks = (frozenset({v}), frozenset({edge}))
+                    assert link.without(*masks) == link_controllability(reduced), (v, edge)
+                    assert agent.without(*masks) == agent_controllability(reduced), (v, edge)
 
 
 class TestWitnesses:

@@ -3,7 +3,8 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings
 
-from robonet import connectivity, digraph
+from robonet import connectivity, digraph, joint
+from robonet.budget import DEFAULT_SUBSET_BUDGET
 from robonet.connectivity import (
     _DeletionDegrees,
     agent_controllability,
@@ -18,8 +19,10 @@ from robonet.errors import (
     NotAnOutCutError,
     UncontrollableError,
 )
+from robonet.criticality import agent_controllability_index
 from robonet.families import complete_rooted, kautz_rooted
 from robonet.joint import (
+    Classification,
     agent_set_from_cut,
     agent_substitution_witness,
     check_bounds,
@@ -32,6 +35,7 @@ from robonet.joint import (
     link_set_from_agent_set,
 )
 from robonet.oracle import oracle_jc, oracle_region, random_digraph
+from robonet.report import build_report
 
 from conftest import digraphs, seeded_sweep
 
@@ -191,9 +195,9 @@ class TestRegion:
         solved = []
         original = connectivity._DeletionDegrees._solve
 
-        def counting(self, removed):
-            solved.append(removed)
-            return original(self, removed)
+        def counting(self, followers, edges):
+            solved.append(followers)
+            return original(self, followers, edges)
 
         monkeypatch.setattr(connectivity._DeletionDegrees, "_solve", counting)
         region = joint_region(complete_rooted(10))
@@ -227,9 +231,9 @@ def _proper_follower_subsets(g):
 class TestDeletionDegrees:
     def test_matches_vertex_deleted_graphs_on_families(self, g4):
         for g in (g4, kautz_rooted(2, 3), complete_rooted(6)):
-            degrees = _DeletionDegrees(g)
+            degrees = _DeletionDegrees(g, 1, None)
             for removed in _proper_follower_subsets(g):
-                assert degrees.lc_without(removed) == link_controllability(
+                assert degrees.without(removed) == link_controllability(
                     g.remove_vertices(removed)
                 ), sorted(removed)
 
@@ -240,15 +244,15 @@ class TestDeletionDegrees:
             roots = 1 + seed % 2
             cap = (n - roots) * (n - 1)
             g = random_digraph(n, (seed * 7919) % (cap + 1), roots, seed)
-            degrees = _DeletionDegrees(g)
+            degrees = _DeletionDegrees(g, 1, None)
             for removed in _proper_follower_subsets(g):
                 expected = link_controllability(g.remove_vertices(removed))
-                assert degrees.lc_without(removed) == expected, (seed, sorted(removed))
+                assert degrees.without(removed) == expected, (seed, sorted(removed))
                 stranded += expected == 0
         assert stranded > 100  # subsets that strand a follower are covered
 
     def test_no_surviving_follower_is_zero(self, path3):
-        assert _DeletionDegrees(path3).lc_without(frozenset(path3.followers)) == 0
+        assert _DeletionDegrees(path3, 1, None).without(frozenset(path3.followers)) == 0
 
     def test_region_builds_no_graph_per_subset(self, built_graphs):
         region = joint_region(complete_rooted(8))
@@ -257,6 +261,21 @@ class TestDeletionDegrees:
         )
         # the region tests hundreds of follower subsets; none is built as a graph
         assert len(built_graphs) <= 2
+
+    def test_report_builds_one_network_per_mode(self, monkeypatch):
+        built = []
+        original = connectivity._network
+
+        def counting(g, edge_cost, vertex_cost):
+            built.append((edge_cost, vertex_cost))
+            return original(g, edge_cost, vertex_cost)
+
+        monkeypatch.setattr(connectivity, "_network", counting)
+        doc = build_report(complete_rooted(10), sections=("degrees", "classify", "region"))
+        assert doc["degrees"] == {"lc": 9, "ac": 9, "jc": 9}
+        assert doc["classification"]["jointly_critical"] is True
+        # degrees, unit-index tests, region and bounds share one lc and one ac network
+        assert len(built) <= 2
 
 
 class TestMixedWitness:
@@ -398,6 +417,31 @@ class TestClassification:
     def test_requires_controllable(self):
         with pytest.raises(UncontrollableError):
             classify(new_digraph(3, [1], [(1, 2)]))
+
+    def test_kernel_unit_index_matches_the_index_on_the_seeded_sweep(self):
+        # reference: the same rules with every unit-index test asked of
+        # criticality.agent_controllability_index on a built graph
+        seen = set()
+        for seed, g in seeded_sweep(500):
+            if not g.is_controllable():
+                continue
+            acv = agent_controllability(g)
+
+            def unit_index(edge):
+                return agent_controllability_index(g, edge) == 1
+
+            agent_critical = all(unit_index(e) for e in g.out_cut(g.roots).sorted_members)
+            link_critical = joint._link_critical(g, acv, unit_index, DEFAULT_SUBSET_BUDGET)
+            if agent_critical and link_critical:
+                jointly = True
+            else:
+                link = connectivity._DeletionDegrees(g, 1, None)
+                jointly = joint._region_is_exact(g, link, acv, DEFAULT_SUBSET_BUDGET)
+            expected = Classification(agent_critical, link_critical, jointly)
+            assert classify(g) == expected, f"seed {seed}"
+            seen.add((agent_critical, link_critical))
+        # both certificates are exercised in both directions
+        assert {(True, True), (True, False), (False, True), (False, False)} <= seen
 
 
 class TestBounds:

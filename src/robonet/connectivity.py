@@ -7,16 +7,11 @@ minimum cuts: the degree equals the minimum over followers of the number
 of edge-disjoint (respectively internally vertex-disjoint) paths from the
 contracted root-set to that follower.
 
-Every cut is a minimum cut of one network, :func:`_network`, in which
-links and followers carry costs: links only for ``lc``, followers only
-for ``ac``, and both for the mixed cuts of :mod:`robonet.joint`.
-
-The report's degrees, its unit-index tests and its joint region read
-their degrees from :class:`_DeletionDegrees`: one network per graph and
-mode, on which deleting followers or edges masks arcs instead of building
-a new graph and network.  :func:`link_controllability`,
-:func:`agent_controllability` and the witnesses still build one network
-per target.
+Every degree, cut and witness is read off :class:`_DeletionDegrees`, the
+one holder of a flow network (:func:`_network`).  Each witness reads the
+cheapest cut of one network per graph and cost pair, and the report masks
+deletions on one network per graph and mode; :func:`link_controllability`
+and :func:`agent_controllability` still build one network per target.
 
 Cuts are recovered from residual reachability after a maximum flow.  The
 source-side residual set is the same for every maximum flow, so the
@@ -115,14 +110,15 @@ class _Flow:
                     return total
 
     def _levels(self, source: int) -> list[int]:
+        adj, to, cap = self.adj, self.to, self.cap
         level = [-1] * self.node_count
         level[source] = 0
         queue = [source]
         for v in queue:
-            for arc in self.adj[v]:
-                if self.cap[arc] > 0 and level[self.to[arc]] < 0:
-                    level[self.to[arc]] = level[v] + 1
-                    queue.append(self.to[arc])
+            for arc in adj[v]:
+                if cap[arc] > 0 and level[to[arc]] < 0:
+                    level[to[arc]] = level[v] + 1
+                    queue.append(to[arc])
         return level
 
     def _augment(self, source: int, sink: int, level: list[int], it: list[int]) -> int:
@@ -160,24 +156,26 @@ class _Flow:
 
     def source_side(self, source: int) -> set[int]:
         """Nodes reachable from the source in the final residual graph."""
+        adj, to, cap = self.adj, self.to, self.cap
         seen = {source}
         stack = [source]
         while stack:
             v = stack.pop()
-            for arc in self.adj[v]:
-                head = self.to[arc]
-                if self.cap[arc] > 0 and head not in seen:
+            for arc in adj[v]:
+                head = to[arc]
+                if cap[arc] > 0 and head not in seen:
                     seen.add(head)
                     stack.append(head)
         return seen
 
     def crossing_tags(self, side: set[int]) -> list[object]:
+        adj, to, cap, tag = self.adj, self.to, self.cap, self.tag
         tags = []
         for v in side:
-            for arc in self.adj[v]:
-                if arc % 2 == 0 and self.cap[arc] == 0 and self.to[arc] not in side:
-                    if self.tag[arc] is not None:
-                        tags.append(self.tag[arc])
+            for arc in adj[v]:
+                if arc % 2 == 0 and cap[arc] == 0 and to[arc] not in side:
+                    if tag[arc] is not None:
+                        tags.append(tag[arc])
         return tags
 
 
@@ -212,7 +210,7 @@ def _network(
         leave = {v: node + 1 for v, node in entry.items()}
         net = _Flow(2 * len(entry) + 1)
         for v, node in entry.items():
-            net.add_arc(node, node + 1, vertex_cost, tag=v)
+            net.add_arc(node, node + 1, vertex_cost, v)
     if edge_cost is None:
         uncuttable = vertex_cost * len(entry) + 1
         for tail, head in g.sorted_edges:
@@ -220,73 +218,100 @@ def _network(
     else:
         for edge in g.sorted_edges:
             tail, head = edge
-            net.add_arc(leave.get(tail, 0), entry[head], edge_cost, tag=edge)
+            net.add_arc(leave.get(tail, 0), entry[head], edge_cost, edge)
     return net, entry
 
 
-def _min_cut(
-    g: Digraph, target: int, edge_cost: int | None, vertex_cost: int | None
-) -> tuple[int, frozenset]:
-    """Cheapest cut of :func:`_network` that separates the target from the roots.
-
-    Returns its total cost and its canonical elements: edges and followers
-    other than the target.  With ``edge_cost`` None no cut exists when an
-    edge runs from a root straight to the target; the caller excludes that.
-    """
-    net, entry = _network(g, edge_cost, vertex_cost)
-    value = net.max_flow(0, entry[target])
-    cut = frozenset(net.crossing_tags(net.source_side(0)))
-    assert value == sum(
-        vertex_cost if type(element) is int else edge_cost for element in cut
-    ), "max-flow/min-cut duality violated"
-    return value, cut
-
-
 class _DeletionDegrees:
-    """One degree of one graph after deleting followers and edges, on one network.
+    """One flow network of one graph and cost pair, for its degrees and cuts.
 
-    The network of ``g`` with the given costs (see :func:`_network`) is
-    built once: ``(1, None)`` gives ``lc`` and ``(None, 1)`` gives ``ac``.
-    Deleting a follower zeroes the capacity of every arc at its node, or at
-    both of its split nodes, and deleting an edge zeroes the edge's arc;
-    this leaves the network of the reduced graph with the deleted parts
-    isolated.  Each surviving follower's flow starts from those masked
-    capacities and is capped at the running minimum, since only the
-    minimum is wanted; the minimum starts at the mode's own cap, the edge
-    count for ``lc`` and the surviving follower count (``|V| - |R|`` when
-    none is deleted) for ``ac``.  An unreachable survivor gives 0 at once,
-    and in agent mode a survivor with a surviving edge from a root takes
-    the cap without a flow, as in :func:`max_vertex_disjoint`.  Values are
-    memoised per deleted (followers, edges) pair.
+    The network (see :func:`_network`) is built on the first flow:
+    ``(1, None)`` gives ``lc``, ``(None, 1)`` ``ac`` and ``(1, 1)`` ``jc``.
+    Deleting followers and edges zeroes their arcs.  A degree runs each
+    surviving follower's flow from the masked capacities, capped at the
+    running minimum, which starts at :meth:`_cap`; when links cannot be
+    cut, a follower with a surviving root edge takes the cap without a
+    flow.  Degrees are memoised per deleted (followers, edges) pair.
     """
 
     def __init__(self, g: Digraph, edge_cost: int | None, vertex_cost: int | None) -> None:
-        self._net, self._entry = _network(g, edge_cost, vertex_cost)
-        self._base = list(self._net.cap)
-        self._split = vertex_cost is not None
-        to = self._net.to
-        owner = [0] * self._net.node_count  # the follower of each node, 0 at the roots
-        for v, node in self._entry.items():
-            owner[node] = v
-            if self._split:
-                owner[node + 1] = v  # the out-node
-        self._arcs_at: dict[int, list[int]] = {v: [] for v in self._entry}
-        for arc in range(0, len(to), 2):
-            for v in {owner[to[arc]], owner[to[arc + 1]]} - {0}:
-                self._arcs_at[v].append(arc)
-        first = len(to) - 2 * len(g.edges)  # the edge arcs come last
-        self._arc_of = {edge: first + 2 * k for k, edge in enumerate(g.sorted_edges)}
-        self._from_root: dict[int, list[int]] = {v: [] for v in self._entry}
-        if self._split:
-            for (tail, head), arc in self._arc_of.items():
-                if tail in g.root_set:
-                    self._from_root[head].append(arc)
+        self._g = g
+        self._edge_cost = edge_cost
+        self._vertex_cost = vertex_cost
         self._memo: dict[tuple[frozenset[int], frozenset[Edge]], int] = {}
+        self._flow: tuple[_Flow, dict[int, int], list[int]] | None = None
+
+    def _cap(self, survivors: int) -> int:
+        """The cost of a breaking set needing no cut: every edge, or every surviving follower."""
+        return len(self._g.edges) if self._vertex_cost is None else self._vertex_cost * survivors
+
+    def _built(self) -> tuple[_Flow, dict[int, int], list[int]]:
+        """The network, each follower's entry node and the unmasked capacities."""
+        if self._flow is None:
+            net, entry = _network(self._g, self._edge_cost, self._vertex_cost)
+            self._flow = net, entry, list(net.cap)
+        return self._flow
 
     @cached_property
+    def _arc_of(self) -> dict[Edge, int]:
+        first = 0 if self._vertex_cost is None else 2 * len(self._g.followers)  # edges come last
+        return {edge: first + 2 * k for k, edge in enumerate(self._g.sorted_edges)}
+
+    @cached_property
+    def _from_root(self) -> dict[int, list[int]]:
+        """The arcs of the followers' root in-edges, when links cannot be cut."""
+        from_root: dict[int, list[int]] = {}
+        if self._edge_cost is None:
+            for (tail, head), arc in self._arc_of.items():
+                if tail in self._g.root_set:
+                    from_root.setdefault(head, []).append(arc)
+        return from_root
+
+    @cached_property
+    def _arcs_at(self) -> dict[int, list[int]]:
+        net, entry, _ = self._built()
+        owner = [0] * net.node_count  # the follower of each node, 0 at the roots
+        for v, node in entry.items():
+            owner[node] = v
+            if self._vertex_cost is not None:
+                owner[node + 1] = v  # the out-node
+        arcs_at: dict[int, list[int]] = {v: [] for v in entry}
+        for arc in range(0, len(net.to), 2):
+            for v in {owner[net.to[arc]], owner[net.to[arc + 1]]} - {0}:
+                arcs_at[v].append(arc)
+        return arcs_at
+
+    @cached_property
+    def _unmasked(self) -> tuple[int, int | None]:
+        return self._min_flow(self._built()[2], frozenset())
+
+    @property
     def base(self) -> int:
         """The degree of ``g`` itself."""
-        return self._min_flow(self._base, frozenset())
+        return self._unmasked[0]
+
+    def cheapest(self) -> tuple[int, frozenset] | None:
+        """The smallest follower of least cut cost and its cut; None if none is under the cap."""
+        winner = self._unmasked[1]
+        return None if winner is None else (winner, self.cut(winner)[1])
+
+    def cut(self, target: int) -> tuple[int, frozenset]:
+        """Cost and canonical edges and followers of the cheapest cut separating the target.
+
+        A target no cut separates (a root edge when links cannot be cut)
+        gets the cap and the full follower set, without a flow.
+        """
+        g = self._g
+        if self._edge_cost is None and any(t in g.root_set for t, h in g.edges if h == target):
+            return self._cap(len(g.followers)), frozenset(g.followers)
+        net, entry, base = self._built()
+        net.cap[:] = base
+        value = net.max_flow(0, entry[target])
+        cut = frozenset(net.crossing_tags(net.source_side(0)))
+        assert value == sum(
+            self._vertex_cost if type(element) is int else self._edge_cost for element in cut
+        ), "max-flow/min-cut duality violated"
+        return value, cut
 
     def without(
         self, followers: frozenset[int] = frozenset(), edges: frozenset[Edge] = frozenset()
@@ -301,28 +326,31 @@ class _DeletionDegrees:
         return value
 
     def _solve(self, followers: frozenset[int], edges: frozenset[Edge]) -> int:
-        masked = self._base[:]
+        masked = self._built()[2][:]
         for v in followers:
             for arc in self._arcs_at[v]:
                 masked[arc] = 0
         for edge in edges:
             masked[self._arc_of[edge]] = 0
-        return self._min_flow(masked, followers)
+        return self._min_flow(masked, followers)[0]
 
-    def _min_flow(self, masked: list[int], gone: frozenset[int]) -> int:
-        net = self._net
-        targets = [(v, node) for v, node in self._entry.items() if v not in gone]
+    def _min_flow(self, masked: list[int], gone: frozenset[int]) -> tuple[int, int | None]:
+        """The cheapest cut's cost and the smallest follower under the cap that attains it."""
+        targets = [v for v in self._g.followers if v not in gone]
         if not targets:
-            return 0  # no follower survives: the vacuous degree
-        best = len(targets) if self._split else len(self._arc_of)
-        for v, sink in targets:
-            if any(masked[arc] for arc in self._from_root[v]):
-                continue  # a root edge no follower set can cut: the cap
+            return 0, None  # no follower survives: the vacuous degree
+        net, entry, _ = self._built()
+        best, winner = self._cap(len(targets)), None
+        for v in targets:
+            if any(masked[arc] for arc in self._from_root.get(v, ())):
+                continue  # no follower set separates it: the cap
             net.cap[:] = masked
-            best = min(best, net.max_flow(0, sink, best))
-            if best == 0:
-                break
-        return best
+            value = net.max_flow(0, entry[v], best)
+            if value < best:
+                best, winner = value, v
+                if best == 0:
+                    break
+        return best, winner
 
 
 def _degree_kernels(g: Digraph) -> tuple[_DeletionDegrees, _DeletionDegrees]:
@@ -337,7 +365,7 @@ def max_edge_disjoint(g: Digraph, target: int) -> FlowResult:
     cut; ``cut_edges`` is its canonical edge set.
     """
     _check_target(g, target)
-    value, cut = _min_cut(g, target, 1, None)
+    value, cut = _DeletionDegrees(g, 1, None).cut(target)
     return FlowResult(value=value, cut_edges=cut, cut_vertices=frozenset())
 
 
@@ -351,10 +379,7 @@ def max_vertex_disjoint(g: Digraph, target: int) -> FlowResult:
     consistent witness.
     """
     _check_target(g, target)
-    if any(tail in g.root_set for tail, head in g.edges if head == target):
-        cap = len(g.vertices) - len(g.roots)
-        return FlowResult(value=cap, cut_edges=frozenset(), cut_vertices=frozenset(g.followers))
-    value, cut = _min_cut(g, target, None, 1)
+    value, cut = _DeletionDegrees(g, None, 1).cut(target)
     return FlowResult(value=value, cut_edges=frozenset(), cut_vertices=cut)
 
 
@@ -396,6 +421,21 @@ def _replay(g: Digraph, edges: frozenset[Edge], vertices: frozenset[int]) -> tup
     return stranded_followers(g, edges, vertices)
 
 
+def _cheapest_witness(
+    g: Digraph, kind: str, edge_cost: int | None, vertex_cost: int | None
+) -> WitnessSet:
+    """The replayed cheapest cut of one network, or the breaking set that meets its cap.
+
+    That set is every follower, or every edge when followers cannot be
+    cut (all of them then feed the only follower).
+    """
+    found = _DeletionDegrees(g, edge_cost, vertex_cost).cheapest()
+    cut = frozenset(g.edges if vertex_cost is None else g.followers) if found is None else found[1]
+    vertices = frozenset(element for element in cut if type(element) is int)
+    edges = cut - vertices
+    return WitnessSet(kind, edges, vertices, unreachable=_replay(g, edges, vertices))
+
+
 def min_link_cut_witness(g: Digraph) -> WitnessSet:
     """One minimal breaking edge set of size ``lc(g)``.
 
@@ -404,11 +444,7 @@ def min_link_cut_witness(g: Digraph) -> WitnessSet:
     """
     if not g.followers or not g.is_controllable():
         raise UncontrollableError("degrees are zero; every link is already critical")
-    flows = {v: max_edge_disjoint(g, v) for v in g.followers}
-    best = min(flows, key=lambda v: (flows[v].value, v))
-    cut = flows[best].cut_edges
-    unreachable = _replay(g, cut, frozenset())
-    return WitnessSet(kind="link", edges=cut, vertices=frozenset(), unreachable=unreachable)
+    return _cheapest_witness(g, "link", 1, None)
 
 
 def min_agent_cut_witness(g: Digraph) -> WitnessSet:
@@ -421,12 +457,4 @@ def min_agent_cut_witness(g: Digraph) -> WitnessSet:
     """
     if not g.followers or not g.is_controllable():
         raise UncontrollableError("degrees are zero; every agent is already critical")
-    cap = len(g.vertices) - len(g.roots)
-    flows = {v: max_vertex_disjoint(g, v) for v in g.followers}
-    best = min(flows, key=lambda v: (flows[v].value, v))
-    if flows[best].value >= cap:
-        cut = frozenset(g.followers)
-    else:
-        cut = flows[best].cut_vertices
-    unreachable = _replay(g, frozenset(), cut)
-    return WitnessSet(kind="agent", edges=frozenset(), vertices=cut, unreachable=unreachable)
+    return _cheapest_witness(g, "agent", None, 1)

@@ -7,9 +7,9 @@ controllability for all u + v <= t; it always equals min(lc, ac), and it
 also equals the cheapest mixed cut of links and followers when each costs
 one.  That cut is the agent cut of the edge-duplicate transform (each link
 split through a vertex of its own), priced on the node-split flow network
-of the graph itself, so the duplicate graph is never built.  Mixed
-witnesses are one such cost-weighted cut in which a link costs a little
-less than an agent.
+of the graph itself, so the duplicate graph is never built.  A mixed
+witness is the cheapest cut of one such network in which a link costs a
+little less than an agent.
 
 The joint region (all (r, s) pairs) is computed exactly.  Every pair with
 r + s <= jc is a member by the definition of the joint degree, so only the
@@ -42,14 +42,11 @@ from .budget import DEFAULT_SUBSET_BUDGET
 from .connectivity import (
     WitnessSet,
     _DeletionDegrees,
+    _cheapest_witness,
     _degree_kernels,
-    _min_cut,
-    _replay,
     agent_controllability,
     link_controllability,
-    max_edge_disjoint,
 )
-from .criticality import agent_controllability_index
 from .digraph import Digraph, Edge, removal_breaks_controllability
 from .errors import (
     ConditionUnmetError,
@@ -81,10 +78,7 @@ def joint_controllability_via_duplicate(g: Digraph) -> int:
     wiping out every follower counts as a break, and that breaking set
     has no per-target cut.
     """
-    followers = g.followers
-    if not followers:
-        return 0
-    return min(min(_min_cut(g, t, 1, 1)[0] for t in followers), len(followers))
+    return _DeletionDegrees(g, 1, 1).base
 
 
 # ---------------------------------------------------------------------------
@@ -231,28 +225,18 @@ def critical_agent_link_witness(g: Digraph) -> WitnessSet:
 
     A breaking set of links and agents is a mixed cut that separates some
     follower from the roots.  Links cost ``K`` and followers ``K + 1``,
-    where ``K`` exceeds the follower count, so one minimum-cost cut per
-    target minimises the size first and the agent count second; agents
+    where ``K`` exceeds the follower count, so the cheapest cut of one
+    network minimises the size first and the agent count second; agents
     are usually the costlier failures, so witnesses lean on links when
     possible.  Ties go to the smallest target, whose canonical residual
-    cut is returned.  When that cut has more than ``|F|`` elements, the
-    full follower set breaks with fewer and is returned instead, as in
-    :func:`~robonet.connectivity.min_agent_cut_witness`.
+    cut is returned.  A cut of more than ``|F|`` elements costs more than
+    the full follower set, which breaks with fewer and is returned
+    instead, as in :func:`~robonet.connectivity.min_agent_cut_witness`.
     """
     if not g.followers or not g.is_controllable():
         raise UncontrollableError("degrees are zero; every element is already critical")
-    followers = frozenset(g.followers)
-    link_cost = len(followers) + 1
-    cuts = {t: _min_cut(g, t, link_cost, link_cost + 1) for t in g.followers}
-    best = min(cuts, key=lambda t: (cuts[t][0], t))
-    cut = cuts[best][1]
-    if len(cut) > len(followers):
-        edges, vertices = frozenset(), followers
-    else:
-        vertices = cut & followers
-        edges = cut - vertices
-    unreachable = _replay(g, edges, vertices)
-    return WitnessSet(kind="mixed", edges=edges, vertices=vertices, unreachable=unreachable)
+    link_cost = len(g.followers) + 1
+    return _cheapest_witness(g, "mixed", link_cost, link_cost + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -301,16 +285,14 @@ def agent_substitution_witness(g: Digraph) -> tuple[frozenset[Edge], frozenset[i
     """
     if not g.followers or not g.is_controllable():
         raise UncontrollableError("degrees are zero; every element is already critical")
-    degree = link_controllability(g)
+    link = _DeletionDegrees(g, 1, None)
     for target in g.followers:
-        flow = max_edge_disjoint(g, target)
-        if flow.value != degree:
+        value, cut = link.cut(target)
+        if value != link.base:
             continue
-        agents = agent_set_from_cut(g, flow.cut_edges)
-        if len(agents) == len(flow.cut_edges) and removal_breaks_controllability(
-            g, vertices=agents
-        ):
-            return flow.cut_edges, agents
+        agents = agent_set_from_cut(g, cut)
+        if len(agents) == len(cut) and removal_breaks_controllability(g, vertices=agents):
+            return cut, agents
     raise RobonetError("no canonical minimum cut yields a breaking substituted agent set")
 
 
@@ -331,29 +313,19 @@ def link_set_from_agent_set(g: Digraph, cq: Iterable[int]) -> frozenset[Edge]:
             raise NotACriticalAgentSetError(f"vertex {v} is not a follower")
     if not g.is_controllable():
         raise UncontrollableError("the graph must be controllable")
-    if len(agents) != agent_controllability(g):
-        raise NotACriticalAgentSetError(
-            f"expected a minimum breaking set of {agent_controllability(g)} agents"
-        )
+    agent = _DeletionDegrees(g, None, 1)
+    if len(agents) != agent.base:
+        raise NotACriticalAgentSetError(f"expected a minimum breaking set of {agent.base} agents")
     if not removal_breaks_controllability(g, vertices=agents):
         raise NotACriticalAgentSetError("removing the set does not break controllability")
-    picked: list[Edge] = []
-    uncovered: list[int] = []
-    for v in agents:
-        choice = None
-        for edge in g.out_edges(v):
-            if agent_controllability_index(g, edge) == 1:
-                choice = edge
-                break
-        if choice is None:
-            uncovered.append(v)
-        else:
-            picked.append(choice)
+    unit_index = _unit_index_test(agent)
+    choices = {v: next((e for e in g.out_edges(v) if unit_index(e)), None) for v in agents}
+    uncovered = [v for v, edge in choices.items() if edge is None]
     if uncovered:
         raise ConditionUnmetError(
             f"agents {uncovered} have no out-edge with unit agent controllability index"
         )
-    return frozenset(picked)
+    return frozenset(choices.values())
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from robonet.connectivity import (
 from robonet.digraph import new_digraph, removal_breaks_controllability
 from robonet.errors import TargetIsRootError, UncontrollableError
 from robonet.families import circulant_rooted
+from robonet.joint import critical_agent_link_witness
 from robonet.oracle import oracle_ac, oracle_lc
 
 from conftest import digraphs, seeded_sweep
@@ -140,6 +141,56 @@ class TestDeletionKernels:
                     masks = (frozenset({v}), frozenset({edge}))
                     assert link.without(*masks) == link_controllability(reduced), (v, edge)
                     assert agent.without(*masks) == agent_controllability(reduced), (v, edge)
+
+
+def _cheapest_by_target(g, edge_cost, vertex_cost):
+    """Reference for ``cheapest()``: every follower's exact cut, least by (cost, follower).
+
+    None when that cost is at or over the cap: the edge count when
+    followers cannot be cut, else ``vertex_cost`` per follower.
+    """
+    network = _DeletionDegrees(g, edge_cost, vertex_cost)
+    cuts = {t: network.cut(t) for t in g.followers}
+    best = min(cuts, key=lambda t: (cuts[t][0], t))
+    cap = len(g.edges) if vertex_cost is None else vertex_cost * len(g.followers)
+    return None if cuts[best][0] >= cap else (best, cuts[best][1])
+
+
+class TestCheapestCut:
+    def test_cheapest_matches_every_target_on_the_seeded_sweep(self):
+        capped = set()
+        for seed, g in seeded_sweep(500):
+            if not g.followers or not g.is_controllable():
+                continue
+            k = len(g.followers) + 1
+            for costs in ((1, None), (None, 1), (1, 1), (k, k + 1)):
+                expected = _cheapest_by_target(g, *costs)
+                assert _DeletionDegrees(g, *costs).cheapest() == expected, (seed, costs)
+                if expected is None:
+                    capped.add(costs[0] is None)
+        assert capped == {True, False}  # the cap is met with and without link costs
+
+    def test_witnesses_follow_the_per_target_rule_on_the_seeded_sweep(self):
+        # reference: the least cut by (value, target) over one exact flow
+        # per target; the full follower set when it costs no more
+        for seed, g in seeded_sweep(500):
+            if not g.followers or not g.is_controllable():
+                continue
+            followers = frozenset(g.followers)
+            flows = {t: max_edge_disjoint(g, t) for t in followers}
+            best = min(flows, key=lambda t: (flows[t].value, t))
+            assert min_link_cut_witness(g).edges == flows[best].cut_edges, seed
+            flows = {t: max_vertex_disjoint(g, t) for t in followers}
+            best = min(flows, key=lambda t: (flows[t].value, t))
+            agents = flows[best].cut_vertices if flows[best].value < len(followers) else followers
+            assert min_agent_cut_witness(g).vertices == agents, seed
+            k = len(followers) + 1
+            cuts = {t: _DeletionDegrees(g, k, k + 1).cut(t) for t in followers}
+            cut = cuts[min(cuts, key=lambda t: (cuts[t][0], t))][1]
+            if len(cut) > len(followers):
+                cut = followers
+            mixed = critical_agent_link_witness(g)
+            assert (mixed.edges | mixed.vertices) == cut, seed
 
 
 class TestWitnesses:

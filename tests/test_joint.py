@@ -20,7 +20,7 @@ from robonet.errors import (
     UncontrollableError,
 )
 from robonet.criticality import agent_controllability_index
-from robonet.families import complete_rooted, kautz_rooted
+from robonet.families import circulant_rooted, complete_rooted, kautz_rooted
 from robonet.joint import (
     Classification,
     agent_set_from_cut,
@@ -100,6 +100,13 @@ class TestDuplicateRoute:
         g = new_digraph(4, [1, 2], [(1, 3), (1, 4), (2, 3), (2, 4), (3, 4), (4, 3)])
         assert joint_controllability(g) == 2
         assert joint_controllability_via_duplicate(g) == 2
+
+    def test_root_edge_is_cut_as_a_link(self):
+        # a root edge into a follower is a link the mixed cut may hold:
+        # cutting 1->2 strands 2, although 3 has a root edge of its own
+        g = new_digraph(3, [1], [(1, 2), (1, 3), (2, 3)])
+        assert joint_controllability_via_duplicate(g) == 1 == joint_controllability(g)
+        assert _DeletionDegrees(g, 1, 1).base == 1
 
     def test_matches_the_literal_transform_on_the_seeded_sweep(self):
         # reference: build the edge-duplicate graph and take the agent
@@ -276,6 +283,22 @@ class TestDeletionDegrees:
         assert doc["classification"]["jointly_critical"] is True
         # degrees, unit-index tests, region and bounds share one lc and one ac network
         assert len(built) <= 2
+
+    def test_witnesses_build_one_network_per_cost_pair(self, monkeypatch):
+        built = []
+        original = connectivity._network
+
+        def counting(g, edge_cost, vertex_cost):
+            built.append((edge_cost, vertex_cost))
+            return original(g, edge_cost, vertex_cost)
+
+        monkeypatch.setattr(connectivity, "_network", counting)
+        for g in (complete_rooted(8), kautz_rooted(2, 3), circulant_rooted(12, (1, 2, 3))):
+            built.clear()
+            doc = build_report(g, sections=("witnesses",))
+            assert doc["witnesses"] is not None
+            # the link, agent and mixed witnesses read one network each
+            assert len(built) <= 3, (g.n, built)
 
 
 class TestMixedWitness:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import sys
 
 from . import oracle
@@ -26,7 +27,9 @@ EXIT_BUDGET = 3
 EXIT_MISMATCH = 4
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="robonet",
         description="Robustness analysis of rooted information-flow digraphs.",

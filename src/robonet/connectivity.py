@@ -12,6 +12,11 @@ one holder of a flow network (:func:`_network`).  Each witness reads the
 cheapest cut of one network per graph and cost pair, and the report masks
 deletions on one network per graph and mode; :func:`link_controllability`
 and :func:`agent_controllability` still build one network per target.
+Each read stops at a proven bound: a degree at the cost no cut goes below
+(one element on a controllable graph), a yes/no question "is the degree
+after this deletion at most ``b``?" at the first follower that answers
+it, and, for ``b`` under the degree of the graph, only the followers the
+deletion exposes are tried (the head rule).
 
 Cuts are recovered from residual reachability after a maximum flow.  The
 source-side residual set is the same for every maximum flow, so the
@@ -21,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Iterable
 
 from .digraph import Digraph, Edge, removal_breaks_controllability, stranded_followers
 from .errors import (
@@ -227,18 +233,38 @@ class _DeletionDegrees:
 
     The network (see :func:`_network`) is built on the first flow:
     ``(1, None)`` gives ``lc``, ``(None, 1)`` ``ac`` and ``(1, 1)`` ``jc``.
-    Deleting followers and edges zeroes their arcs.  A degree runs each
+    Deleting followers and edges zeroes their arcs.  A read runs each
     surviving follower's flow from the masked capacities, capped at the
-    running minimum, which starts at :meth:`_cap`; when links cannot be
-    cut, a follower with a surviving root edge takes the cap without a
-    flow.  Degrees are memoised per deleted (followers, edges) pair.
+    least cost found so far, and stops as soon as a proven bound settles
+    its answer:
+
+    - :attr:`base` starts at :meth:`_cap` and stops at a floor that no cut
+      of ``g`` goes below: ``least`` when given, else one element's cost
+      when ``g`` is controllable (0 when it is not);
+    - :meth:`at_most` starts at ``bound + 1`` and stops at the first
+      follower that costs at most ``bound``; under :attr:`base` it tries
+      only the followers a deletion exposes (the head rule, see
+      :meth:`_solve`);
+    - :meth:`without`, the exact read, stops at the lower end of what the
+      deletion's earlier reads proved.
+
+    When links cannot be cut, a follower with a surviving root edge takes
+    the cap without a flow.  Each deleted (followers, edges) pair keeps an
+    interval ``(lo, hi)`` around its degree, shared by all its reads.
     """
 
-    def __init__(self, g: Digraph, edge_cost: int | None, vertex_cost: int | None) -> None:
+    def __init__(
+        self,
+        g: Digraph,
+        edge_cost: int | None,
+        vertex_cost: int | None,
+        least: int | None = None,
+    ) -> None:
         self._g = g
         self._edge_cost = edge_cost
         self._vertex_cost = vertex_cost
-        self._memo: dict[tuple[frozenset[int], frozenset[Edge]], int] = {}
+        self._least = least
+        self._memo: dict[tuple[frozenset[int], frozenset[Edge]], tuple[int, int]] = {}
         self._flow: tuple[_Flow, dict[int, int], list[int]] | None = None
 
     def _cap(self, survivors: int) -> int:
@@ -283,7 +309,12 @@ class _DeletionDegrees:
 
     @cached_property
     def _unmasked(self) -> tuple[int, int | None]:
-        return self._min_flow(self._built()[2], frozenset())
+        g = self._g
+        floor = self._least
+        if floor is None:
+            costs = [c for c in (self._edge_cost, self._vertex_cost) if c is not None]
+            floor = min(costs) if g.is_controllable() else 0  # a cut holds an element
+        return self._min_flow(self._built()[2], g.followers, self._cap(len(g.followers)), floor)
 
     @property
     def base(self) -> int:
@@ -320,36 +351,96 @@ class _DeletionDegrees:
         if not followers and not edges:
             return self.base
         key = (followers, edges)
-        value = self._memo.get(key)
-        if value is None:
-            value = self._memo[key] = self._solve(followers, edges)
-        return value
+        lo, hi = self._interval(key)
+        if lo < hi:
+            lo = hi = self._solve(followers, edges, hi, lo, heads_only=False)[0]
+            self._memo[key] = lo, hi
+        return hi
 
-    def _solve(self, followers: frozenset[int], edges: frozenset[Edge]) -> int:
+    def at_most(
+        self,
+        bound: int,
+        followers: frozenset[int] = frozenset(),
+        edges: frozenset[Edge] = frozenset(),
+    ) -> bool:
+        """Is ``without(followers, edges) <= bound``?"""
+        if not followers and not edges:
+            return self.base <= bound
+        key = (followers, edges)
+        lo, hi = self._interval(key)
+        if lo <= bound < hi:
+            value, exact = self._solve(followers, edges, bound + 1, bound, bound < self.base)
+            if value > bound:
+                lo = bound + 1
+            else:
+                hi = value
+                if exact:
+                    lo = value
+            self._memo[key] = lo, hi
+        return hi <= bound
+
+    def _interval(self, key: tuple[frozenset[int], frozenset[Edge]]) -> tuple[int, int]:
+        """What is proven about a deletion's degree: ``lo <= degree <= hi``."""
+        known = self._memo.get(key)
+        if known is None:
+            survivors = len(self._g.followers) - len(key[0])
+            known = (0, self._cap(survivors) if survivors else 0)  # no survivor: the vacuous 0
+        return known
+
+    def _solve(
+        self,
+        followers: frozenset[int],
+        edges: frozenset[Edge],
+        below: int,
+        floor: int,
+        heads_only: bool,
+    ) -> tuple[int, bool]:
+        """``min(below, degree)`` with the deletion masked, stopping at ``floor``.
+
+        The head rule, for ``heads_only`` (``below`` at most :attr:`base`):
+        a cut cheaper than :attr:`base` after the deletion is not a cut of
+        ``g``, so a deleted edge or an out-edge of a deleted follower
+        crosses it, and the follower at its head is separated by it too.
+        So only those heads need a flow, and the degree is the least of
+        theirs when it is under ``below``.  Returns the value and whether
+        it is the exact degree: with the head rule, a value under
+        ``below`` found at the last head is.
+        """
         masked = self._built()[2][:]
         for v in followers:
             for arc in self._arcs_at[v]:
                 masked[arc] = 0
         for edge in edges:
             masked[self._arc_of[edge]] = 0
-        return self._min_flow(masked, followers)[0]
+        if heads_only:
+            succ = self._g._succ
+            heads = {h for v in followers for h in succ[v]}.union(h for _, h in edges)
+            targets = sorted(heads - followers)
+        else:
+            targets = [v for v in self._g.followers if v not in followers]
+        value, winner = self._min_flow(masked, targets, below, floor)
+        return value, heads_only and winner is not None and winner == targets[-1]
 
-    def _min_flow(self, masked: list[int], gone: frozenset[int]) -> tuple[int, int | None]:
-        """The cheapest cut's cost and the smallest follower under the cap that attains it."""
-        targets = [v for v in self._g.followers if v not in gone]
-        if not targets:
-            return 0, None  # no follower survives: the vacuous degree
+    def _min_flow(
+        self, masked: list[int], targets: Iterable[int], best: int, floor: int
+    ) -> tuple[int, int | None]:
+        """The least of ``best`` and the targets' cut costs, and the first target attaining it.
+
+        Each flow is capped at the least cost so far, and the loop stops
+        once that cost is down to ``floor``.  The target is None when no
+        cut costs less than ``best``.
+        """
         net, entry, _ = self._built()
-        best, winner = self._cap(len(targets)), None
+        winner = None
         for v in targets:
+            if best <= floor:
+                break
             if any(masked[arc] for arc in self._from_root.get(v, ())):
                 continue  # no follower set separates it: the cap
             net.cap[:] = masked
             value = net.max_flow(0, entry[v], best)
             if value < best:
                 best, winner = value, v
-                if best == 0:
-                    break
         return best, winner
 
 
@@ -421,40 +512,44 @@ def _replay(g: Digraph, edges: frozenset[Edge], vertices: frozenset[int]) -> tup
     return stranded_followers(g, edges, vertices)
 
 
-def _cheapest_witness(
-    g: Digraph, kind: str, edge_cost: int | None, vertex_cost: int | None
-) -> WitnessSet:
+def _cheapest_witness(kind: str, network: _DeletionDegrees) -> WitnessSet:
     """The replayed cheapest cut of one network, or the breaking set that meets its cap.
 
     That set is every follower, or every edge when followers cannot be
     cut (all of them then feed the only follower).
     """
-    found = _DeletionDegrees(g, edge_cost, vertex_cost).cheapest()
-    cut = frozenset(g.edges if vertex_cost is None else g.followers) if found is None else found[1]
+    g = network._g
+    found = network.cheapest()
+    if found is None:
+        cut = frozenset(g.edges if network._vertex_cost is None else g.followers)
+    else:
+        cut = found[1]
     vertices = frozenset(element for element in cut if type(element) is int)
     edges = cut - vertices
     return WitnessSet(kind, edges, vertices, unreachable=_replay(g, edges, vertices))
 
 
-def min_link_cut_witness(g: Digraph) -> WitnessSet:
+def min_link_cut_witness(g: Digraph, _kernel: _DeletionDegrees | None = None) -> WitnessSet:
     """One minimal breaking edge set of size ``lc(g)``.
 
     Ties across followers are broken toward the smallest follower id;
     the cut itself is the canonical residual cut of that follower.
+    Callers holding the ``lc`` kernel of ``g`` pass it as ``_kernel``.
     """
     if not g.followers or not g.is_controllable():
         raise UncontrollableError("degrees are zero; every link is already critical")
-    return _cheapest_witness(g, "link", 1, None)
+    return _cheapest_witness("link", _kernel or _DeletionDegrees(g, 1, None))
 
 
-def min_agent_cut_witness(g: Digraph) -> WitnessSet:
+def min_agent_cut_witness(g: Digraph, _kernel: _DeletionDegrees | None = None) -> WitnessSet:
     """One minimal breaking follower set of size ``ac(g)``.
 
     When every follower is directly root-connected the only breaking set
     is the full follower set, which is returned with an empty stranded
     list (the break is by convention, see
-    :func:`~robonet.digraph.removal_breaks_controllability`).
+    :func:`~robonet.digraph.removal_breaks_controllability`).  Callers
+    holding the ``ac`` kernel of ``g`` pass it as ``_kernel``.
     """
     if not g.followers or not g.is_controllable():
         raise UncontrollableError("degrees are zero; every agent is already critical")
-    return _cheapest_witness(g, "agent", None, 1)
+    return _cheapest_witness("agent", _kernel or _DeletionDegrees(g, None, 1))

@@ -18,12 +18,16 @@ subsets, each quantifier block "all u-edge-subsets after deleting the
 follower set A" collapses to the single polynomial test ``lc(g - A) > u``,
 so only follower subsets are enumerated; a brute-force oracle
 cross-checks the result cell for cell in the test suite.  No graph is
-built per subset: one flow network of g is built per report, each subset
-masks the arcs that touch it, and each surviving target's flow is capped
-at the running minimum over the targets before it.  The report's
-classification tests, region and bound checks share that network and a
-second one for ``ac``, so ``lc(g - A)`` is solved once per follower set
-and every "agent controllability index is 1" test masks one edge.
+built per subset: one flow network of g is built per report, and each
+subset masks the arcs that touch it.  A test asks only whether
+``lc(g - A) <= u``, so its flows are capped at ``u + 1`` and it stops at
+the first follower that answers yes; under ``lc(g)`` only the surviving
+out-neighbours of A can answer yes, so only they are tried.  The report's
+classification tests, region, bound checks and witnesses share that
+network and a second one for ``ac``; what one test proves about
+``lc(g - A)`` serves every later test of A, and every "agent
+controllability index is 1" test masks one edge and runs at most one
+flow, to its head.
 
 The subset budget bounds the follower subsets of each tested pair, so it
 applies to the pairs above the triangle only; a region over budget names
@@ -139,7 +143,7 @@ def is_joint_rs_controllable(
         if v == len(followers):
             return False  # deleting every follower breaks by convention
         for combo in combinations(followers, v):
-            if degrees.without(frozenset(combo)) <= u:
+            if degrees.at_most(u, frozenset(combo)):
                 return False
     return True
 
@@ -220,7 +224,7 @@ def joint_region(
 # mixed witnesses
 
 
-def critical_agent_link_witness(g: Digraph) -> WitnessSet:
+def critical_agent_link_witness(g: Digraph, _jc: int | None = None) -> WitnessSet:
     """One minimal mixed breaking set of size jc(g), with as few agents as possible.
 
     A breaking set of links and agents is a mixed cut that separates some
@@ -232,11 +236,15 @@ def critical_agent_link_witness(g: Digraph) -> WitnessSet:
     cut is returned.  A cut of more than ``|F|`` elements costs more than
     the full follower set, which breaks with fewer and is returned
     instead, as in :func:`~robonet.connectivity.min_agent_cut_witness`.
+    Every cut holds at least ``jc`` elements, so no cut costs less than
+    ``K * jc``; callers that know ``jc(g)`` pass it as ``_jc``, and the
+    search stops at the first follower whose cut costs that much.
     """
     if not g.followers or not g.is_controllable():
         raise UncontrollableError("degrees are zero; every element is already critical")
     link_cost = len(g.followers) + 1
-    return _cheapest_witness(g, "mixed", link_cost, link_cost + 1)
+    least = None if _jc is None else link_cost * _jc
+    return _cheapest_witness("mixed", _DeletionDegrees(g, link_cost, link_cost + 1, least))
 
 
 # ---------------------------------------------------------------------------
@@ -381,9 +389,18 @@ def _unit_index_test(agent: _DeletionDegrees) -> Callable[[Edge], bool]:
 
     Asks what :func:`~robonet.criticality.agent_controllability_index`
     asks, ``ac(g) - ac(g - e) == 1``, with the edge masked on the kernel's
-    network instead of built out of a new graph; the kernel memoises it.
+    network instead of built out of a new graph, as two bounded reads:
+    ``ac(g - e) <= ac(g) - 1`` and not ``<= ac(g) - 2``.  Both are needed,
+    since an edge from a root can lower the capped ``ac`` by more than 1.
     """
-    return lambda edge: agent.base - agent.without(edges=frozenset((edge,))) == 1
+
+    def unit_index(edge: Edge) -> bool:
+        gone = frozenset((edge,))
+        return agent.at_most(agent.base - 1, edges=gone) and not agent.at_most(
+            agent.base - 2, edges=gone
+        )
+
+    return unit_index
 
 
 def _link_critical(

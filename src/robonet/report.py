@@ -13,6 +13,7 @@ import json
 from .budget import DEFAULT_SUBSET_BUDGET
 from .connectivity import (
     WitnessSet,
+    _DeletionDegrees,
     _degree_kernels,
     min_agent_cut_witness,
     min_link_cut_witness,
@@ -53,8 +54,9 @@ def build_report(
 ) -> dict:
     """Assemble the selected report sections (all of them by default).
 
-    The degrees, classify and region sections and the bound checks read
-    ``lc`` and ``ac`` from one pair of kernels, built once per report.
+    The degrees, classify, region and witness sections and the bound
+    checks read ``lc`` and ``ac`` from one pair of kernels, built once per
+    report.
     """
     wanted = tuple(sections) if sections else SECTIONS
     unknown = set(wanted) - set(SECTIONS)
@@ -68,7 +70,7 @@ def build_report(
         "controllable": controllable,
     }
 
-    kernels = _degree_kernels(g) if {"degrees", "classify", "region"} & set(wanted) else None
+    kernels = _degree_kernels(g)  # each builds its network on its first flow
 
     if "degrees" in wanted:
         lcv, acv = kernels[0].base, kernels[1].base
@@ -136,7 +138,7 @@ def build_report(
                 doc["region"] = {"error": str(exc)}
 
     if "witnesses" in wanted:
-        doc["witnesses"] = _witness_section(g)
+        doc["witnesses"] = _witness_section(g, *kernels)
 
     if "classify" in wanted and "region" in wanted:
         doc["bounds"] = [
@@ -163,16 +165,16 @@ def _witness_payload(w: WitnessSet) -> dict:
     }
 
 
-def _witness_section(g: Digraph) -> dict | None:
+def _witness_section(g: Digraph, lc: _DeletionDegrees, ac: _DeletionDegrees) -> dict | None:
     try:
-        link = min_link_cut_witness(g)
-        agent = min_agent_cut_witness(g)
+        link = min_link_cut_witness(g, _kernel=lc)
+        agent = min_agent_cut_witness(g, _kernel=ac)
     except UncontrollableError:
         return None
     return {
         "link": _witness_payload(link),
         "agent": _witness_payload(agent),
-        "mixed": _witness_payload(critical_agent_link_witness(g)),
+        "mixed": _witness_payload(critical_agent_link_witness(g, _jc=min(lc.base, ac.base))),
     }
 
 

@@ -378,6 +378,19 @@ class TestExportRegion:
             assert members == {(r, s) for r in range(3) for s in range(3) if r + s <= 2}
 
 
+def test_parser_is_reused_across_calls(g4_file, capsys):
+    # one process: a rejected call, then valid calls, against fresh processes
+    commands = [["analyze", g4_file, "--no-such-flag"], ["analyze", g4_file], ["verify", g4_file]]
+    for command in commands:
+        try:
+            code = cli.main(command)
+        except SystemExit as exc:
+            code = exc.code
+        fresh = _run_robonet(*command)
+        assert (code, capsys.readouterr().out) == (fresh.returncode, fresh.stdout), command[1:]
+    assert cli._parser() is cli._parser()
+
+
 def test_module_entry_point(g4_file):
     proc = _run_robonet("analyze", g4_file, "--degrees")
     assert proc.returncode == 0

@@ -1,9 +1,12 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from robonet.connectivity import (
     _DeletionDegrees,
+    _Flow,
     _degree_kernels,
     agent_controllability,
     agent_controllability_vertex,
@@ -141,6 +144,83 @@ class TestDeletionKernels:
                     masks = (frozenset({v}), frozenset({edge}))
                     assert link.without(*masks) == link_controllability(reduced), (v, edge)
                     assert agent.without(*masks) == agent_controllability(reduced), (v, edge)
+
+
+def _small_deletions(g):
+    """Every deletion of at most two elements: followers, edges, or one of each."""
+    followers, edges = g.followers, g.sorted_edges
+    for size in (1, 2):
+        for combo in combinations(followers, size):
+            yield frozenset(combo), frozenset()
+        for combo in combinations(edges, size):
+            yield frozenset(), frozenset(combo)
+    for v in followers:
+        for edge in edges:
+            yield frozenset({v}), frozenset({edge})
+
+
+class TestBoundedReads:
+    def test_at_most_matches_the_exact_read_on_the_seeded_sweep(self):
+        # each bounded read is checked with a fresh memo, and with one memo
+        # shared by every bound of a deletion, asked in ascending and in
+        # descending order
+        cases = 0
+        for seed, g in seeded_sweep(500):
+            for costs in ((1, None), (None, 1)):
+                exact = _DeletionDegrees(g, *costs)
+                fresh = _DeletionDegrees(g, *costs)
+                rising = _DeletionDegrees(g, *costs)
+                falling = _DeletionDegrees(g, *costs)
+                bounds = range(-1, exact.base + 3)
+                for masks in [(frozenset(), frozenset())] + list(_small_deletions(g)):
+                    degree = exact.without(*masks)
+                    for bound in bounds:
+                        fresh._memo.clear()
+                        case = (seed, costs, masks, bound)
+                        assert fresh.at_most(bound, *masks) == (degree <= bound), case
+                    for bound in bounds:
+                        case = (seed, costs, masks, bound)
+                        assert rising.at_most(bound, *masks) == (degree <= bound), case
+                    for bound in reversed(bounds):
+                        case = (seed, costs, masks, bound)
+                        assert falling.at_most(bound, *masks) == (degree <= bound), case
+                    cases += len(bounds)
+        assert cases > 390_000  # (deletion, bound) pairs, each asked three ways
+
+    def test_exact_read_after_bounded_reads(self, g4):
+        # the exact read starts from what the bounded reads proved
+        for g in (g4, circulant_rooted(7, (1, 3))):
+            for costs in ((1, None), (None, 1)):
+                exact = _DeletionDegrees(g, *costs)
+                probed = _DeletionDegrees(g, *costs)
+                for masks in _small_deletions(g):
+                    for bound in range(-1, probed.base + 3):
+                        probed.at_most(bound, *masks)
+                    assert probed.without(*masks) == exact.without(*masks), (costs, masks)
+
+    def test_chain_degrees_stop_at_the_controllable_floor(self, monkeypatch):
+        # controllability proves a degree of at least 1, so each degree of
+        # the 500-vertex chain stops at the first follower that reads 1
+        chain = new_digraph(500, [1], [(v, v + 1) for v in range(1, 500)])
+        flows = []
+        original = _Flow.max_flow
+
+        def counting(self, source, sink, limit=None):
+            flows.append(sink)
+            return original(self, source, sink, limit)
+
+        monkeypatch.setattr(_Flow, "max_flow", counting)
+        link, agent = _degree_kernels(chain)
+        assert (link.base, agent.base) == (1, 1)
+        assert len(flows) == 2  # follower 2 has a root edge, so ac reads follower 3
+
+    def test_mixed_witness_is_the_same_with_the_jc_floor_on_the_seeded_sweep(self):
+        for seed, g in seeded_sweep(500):
+            if not g.followers or not g.is_controllable():
+                continue
+            degree = min(link_controllability(g), agent_controllability(g))
+            floored = critical_agent_link_witness(g, _jc=degree)
+            assert floored == critical_agent_link_witness(g), seed
 
 
 def _cheapest_by_target(g, edge_cost, vertex_cost):

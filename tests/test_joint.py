@@ -202,9 +202,9 @@ class TestRegion:
         solved = []
         original = connectivity._DeletionDegrees._solve
 
-        def counting(self, followers, edges):
+        def counting(self, followers, edges, below, floor, heads_only):
             solved.append(followers)
-            return original(self, followers, edges)
+            return original(self, followers, edges, below, floor, heads_only)
 
         monkeypatch.setattr(connectivity._DeletionDegrees, "_solve", counting)
         region = joint_region(complete_rooted(10))
@@ -293,12 +293,30 @@ class TestDeletionDegrees:
             return original(g, edge_cost, vertex_cost)
 
         monkeypatch.setattr(connectivity, "_network", counting)
-        for g in (complete_rooted(8), kautz_rooted(2, 3), circulant_rooted(12, (1, 2, 3))):
-            built.clear()
-            doc = build_report(g, sections=("witnesses",))
-            assert doc["witnesses"] is not None
-            # the link, agent and mixed witnesses read one network each
-            assert len(built) <= 3, (g.n, built)
+        graphs = (complete_rooted(8), kautz_rooted(2, 3), circulant_rooted(12, (1, 2, 3)))
+        graphs += (complete_rooted(6), kautz_rooted(2, 2))
+        for sections in (("witnesses",), ("degrees", "classify", "region", "witnesses")):
+            for g in graphs:
+                built.clear()
+                doc = build_report(g, sections=sections)
+                assert doc["witnesses"] is not None
+                # the link, agent and mixed witnesses read one network each,
+                # and the link and agent ones are the report's lc and ac networks
+                assert len(built) <= 3, (sections, g.n, built)
+
+    def test_region_reads_stop_at_their_bounds(self, monkeypatch):
+        flows = []
+        original = connectivity._Flow.max_flow
+
+        def counting(self, source, sink, limit=None):
+            flows.append(sink)
+            return original(self, source, sink, limit)
+
+        monkeypatch.setattr(connectivity._Flow, "max_flow", counting)
+        for g in [complete_rooted(n) for n in range(9, 13)] + [kautz_rooted(3, 2)]:
+            build_report(g, sections=("degrees", "classify", "region"))
+        # exact degree reads in place of bounded ones run 356 flows here
+        assert len(flows) <= 150
 
 
 class TestMixedWitness:

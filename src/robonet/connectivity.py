@@ -16,7 +16,13 @@ Each read stops at a proven bound: a degree at the cost no cut goes below
 (one element on a controllable graph), a yes/no question "is the degree
 after this deletion at most ``b``?" at the first follower that answers
 it, and, for ``b`` under the degree of the graph, only the followers the
-deletion exposes are tried (the head rule).
+deletion exposes are tried (the head rule).  Bounds come before flows:
+each follower's cut cost is first bracketed from its in-arcs alone (a
+cut of each in-arc at its cheapest element above it, a packing of paths
+of at most two arcs below it), and a flow runs only when that bracket
+leaves the answer open.  A network's arc lists are built at its first
+read and its flow structure at its first flow, so a read that the
+brackets settle builds none.
 
 Cuts are recovered from residual reachability after a maximum flow.  The
 source-side residual set is the same for every maximum flow, so the
@@ -71,29 +77,24 @@ class WitnessSet:
 
 
 class _Flow:
-    """Dinic's algorithm over an explicit arc list with integer capacities.
+    """Dinic's algorithm over parallel arc lists with integer capacities.
 
-    Arcs are stored as parallel lists; arc ``i ^ 1`` is the reverse of
-    arc ``i``.  Insertion order is fixed by the callers, which makes the
+    The lists come from :func:`_network`; arc ``i ^ 1`` is the reverse of
+    arc ``i``.  Each node lists its arcs in arc order, which makes the
     residual structure (and hence every derived cut) deterministic.
+    ``cap`` is a working copy of the capacities; ``to`` and ``tag`` are
+    shared with the caller.
     """
 
-    def __init__(self, node_count: int) -> None:
+    def __init__(self, node_count: int, to: list[int], cap: list[int], tag: list[object]) -> None:
         self.node_count = node_count
-        self.adj: list[list[int]] = [[] for _ in range(node_count)]
-        self.to: list[int] = []
-        self.cap: list[int] = []
-        self.tag: list[object] = []
-
-    def add_arc(self, tail: int, head: int, cap: int, tag: object = None) -> None:
-        self.adj[tail].append(len(self.to))
-        self.to.append(head)
-        self.cap.append(cap)
-        self.tag.append(tag)
-        self.adj[head].append(len(self.to))
-        self.to.append(tail)
-        self.cap.append(0)
-        self.tag.append(None)
+        self.to = to
+        self.cap = list(cap)
+        self.tag = tag
+        self.adj = adj = [[] for _ in range(node_count)]
+        for arc in range(0, len(to), 2):
+            adj[to[arc + 1]].append(arc)
+            adj[to[arc]].append(arc + 1)
 
     def max_flow(self, source: int, sink: int, limit: int | None = None) -> int:
         """Value of a maximum flow, or stop as soon as it reaches ``limit``.
@@ -194,7 +195,7 @@ def _check_target(g: Digraph, target: int) -> None:
 
 def _network(
     g: Digraph, edge_cost: int | None, vertex_cost: int | None
-) -> tuple[_Flow, dict[int, int]]:
+) -> tuple[int, list[int], list[int], list[object], dict[int, int]]:
     """The flow network of ``g`` whose cuts are sets of links and followers.
 
     Node 0 is the contracted root-set.  Each edge is an arc tagged with the
@@ -203,54 +204,71 @@ def _network(
     Without a ``vertex_cost`` the followers are nodes ``1..|F|`` in
     ascending order.  With one, each follower is split (Even & Tarjan) into
     an in-node and the out-node after it, joined by an arc tagged with the
-    follower and costing ``vertex_cost``.  The edge arcs come last, in
-    ``g.sorted_edges`` order.  Returns the network and each follower's
-    entry node, the sink when that follower is the target.
+    follower and costing ``vertex_cost``; these split arcs come first.  The
+    edge arcs come last, in ``g.sorted_edges`` order.
+
+    Returns the node count, the arcs as parallel lists of heads,
+    capacities and tags (arc ``i ^ 1`` is the reverse of arc ``i``, with
+    capacity 0 and no tag, so ``to[i ^ 1]`` is the tail of arc ``i``), and
+    each follower's entry node: its in-node, the sink when it is the target.
     """
+    to: list[int] = []
     if vertex_cost is None:
         entry = {v: i + 1 for i, v in enumerate(g.followers)}
         leave = entry
-        net = _Flow(len(entry) + 1)
+        node_count = len(entry) + 1
+        cap: list[int] = []
+        tag: list[object] = []
     else:
         entry = {v: 2 * i + 1 for i, v in enumerate(g.followers)}
         leave = {v: node + 1 for v, node in entry.items()}
-        net = _Flow(2 * len(entry) + 1)
-        for v, node in entry.items():
-            net.add_arc(node, node + 1, vertex_cost, v)
+        node_count = 2 * len(entry) + 1
+        for node in entry.values():
+            to += (node + 1, node)
+        cap = [vertex_cost, 0] * len(entry)
+        tag = [element for v in entry for element in (v, None)]
+    edges = g.sorted_edges
+    for tail, head in edges:
+        to += (entry[head], leave.get(tail, 0))
     if edge_cost is None:
-        uncuttable = vertex_cost * len(entry) + 1
-        for tail, head in g.sorted_edges:
-            net.add_arc(leave.get(tail, 0), entry[head], uncuttable)
+        cap += [vertex_cost * len(entry) + 1, 0] * len(edges)  # dearer than every follower
+        tag += [None, None] * len(edges)
     else:
-        for edge in g.sorted_edges:
-            tail, head = edge
-            net.add_arc(leave.get(tail, 0), entry[head], edge_cost, edge)
-    return net, entry
+        cap += [edge_cost, 0] * len(edges)
+        for edge in edges:
+            tag += (edge, None)
+    return node_count, to, cap, tag, entry
 
 
 class _DeletionDegrees:
     """One flow network of one graph and cost pair, for its degrees and cuts.
 
-    The network (see :func:`_network`) is built on the first flow:
-    ``(1, None)`` gives ``lc``, ``(None, 1)`` ``ac`` and ``(1, 1)`` ``jc``.
-    Deleting followers and edges zeroes their arcs.  A read runs each
-    surviving follower's flow from the masked capacities, capped at the
-    least cost found so far, and stops as soon as a proven bound settles
-    its answer:
+    The network is :func:`_network`'s: ``(1, None)`` gives ``lc``,
+    ``(None, 1)`` ``ac`` and ``(1, 1)`` ``jc``.  Deleting followers and
+    edges zeroes their arcs.  A read goes through the surviving followers
+    and brackets each one's cut cost from the masked capacities of its
+    in-arcs (:meth:`_bracket`) before it runs any flow.  A follower whose
+    bracket cannot lower the least cost found so far is skipped, and one
+    whose bracket closes costs that much; only the others run a flow,
+    capped at the least cost so far.  The read stops as soon as a proven
+    bound settles its answer:
 
     - :attr:`base` starts at :meth:`_cap` and stops at a floor that no cut
       of ``g`` goes below: ``least`` when given, else one element's cost
       when ``g`` is controllable (0 when it is not);
     - :meth:`at_most` starts at ``bound + 1`` and stops at the first
-      follower that costs at most ``bound``; under :attr:`base` it tries
-      only the followers a deletion exposes (the head rule, see
-      :meth:`_solve`);
+      follower that costs at most ``bound``, or whose bracket's upper end
+      is at most ``bound``; under :attr:`base` it tries only the followers
+      a deletion exposes (the head rule, see :meth:`_solve`);
     - :meth:`without`, the exact read, stops at the lower end of what the
       deletion's earlier reads proved.
 
-    When links cannot be cut, a follower with a surviving root edge takes
-    the cap without a flow.  Each deleted (followers, edges) pair keeps an
-    interval ``(lo, hi)`` around its degree, shared by all its reads.
+    The arc lists (with the capacities, masks, arc maps and in-arc index
+    in their order) are built at the first read, and the :class:`_Flow`
+    over them at the first flow, so a read that its brackets settle builds
+    no flow.  Each deleted
+    (followers, edges) pair keeps an interval ``(lo, hi)`` around its
+    degree, shared by all its reads.
     """
 
     def __init__(
@@ -265,47 +283,102 @@ class _DeletionDegrees:
         self._vertex_cost = vertex_cost
         self._least = least
         self._memo: dict[tuple[frozenset[int], frozenset[Edge]], tuple[int, int]] = {}
-        self._flow: tuple[_Flow, dict[int, int], list[int]] | None = None
+        self._arcs: tuple[int, list[int], list[int], list[object], dict[int, int]] | None = None
+        self._flow: _Flow | None = None
 
     def _cap(self, survivors: int) -> int:
         """The cost of a breaking set needing no cut: every edge, or every surviving follower."""
         return len(self._g.edges) if self._vertex_cost is None else self._vertex_cost * survivors
 
-    def _built(self) -> tuple[_Flow, dict[int, int], list[int]]:
-        """The network, each follower's entry node and the unmasked capacities."""
+    def _lists(self) -> tuple[int, list[int], list[int], list[object], dict[int, int]]:
+        """The network's arc lists and entry nodes (see :func:`_network`), built at the first read."""
+        if self._arcs is None:
+            self._arcs = _network(self._g, self._edge_cost, self._vertex_cost)
+        return self._arcs
+
+    def _max_flow(self, capacities: list[int], target: int, limit: int | None = None) -> int:
+        """``_Flow.max_flow`` to the target under the capacities; the first call builds the flow."""
+        nodes, to, _, tag, entry = self._lists()
         if self._flow is None:
-            net, entry = _network(self._g, self._edge_cost, self._vertex_cost)
-            self._flow = net, entry, list(net.cap)
-        return self._flow
+            self._flow = _Flow(nodes, to, capacities, tag)
+        else:
+            self._flow.cap[:] = capacities
+        return self._flow.max_flow(0, entry[target], limit)
 
     @cached_property
     def _arc_of(self) -> dict[Edge, int]:
-        first = 0 if self._vertex_cost is None else 2 * len(self._g.followers)  # edges come last
-        return {edge: first + 2 * k for k, edge in enumerate(self._g.sorted_edges)}
-
-    @cached_property
-    def _from_root(self) -> dict[int, list[int]]:
-        """The arcs of the followers' root in-edges, when links cannot be cut."""
-        from_root: dict[int, list[int]] = {}
-        if self._edge_cost is None:
-            for (tail, head), arc in self._arc_of.items():
-                if tail in self._g.root_set:
-                    from_root.setdefault(head, []).append(arc)
-        return from_root
+        edges = self._g.sorted_edges
+        first = len(self._lists()[1]) - 2 * len(edges)  # edges come last
+        return {edge: first + 2 * k for k, edge in enumerate(edges)}
 
     @cached_property
     def _arcs_at(self) -> dict[int, list[int]]:
-        net, entry, _ = self._built()
-        owner = [0] * net.node_count  # the follower of each node, 0 at the roots
+        nodes, to, _, _, entry = self._lists()
+        owner = [0] * nodes  # the follower of each node, 0 at the roots
         for v, node in entry.items():
             owner[node] = v
             if self._vertex_cost is not None:
                 owner[node + 1] = v  # the out-node
         arcs_at: dict[int, list[int]] = {v: [] for v in entry}
-        for arc in range(0, len(net.to), 2):
-            for v in {owner[net.to[arc]], owner[net.to[arc + 1]]} - {0}:
+        for arc in range(0, len(to), 2):
+            for v in {owner[to[arc]], owner[to[arc + 1]]} - {0}:
                 arcs_at[v].append(arc)
         return arcs_at
+
+    @cached_property
+    def _into(self) -> dict[int, tuple[list[int], list[tuple[int, int | None, list[int]]]]]:
+        """Each follower's in-arcs, for :meth:`_bracket`.
+
+        A pair: the in-arcs from the roots, and each in-arc from a follower
+        ``u`` with the arc of ``u``'s split (None when followers are not
+        split) and the arcs from the roots into ``u``.
+        """
+        nodes, to, _, _, entry = self._lists()
+        into: list[list[int]] = [[] for _ in range(nodes)]
+        fed: list[list[int]] = [[] for _ in range(nodes)]  # arcs from the roots
+        for arc in range(0, len(to), 2):
+            into[to[arc]].append(arc)
+            if to[arc + 1] == 0:
+                fed[to[arc]].append(arc)
+        index = {}
+        for v, node in entry.items():
+            relayed = []
+            for arc in into[node]:
+                tail = to[arc + 1]
+                if tail == 0:
+                    continue
+                split = None
+                if self._vertex_cost is not None:
+                    split = into[tail][0]  # the out-node's one in-arc
+                    tail = to[split + 1]
+                relayed.append((arc, split, fed[tail]))
+            index[v] = fed[node], relayed
+        return index
+
+    def _bracket(self, capacities: list[int], target: int) -> tuple[int, int]:
+        """Bounds ``lo <= cost <= hi`` on the target's cut cost, from its in-arcs alone.
+
+        ``hi`` is a cut: each in-arc is cut at its cheapest element, the
+        arc or the split of its tail.  ``lo`` is a flow of disjoint paths
+        of at most two arcs: each in-arc from the roots, and through each
+        follower tail the least of the arc, the tail's split and the
+        tail's own arcs from the roots.
+        """
+        direct, relayed = self._into[target]
+        lo = 0
+        for arc in direct:
+            lo += capacities[arc]
+        hi = lo
+        for arc, split, feeds in relayed:
+            cost = capacities[arc]
+            if split is not None and capacities[split] < cost:
+                cost = capacities[split]
+            hi += cost
+            fed = 0
+            for feed in feeds:
+                fed += capacities[feed]
+            lo += cost if cost < fed else fed
+        return lo, hi
 
     @cached_property
     def _unmasked(self) -> tuple[int, int | None]:
@@ -314,7 +387,10 @@ class _DeletionDegrees:
         if floor is None:
             costs = [c for c in (self._edge_cost, self._vertex_cost) if c is not None]
             floor = min(costs) if g.is_controllable() else 0  # a cut holds an element
-        return self._min_flow(self._built()[2], g.followers, self._cap(len(g.followers)), floor)
+        value, winner, _ = self._min_flow(
+            self._lists()[2], g.followers, self._cap(len(g.followers)), floor
+        )
+        return value, winner
 
     @property
     def base(self) -> int:
@@ -335,9 +411,8 @@ class _DeletionDegrees:
         g = self._g
         if self._edge_cost is None and any(t in g.root_set for t, h in g.edges if h == target):
             return self._cap(len(g.followers)), frozenset(g.followers)
-        net, entry, base = self._built()
-        net.cap[:] = base
-        value = net.max_flow(0, entry[target])
+        value = self._max_flow(self._lists()[2], target)
+        net = self._flow
         cut = frozenset(net.crossing_tags(net.source_side(0)))
         assert value == sum(
             self._vertex_cost if type(element) is int else self._edge_cost for element in cut
@@ -387,6 +462,16 @@ class _DeletionDegrees:
             known = (0, self._cap(survivors) if survivors else 0)  # no survivor: the vacuous 0
         return known
 
+    def _masked(self, followers: frozenset[int], edges: frozenset[Edge]) -> list[int]:
+        """The capacities with the deleted followers' and edges' arcs zeroed."""
+        masked = self._lists()[2][:]
+        for v in followers:
+            for arc in self._arcs_at[v]:
+                masked[arc] = 0
+        for edge in edges:
+            masked[self._arc_of[edge]] = 0
+        return masked
+
     def _solve(
         self,
         followers: frozenset[int],
@@ -404,44 +489,49 @@ class _DeletionDegrees:
         So only those heads need a flow, and the degree is the least of
         theirs when it is under ``below``.  Returns the value and whether
         it is the exact degree: with the head rule, a value under
-        ``below`` found at the last head is.
+        ``below`` found at the last head is, unless that head's upper
+        bracket alone gave it.
         """
-        masked = self._built()[2][:]
-        for v in followers:
-            for arc in self._arcs_at[v]:
-                masked[arc] = 0
-        for edge in edges:
-            masked[self._arc_of[edge]] = 0
+        masked = self._masked(followers, edges)
         if heads_only:
             succ = self._g._succ
             heads = {h for v in followers for h in succ[v]}.union(h for _, h in edges)
             targets = sorted(heads - followers)
         else:
             targets = [v for v in self._g.followers if v not in followers]
-        value, winner = self._min_flow(masked, targets, below, floor)
-        return value, heads_only and winner is not None and winner == targets[-1]
+        value, winner, exact = self._min_flow(masked, targets, below, floor)
+        return value, heads_only and exact and winner is not None and winner == targets[-1]
 
     def _min_flow(
         self, masked: list[int], targets: Iterable[int], best: int, floor: int
-    ) -> tuple[int, int | None]:
-        """The least of ``best`` and the targets' cut costs, and the first target attaining it.
+    ) -> tuple[int, int | None, bool]:
+        """The least of ``best`` and the targets' cut costs, its first target, and if it is exact.
 
-        Each flow is capped at the least cost so far, and the loop stops
-        once that cost is down to ``floor``.  The target is None when no
-        cut costs less than ``best``.
+        Each target's :meth:`_bracket` comes first.  A target whose lower
+        end is at least the least cost so far cannot lower it and is
+        skipped; one whose ends meet costs that much.  One whose upper end
+        is down to ``floor`` ends the loop with that end, which is only an
+        upper bound on its cost (its exact cost when ``floor`` is a proven
+        lower bound).  Any other target runs a flow capped at the least
+        cost so far.  The loop stops once that cost is down to ``floor``.
+        The target is None when no cut costs less than ``best``.
         """
-        net, entry, _ = self._built()
         winner = None
         for v in targets:
             if best <= floor:
                 break
-            if any(masked[arc] for arc in self._from_root.get(v, ())):
-                continue  # no follower set separates it: the cap
-            net.cap[:] = masked
-            value = net.max_flow(0, entry[v], best)
-            if value < best:
-                best, winner = value, v
-        return best, winner
+            lo, hi = self._bracket(masked, v)
+            if lo >= best:
+                continue
+            if lo == hi:
+                best, winner = lo, v
+            elif hi <= floor:
+                return hi, v, False
+            else:
+                value = self._max_flow(masked, v, best)
+                if value < best:
+                    best, winner = value, v
+        return best, winner, True
 
 
 def _degree_kernels(g: Digraph) -> tuple[_DeletionDegrees, _DeletionDegrees]:

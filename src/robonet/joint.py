@@ -20,14 +20,17 @@ so only follower subsets are enumerated; a brute-force oracle
 cross-checks the result cell for cell in the test suite.  No graph is
 built per subset: one flow network of g is built per report, and each
 subset masks the arcs that touch it.  A test asks only whether
-``lc(g - A) <= u``, so its flows are capped at ``u + 1`` and it stops at
-the first follower that answers yes; under ``lc(g)`` only the surviving
-out-neighbours of A can answer yes, so only they are tried.  The report's
-classification tests, region, bound checks and witnesses share that
-network and a second one for ``ac``; what one test proves about
-``lc(g - A)`` serves every later test of A, and every "agent
-controllability index is 1" test masks one edge and runs at most one
-flow, to its head.
+``lc(g - A) <= u``, so it stops at the first follower that answers yes;
+under ``lc(g)`` only the surviving out-neighbours of A can answer yes, so
+only they are tried.  Each follower's answer is first read off the
+bounds its in-arcs give on its cut (on a complete graph they meet, and
+the whole region runs no flow); a flow, capped at ``u + 1``, runs only
+where they leave it open, and the network's flow structure is built at
+the first such flow.  The report's classification tests, region, bound
+checks and witnesses share that network and a second one for ``ac``;
+what one test proves about ``lc(g - A)`` serves every later test of A,
+and every "agent controllability index is 1" test masks one edge and
+runs at most one flow, to its head.
 
 The subset budget bounds the follower subsets of each tested pair, so it
 applies to the pairs above the triangle only; a region over budget names

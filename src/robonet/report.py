@@ -70,7 +70,7 @@ def build_report(
         "controllable": controllable,
     }
 
-    kernels = _degree_kernels(g)  # each builds its network on its first flow
+    kernels = _degree_kernels(g)  # each builds its network on its first read
 
     if "degrees" in wanted:
         lcv, acv = kernels[0].base, kernels[1].base

@@ -200,7 +200,8 @@ class TestBoundedReads:
 
     def test_chain_degrees_stop_at_the_controllable_floor(self, monkeypatch):
         # controllability proves a degree of at least 1, so each degree of
-        # the 500-vertex chain stops at the first follower that reads 1
+        # the 500-vertex chain stops at the first follower that reads 1, and
+        # the in-arc brackets read it without a flow
         chain = new_digraph(500, [1], [(v, v + 1) for v in range(1, 500)])
         flows = []
         original = _Flow.max_flow
@@ -212,7 +213,9 @@ class TestBoundedReads:
         monkeypatch.setattr(_Flow, "max_flow", counting)
         link, agent = _degree_kernels(chain)
         assert (link.base, agent.base) == (1, 1)
-        assert len(flows) == 2  # follower 2 has a root edge, so ac reads follower 3
+        # lc: follower 2's one root in-arc; ac: follower 2 has a root edge,
+        # and follower 3's one in-arc comes through follower 2 alone
+        assert len(flows) == 0
 
     def test_mixed_witness_is_the_same_with_the_jc_floor_on_the_seeded_sweep(self):
         for seed, g in seeded_sweep(500):
@@ -221,6 +224,69 @@ class TestBoundedReads:
             degree = min(link_controllability(g), agent_controllability(g))
             floored = critical_agent_link_witness(g, _jc=degree)
             assert floored == critical_agent_link_witness(g), seed
+
+
+def _bracket_by_edges(g, target, followers, edges, edge_cost, vertex_cost):
+    """Reference for ``_bracket``, read off the graph's surviving in-edges of the target.
+
+    ``hi`` cuts each in-edge at the cheaper of the edge and its tail
+    follower; ``lo`` routes through each in-edge the least of that and
+    the tail's root in-edges.  A link that cannot be cut costs more than
+    all followers together.
+    """
+    link = len(g.followers) * vertex_cost + 1 if edge_cost is None else edge_cost
+
+    def alive(edge):
+        return edge not in edges and edge[0] not in followers
+
+    lo = hi = 0
+    for tail, _ in filter(alive, g.in_edges(target)):
+        if tail in g.root_set:
+            lo, hi = lo + link, hi + link
+            continue
+        cost = link if vertex_cost is None else min(link, vertex_cost)
+        fed = sum(link for edge in filter(alive, g.in_edges(tail)) if edge[0] in g.root_set)
+        lo, hi = lo + min(cost, fed), hi + cost
+    return lo, hi
+
+
+class TestBrackets:
+    def test_brackets_hold_every_masked_flow_on_the_seeded_sweep(self):
+        closed = open_ = 0
+        for seed, g in seeded_sweep(500):
+            if not g.followers or not g.is_controllable():
+                continue
+            deletions = [(frozenset(), frozenset())]
+            deletions += [(frozenset({v}), frozenset()) for v in g.followers]
+            deletions += [(frozenset(), frozenset({edge})) for edge in g.sorted_edges]
+            k = len(g.followers) + 1
+            for costs in ((1, None), (None, 1), (1, 1), (k, k + 1)):
+                network = _DeletionDegrees(g, *costs)
+                for followers, edges in deletions:
+                    masked = network._masked(followers, edges)
+                    for v in g.followers:
+                        if v in followers:
+                            continue
+                        case = (seed, costs, followers, edges, v)
+                        lo, hi = network._bracket(masked, v)
+                        assert lo <= network._max_flow(masked, v) <= hi, case
+                        assert (lo, hi) == _bracket_by_edges(g, v, followers, edges, *costs), case
+                        closed += lo == hi
+                        open_ += lo < hi
+        assert closed > 30_000 and open_ > 20_000  # both ends of the read's rules are met
+
+    def test_an_upper_bracket_alone_is_not_taken_as_exact(self):
+        # deleting follower 4 and the edge 1->3 leaves follower 3 one in-edge,
+        # from follower 2, which no root edge feeds: its bracket is (0, 1),
+        # enough for "at most 1" under the head rule, but its cut costs 0
+        edges = [(1, 3), (1, 4), (2, 3), (2, 4), (2, 5), (3, 2), (3, 5), (4, 3), (5, 2), (5, 4)]
+        link = _DeletionDegrees(new_digraph(5, [1], edges), 1, None)
+        masks = (frozenset({4}), frozenset({(1, 3)}))
+        assert link.base == 2
+        assert link._bracket(link._masked(*masks), 3) == (0, 1)
+        assert link.at_most(1, *masks)
+        assert link.at_most(0, *masks)
+        assert link.without(*masks) == 0
 
 
 def _cheapest_by_target(g, edge_cost, vertex_cost):

@@ -315,8 +315,24 @@ class TestDeletionDegrees:
         monkeypatch.setattr(connectivity._Flow, "max_flow", counting)
         for g in [complete_rooted(n) for n in range(9, 13)] + [kautz_rooted(3, 2)]:
             build_report(g, sections=("degrees", "classify", "region"))
-        # exact degree reads in place of bounded ones run 356 flows here
-        assert len(flows) <= 150
+        # exact degree reads in place of bounded ones run 356 flows here, and
+        # bounded ones without the in-arc brackets 142; complete graphs run none
+        assert len(flows) <= 40
+
+    def test_complete_report_builds_no_flow(self, monkeypatch):
+        built = []
+        original = connectivity._Flow.__init__
+
+        def counting(self, arcs):
+            built.append(arcs.node_count)
+            original(self, arcs)
+
+        monkeypatch.setattr(connectivity._Flow, "__init__", counting)
+        doc = build_report(complete_rooted(10), sections=("degrees", "classify", "region"))
+        assert doc["degrees"] == {"lc": 9, "ac": 9, "jc": 9}
+        # every follower's in-arc bracket closes, or shows it cannot lower the
+        # least cost, so both networks stay arc lists
+        assert built == []
 
 
 class TestMixedWitness:

@@ -10,8 +10,10 @@ contracted root-set to that follower.
 Every degree, cut and witness is read off :class:`_DeletionDegrees`, the
 one holder of a flow network (:func:`_network`).  Each witness reads the
 cheapest cut of one network per graph and cost pair, and the report masks
-deletions on one network per graph and mode; :func:`link_controllability`
-and :func:`agent_controllability` still build one network per target.
+deletions, from the region's follower sets to the indices' deleted edges
+and followers, on one network per graph and mode;
+:func:`link_controllability` and :func:`agent_controllability` still
+build one network per target.
 Each read stops at a proven bound: a degree at the cost no cut goes below
 (one element on a controllable graph), a yes/no question "is the degree
 after this deletion at most ``b``?" at the first follower that answers

@@ -9,6 +9,17 @@ breaking set of the original, and conversely).  The same argument works
 for followers and the agent degree.  The exhaustive enumeration operation
 below serves as the independent cross-check for that shortcut.
 
+The record builders read every degree drop of the graph itself from its
+``lc`` and ``ac`` kernels (:class:`~robonet.connectivity._DeletionDegrees`),
+with the deleted edges or follower masked on one network per mode, so no
+graph or network is built per element.  One deletion lowers a degree by at
+most one, so criticality is the bounded read "is the degree after the
+deletion at most one less?".  The indices take the exact read: deleting a
+root edge or all of a follower's out-edges can lower a degree by more.
+The per-element functions below keep the literal definitions, building
+the reduced graph and solving its degree, and the uncritical link
+indices count critical links of each reduced graph that way too.
+
 All index operations presuppose a controllable baseline.  For an
 uncontrollable graph the degrees are zero, every element counts as
 critical, and the record builders report indices as undefined.
@@ -22,6 +33,8 @@ from math import comb
 from .budget import DEFAULT_SUBSET_BUDGET
 from .connectivity import (
     WitnessSet,
+    _DeletionDegrees,
+    _degree_kernels,
     agent_controllability,
     link_controllability,
 )
@@ -133,10 +146,14 @@ def agent_link_indices(g: Digraph, v: int) -> tuple[int, int]:
     out = g.out_edges(v)
     critical = [e for e in out if is_link_critical(g, e)]
     uncritical = [e for e in out if e not in critical]
+    return len(critical), _uncritical_link_index(g, uncritical)
+
+
+def _uncritical_link_index(g: Digraph, uncritical: list[Edge]) -> int:
+    """Growth in the critical-link count of ``g`` when the uncritical links go."""
     if not uncritical:
-        return len(critical), 0
-    grown = _critical_link_count(g.remove_edges(uncritical)) - _critical_link_count(g)
-    return len(critical), grown
+        return 0
+    return _critical_link_count(g.remove_edges(uncritical)) - _critical_link_count(g)
 
 
 def enumerate_critical_sets(
@@ -220,20 +237,35 @@ class AgentIndexRecord:
         )
 
 
-def edge_records(g: Digraph) -> list[EdgeIndexRecord]:
-    """Per-edge criticality and indices; indices are None when undefined."""
+def _drop(kernel: _DeletionDegrees, edges: frozenset[Edge]) -> int:
+    """How much deleting the edges lowers the kernel's degree (the exact read)."""
+    return kernel.base - kernel.without(edges=edges)
+
+
+def _is_critical_link(link: _DeletionDegrees, edge: Edge) -> bool:
+    """:func:`is_link_critical` on the ``lc`` kernel of a controllable graph."""
+    return link.at_most(link.base - 1, edges=frozenset((edge,)))
+
+
+def edge_records(
+    g: Digraph, _kernels: tuple[_DeletionDegrees, _DeletionDegrees] | None = None
+) -> list[EdgeIndexRecord]:
+    """Per-edge criticality and indices; indices are None when undefined.
+
+    Callers holding the ``lc`` and ``ac`` kernels of ``g`` pass them as
+    ``_kernels``.
+    """
+    if not g.is_controllable():
+        return [EdgeIndexRecord(edge, True, None, None) for edge in g.sorted_edges]
+    link, agent = _kernels or _degree_kernels(g)
     records = []
-    controllable = g.is_controllable()
     for edge in g.sorted_edges:
-        if not controllable:
-            records.append(EdgeIndexRecord(edge, True, None, None))
-            continue
-        critical = is_link_critical(g, edge)
+        critical = _is_critical_link(link, edge)
         records.append(
             EdgeIndexRecord(
                 edge=edge,
                 critical=critical,
-                agent_controllability_index=agent_controllability_index(g, edge),
+                agent_controllability_index=_drop(agent, frozenset((edge,))),
                 link_controllability_index=(
                     None if critical else link_controllability_index(g, edge)
                 ),
@@ -242,23 +274,30 @@ def edge_records(g: Digraph) -> list[EdgeIndexRecord]:
     return records
 
 
-def agent_records(g: Digraph) -> list[AgentIndexRecord]:
-    """Per-follower criticality and the four importance indices."""
+def agent_records(
+    g: Digraph, _kernels: tuple[_DeletionDegrees, _DeletionDegrees] | None = None
+) -> list[AgentIndexRecord]:
+    """Per-follower criticality and the four importance indices.
+
+    Callers holding the ``lc`` and ``ac`` kernels of ``g`` pass them as
+    ``_kernels``; a link whose criticality :func:`edge_records` read on
+    the same kernel is answered from the kernel's memo.
+    """
+    if not g.is_controllable():
+        return [AgentIndexRecord(v, True, None, None, None, None) for v in g.followers]
+    link, agent = _kernels or _degree_kernels(g)
     records = []
-    controllable = g.is_controllable()
     for v in g.followers:
-        if not controllable:
-            records.append(AgentIndexRecord(v, True, None, None, None, None))
-            continue
-        crit_links, uncrit_growth = agent_link_indices(g, v)
+        out = g.out_edges(v)
+        uncritical = [e for e in out if not _is_critical_link(link, e)]
         records.append(
             AgentIndexRecord(
                 vertex=v,
-                critical=is_agent_critical(g, v),
-                agent_criticality_index=agent_criticality_index(g, v),
-                link_criticality_index=link_criticality_index(g, v),
-                critical_link_index=crit_links,
-                uncritical_link_index=uncrit_growth,
+                critical=agent.at_most(agent.base - 1, followers=frozenset((v,))),
+                agent_criticality_index=_drop(agent, frozenset(out)),
+                link_criticality_index=_drop(link, frozenset(out)),
+                critical_link_index=len(out) - len(uncritical),
+                uncritical_link_index=_uncritical_link_index(g, uncritical),
             )
         )
     return records

@@ -26,8 +26,9 @@ only they are tried.  Each follower's answer is first read off the
 bounds its in-arcs give on its cut (on a complete graph they meet, and
 the whole region runs no flow); a flow, capped at ``u + 1``, runs only
 where they leave it open, and the network's flow structure is built at
-the first such flow.  The report's classification tests, region, bound
-checks and witnesses share that network and a second one for ``ac``;
+the first such flow.  The report's index records, classification tests,
+region, bound checks and witnesses share that network and a second one
+for ``ac``;
 what one test proves about ``lc(g - A)`` serves every later test of A,
 and every "agent controllability index is 1" test masks one edge and
 runs at most one flow, to its head.

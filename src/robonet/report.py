@@ -54,9 +54,8 @@ def build_report(
 ) -> dict:
     """Assemble the selected report sections (all of them by default).
 
-    The degrees, classify, region and witness sections and the bound
-    checks read ``lc`` and ``ac`` from one pair of kernels, built once per
-    report.
+    Every section and the bound checks read ``lc`` and ``ac`` from one
+    pair of kernels, built once per report.
     """
     wanted = tuple(sections) if sections else SECTIONS
     unknown = set(wanted) - set(SECTIONS)
@@ -77,7 +76,8 @@ def build_report(
         doc["degrees"] = {"lc": lcv, "ac": acv, "jc": min(lcv, acv)}
 
     if "indices" in wanted:
-        agents = agent_records(g)
+        edges = edge_records(g, _kernels=kernels)
+        agents = agent_records(g, _kernels=kernels)
         doc["indices"] = {
             "edges": [
                 {
@@ -86,7 +86,7 @@ def build_report(
                     "agent_controllability_index": r.agent_controllability_index,
                     "link_controllability_index": r.link_controllability_index,
                 }
-                for r in edge_records(g)
+                for r in edges
             ],
             "agents": [
                 {

@@ -1,7 +1,12 @@
+import functools
+
 import pytest
 from hypothesis import given, settings
 
+from robonet import criticality
 from robonet.criticality import (
+    AgentIndexRecord,
+    EdgeIndexRecord,
     agent_controllability_index,
     agent_criticality_index,
     agent_link_indices,
@@ -23,7 +28,7 @@ from robonet.errors import (
     UnknownEdgeError,
 )
 from robonet.connectivity import agent_controllability
-from robonet.families import complete_rooted
+from robonet.families import circulant_rooted, complete_rooted, kautz_rooted, preset
 
 from conftest import digraphs, seeded_sweep
 
@@ -231,6 +236,61 @@ class TestRecords:
         for record in edge_records(path3):
             assert record.critical
             assert record.link_controllability_index is None
+
+    def test_records_match_the_public_degree_drops(self, g4, monkeypatch):
+        # the records read every drop off the graph's two kernels; the
+        # reference builds each one from the per-element definitions, which
+        # (like the uncritical link indices of the records) solve the degree
+        # of each reduced graph, so those solves are remembered per graph
+        for name in ("link_controllability", "agent_controllability"):
+            monkeypatch.setattr(criticality, name, functools.cache(getattr(criticality, name)))
+        families = {"g4": g4, "kautz(2,3)": kautz_rooted(2, 3), "double-loop 20": preset("double_loop", 20)}
+        families["circulant(12,{1,2,3})"] = circulant_rooted(12, (1, 2, 3))
+        families.update((f"complete {n}", complete_rooted(n)) for n in range(5, 9))
+        seen = set()
+        for case, g in seeded_sweep(500) + list(families.items()):
+            edges, agents = _reference_records(g)
+            assert edge_records(g) == edges, case
+            assert agent_records(g) == agents, case
+            if case in families:
+                continue
+            if not g.is_controllable():
+                seen.add("uncontrollable")
+            seen.update("uncritical link" for r in edges if not r.critical)
+            seen.update("agent ctrl index >= 2" for r in edges if (r.agent_controllability_index or 0) >= 2)
+            seen.update(
+                "criticality index >= 2"
+                for r in agents
+                if max(r.agent_criticality_index or 0, r.link_criticality_index or 0) >= 2
+            )
+        assert seen >= {
+            "uncontrollable", "uncritical link", "agent ctrl index >= 2", "criticality index >= 2"
+        }
+
+
+def _reference_records(g):
+    """The edge and agent records of ``g``, built from the per-element functions."""
+    if not g.is_controllable():
+        return (
+            [EdgeIndexRecord(e, True, None, None) for e in g.sorted_edges],
+            [AgentIndexRecord(v, True, None, None, None, None) for v in g.followers],
+        )
+    edges = []
+    for e in g.sorted_edges:
+        critical = is_link_critical(g, e)
+        growth = None if critical else link_controllability_index(g, e)
+        edges.append(EdgeIndexRecord(e, critical, agent_controllability_index(g, e), growth))
+    agents = [
+        AgentIndexRecord(
+            v,
+            is_agent_critical(g, v),
+            agent_criticality_index(g, v),
+            link_criticality_index(g, v),
+            *agent_link_indices(g, v),
+        )
+        for v in g.followers
+    ]
+    return edges, agents
 
 
 @settings(max_examples=40, deadline=None)

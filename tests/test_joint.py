@@ -20,7 +20,7 @@ from robonet.errors import (
     UncontrollableError,
 )
 from robonet.criticality import agent_controllability_index
-from robonet.families import circulant_rooted, complete_rooted, kautz_rooted
+from robonet.families import circulant_rooted, complete_rooted, kautz_rooted, preset
 from robonet.joint import (
     Classification,
     agent_set_from_cut,
@@ -35,7 +35,7 @@ from robonet.joint import (
     link_set_from_agent_set,
 )
 from robonet.oracle import oracle_jc, oracle_region, random_digraph
-from robonet.report import build_report
+from robonet.report import SECTIONS, build_report
 
 from conftest import digraphs, seeded_sweep
 
@@ -294,15 +294,34 @@ class TestDeletionDegrees:
 
         monkeypatch.setattr(connectivity, "_network", counting)
         graphs = (complete_rooted(8), kautz_rooted(2, 3), circulant_rooted(12, (1, 2, 3)))
-        graphs += (complete_rooted(6), kautz_rooted(2, 2))
-        for sections in (("witnesses",), ("degrees", "classify", "region", "witnesses")):
-            for g in graphs:
+        for sections in (("witnesses",), ("degrees", "classify", "region", "witnesses"), SECTIONS):
+            for g in graphs + (complete_rooted(6), kautz_rooted(2, 2)):
                 built.clear()
                 doc = build_report(g, sections=sections)
                 assert doc["witnesses"] is not None
                 # the link, agent and mixed witnesses read one network each,
-                # and the link and agent ones are the report's lc and ac networks
+                # and the link and agent ones are the report's lc and ac
+                # networks, which the indices read too
                 assert len(built) <= 3, (sections, g.n, built)
+        for g in graphs + (preset("double_loop", 20),):
+            built.clear()
+            build_report(g, sections=("indices",))
+            # every degree drop of the indices is masked on the lc or ac network
+            assert len(built) <= 2, (g.n, built)
+
+    def test_complete_indices_run_no_flow(self, monkeypatch):
+        flows = []
+        original = connectivity._Flow.max_flow
+
+        def counting(self, source, sink, limit=None):
+            flows.append(sink)
+            return original(self, source, sink, limit)
+
+        monkeypatch.setattr(connectivity._Flow, "max_flow", counting)
+        doc = build_report(complete_rooted(8), sections=("indices",))
+        assert all(r["critical"] for r in doc["indices"]["edges"])
+        # every masked follower's in-arc bracket closes, so no drop needs a flow
+        assert flows == []
 
     def test_region_reads_stop_at_their_bounds(self, monkeypatch):
         flows = []

@@ -15,10 +15,12 @@ and followers, on one network per graph and mode;
 :func:`link_controllability` and :func:`agent_controllability` still
 build one network per target.
 Each read stops at a proven bound: a degree at the cost no cut goes below
-(one element on a controllable graph), a yes/no question "is the degree
-after this deletion at most ``b``?" at the first follower that answers
-it, and, for ``b`` under the degree of the graph, only the followers the
-deletion exposes are tried (the head rule).  Bounds come before flows:
+(one element on a controllable graph; two for ``lc`` or ``ac`` of the
+graph itself when its dominator tree shows that no single link, or no
+single follower, breaks it), a yes/no question "is the degree after this
+deletion at most ``b``?" at the first follower that answers it, and, for
+``b`` under the degree of the graph, only the followers the deletion
+exposes are tried (the head rule).  Bounds come before flows:
 each follower's cut cost is first bracketed from its in-arcs alone (a
 cut of each in-arc at its cheapest element above it, a packing of paths
 of at most two arcs below it), and a flow runs only when that bracket
@@ -257,7 +259,10 @@ class _DeletionDegrees:
 
     - :attr:`base` starts at :meth:`_cap` and stops at a floor that no cut
       of ``g`` goes below: ``least`` when given, else one element's cost
-      when ``g`` is controllable (0 when it is not);
+      when ``g`` is controllable (0 when it is not).  In the ``lc`` and
+      ``ac`` networks, the first follower that would run a flow first
+      doubles that floor when :meth:`_no_single_break` proves it, so the
+      dominator tree is built only for a read its brackets leave open;
     - :meth:`at_most` starts at ``bound + 1`` and stops at the first
       follower that costs at most ``bound``, or whose bracket's upper end
       is at most ``bound``; under :attr:`base` it tries only the followers
@@ -385,14 +390,39 @@ class _DeletionDegrees:
     @cached_property
     def _unmasked(self) -> tuple[int, int | None]:
         g = self._g
-        floor = self._least
+        floor, lift = self._least, False
         if floor is None:
             costs = [c for c in (self._edge_cost, self._vertex_cost) if c is not None]
-            floor = min(costs) if g.is_controllable() else 0  # a cut holds an element
+            controllable = g.is_controllable()
+            floor = min(costs) if controllable else 0  # a cut holds an element
+            # lc and ac only: the all-unit network keeps the floor 1, so that
+            # `verify` checks jc against a read independent of theirs
+            lift = controllable and len(costs) == 1
         value, winner, _ = self._min_flow(
-            self._lists()[2], g.followers, self._cap(len(g.followers)), floor
+            self._lists()[2], g.followers, self._cap(len(g.followers)), floor, lift
         )
         return value, winner
+
+    def _no_single_break(self) -> bool:
+        """Whether no one link (``lc``) or one follower (``ac``) breaks the controllable ``g``.
+
+        If so, no cut costs less than two elements.  Read off the
+        dominator tree of ``g`` (:attr:`Digraph._dominators`): one
+        follower breaks ``g`` exactly when it is the only follower or
+        dominates another, and one link exactly when no other in-edge of
+        its head comes from a root or from a tail that the head does not
+        dominate (every root path to such a tail runs through the head).
+        """
+        g = self._g
+        dominators = g._dominators
+        if self._edge_cost is None:
+            return len(g.followers) > 1 and all(dominators[v][0] is None for v in g.followers)
+        spared = dict.fromkeys(g.followers, 0)
+        for tail, head in g.edges:
+            _, first, end = dominators[head]
+            if tail in g.root_set or not first <= dominators[tail][1] < end:
+                spared[head] += 1
+        return min(spared.values()) > 1
 
     @property
     def base(self) -> int:
@@ -505,7 +535,12 @@ class _DeletionDegrees:
         return value, heads_only and exact and winner is not None and winner == targets[-1]
 
     def _min_flow(
-        self, masked: list[int], targets: Iterable[int], best: int, floor: int
+        self,
+        masked: list[int],
+        targets: Iterable[int],
+        best: int,
+        floor: int,
+        lift: bool = False,
     ) -> tuple[int, int | None, bool]:
         """The least of ``best`` and the targets' cut costs, its first target, and if it is exact.
 
@@ -516,7 +551,9 @@ class _DeletionDegrees:
         upper bound on its cost (its exact cost when ``floor`` is a proven
         lower bound).  Any other target runs a flow capped at the least
         cost so far.  The loop stops once that cost is down to ``floor``.
-        The target is None when no cut costs less than ``best``.
+        The target is None when no cut costs less than ``best``.  With
+        ``lift``, the first target that would run a flow first doubles
+        ``floor`` when :meth:`_no_single_break` proves that bound.
         """
         winner = None
         for v in targets:
@@ -530,6 +567,14 @@ class _DeletionDegrees:
             elif hi <= floor:
                 return hi, v, False
             else:
+                if lift:
+                    lift = False
+                    if self._no_single_break():
+                        floor *= 2
+                        if best <= floor:
+                            break
+                        if hi <= floor:
+                            return hi, v, False
                 value = self._max_flow(masked, v, best)
                 if value < best:
                     best, winner = value, v

@@ -182,6 +182,85 @@ class Digraph:
                     stack.append(head)
         return seen - gone_vertices if gone_vertices else seen
 
+    @cached_property
+    def _dominators(self) -> dict[int, tuple[int | None, int, int]]:
+        """The dominator tree of the followers the roots reach, with the roots contracted.
+
+        Maps each such follower to ``(idom, first, end)``: its immediate
+        dominator (None for the contracted roots) and the range
+        ``first <= i < end`` of dominator-tree preorder numbers in its
+        subtree, so ``v`` dominates ``u`` exactly when ``u``'s ``first``
+        lies in ``v``'s range.  Semidominators come from Lengauer &
+        Tarjan's path-compressed forest and immediate dominators from
+        their nearest common ancestor step (Semi-NCA); every walk is
+        iterative, so a long path does not meet the recursion limit.
+        """
+        succ = self._succ
+        # a depth-first preorder from the roots, node 0 for all of them:
+        # vertex[i] is node i and parent[i] its tree parent
+        number = dict.fromkeys(self.roots, 0)
+        vertex: list[int | None] = [None]
+        parent = [0]
+        stack = [(0, iter([h for r in self.roots for h in succ[r]]))]
+        while stack:
+            i, heads = stack[-1]
+            for h in heads:
+                if h not in number:
+                    number[h] = len(vertex)
+                    vertex.append(h)
+                    parent.append(i)
+                    stack.append((number[h], iter(succ[h])))
+                    break
+            else:
+                stack.pop()
+        pred: list[list[int]] = [[] for _ in vertex]
+        for tail, i in number.items():
+            for h in succ[tail]:
+                pred[number[h]].append(i)
+        # semidominators, in reverse preorder, over the linked forest
+        count = len(vertex)
+        semi = list(range(count))
+        label = list(range(count))
+        ancestor = [-1] * count
+        for w in range(count - 1, 0, -1):
+            for v in pred[w]:
+                if ancestor[v] >= 0:  # linked: compress its forest path
+                    path = []
+                    u = v
+                    while ancestor[ancestor[u]] >= 0:
+                        path.append(u)
+                        u = ancestor[u]
+                    for u in reversed(path):
+                        a = ancestor[u]
+                        if semi[label[a]] < semi[label[u]]:
+                            label[u] = label[a]
+                        ancestor[u] = ancestor[a]
+                    v = label[v]
+                if semi[v] < semi[w]:
+                    semi[w] = semi[v]
+            ancestor[w] = parent[w]
+        # immediate dominators, in preorder, and each dominator subtree's range
+        idom = [0] * count
+        for w in range(1, count):
+            d = parent[w]
+            while d > semi[w]:
+                d = idom[d]
+            idom[w] = d
+        size = [1] * count
+        for w in range(count - 1, 0, -1):
+            size[idom[w]] += size[w]
+        first = [0] * count
+        free = [1] * count  # the next preorder number under each node
+        for w in range(1, count):
+            d = idom[w]
+            first[w] = free[d]
+            free[d] += size[w]
+            free[w] = first[w] + 1
+        return {
+            vertex[w]: (vertex[idom[w]], first[w], first[w] + size[w])
+            for w in range(1, count)
+        }
+
     def reachable_from_roots(self) -> frozenset[int]:
         """All vertices reachable from the root-set (roots included)."""
         return frozenset(self._reach(self.roots))

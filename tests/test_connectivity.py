@@ -18,9 +18,9 @@ from robonet.connectivity import (
 )
 from robonet.digraph import new_digraph, removal_breaks_controllability
 from robonet.errors import TargetIsRootError, UncontrollableError
-from robonet.families import circulant_rooted
+from robonet.families import circulant_rooted, preset
 from robonet.joint import critical_agent_link_witness
-from robonet.oracle import oracle_ac, oracle_lc
+from robonet.oracle import oracle_ac, oracle_lc, random_digraph
 
 from conftest import digraphs, seeded_sweep
 
@@ -224,6 +224,84 @@ class TestBoundedReads:
             degree = min(link_controllability(g), agent_controllability(g))
             floored = critical_agent_link_witness(g, _jc=degree)
             assert floored == critical_agent_link_witness(g), seed
+
+    def test_double_loop_degrees_run_no_flow(self, monkeypatch):
+        # every follower of double-loop 200 has two in-edges and is dominated
+        # by the root alone, so both degrees stop at the floor 2 that the
+        # dominator tree proves; a floor of 1 runs 396 flows here
+        g = preset("double_loop", 200)
+        flows = []
+        original = _Flow.max_flow
+
+        def counting(self, source, sink, limit=None):
+            flows.append(sink)
+            return original(self, source, sink, limit)
+
+        monkeypatch.setattr(_Flow, "max_flow", counting)
+        link, agent = _degree_kernels(g)
+        assert (link.base, agent.base) == (2, 2)
+        assert flows == []
+
+
+def _single_breaks(g):
+    """Reference for ``_no_single_break``: does some one link, or some one follower, break ``g``?"""
+    return (
+        any(removal_breaks_controllability(g, edges=[edge]) for edge in g.sorted_edges),
+        any(removal_breaks_controllability(g, vertices=[v]) for v in g.followers),
+    )
+
+
+class TestSingleBreakCertificate:
+    def test_matches_single_deletions_on_seeded_graphs(self):
+        graphs = [g for _, g in seeded_sweep(500)]
+        # multi-root graphs, dense enough that most are controllable
+        for seed in range(300):
+            n, roots = 5 + seed % 8, 2 + seed % 2
+            edges = min(2 * n + seed % n, (n - roots) * (n - 1))
+            graphs.append(random_digraph(n, edges, roots, seed))
+        seen = set()
+        for g in graphs:
+            if not g.followers or not g.is_controllable():
+                continue
+            link, agent = _degree_kernels(g)
+            certified = (link._no_single_break(), agent._no_single_break())
+            by_deletion = _single_breaks(g)
+            assert certified == (not by_deletion[0], not by_deletion[1]), g
+            assert certified[0] == (link.base >= 2) and certified[1] == (agent.base >= 2), g
+            seen.add((certified, len(g.roots) > 1))
+        # each test meets both answers, on one root and on several
+        assert seen >= {(pair, many) for pair in ((True, True), (False, False)) for many in (False, True)}
+        assert {pair for pair, _ in seen} >= {(True, False), (False, True)}
+
+    def test_a_tail_the_head_dominates_does_not_count(self):
+        # follower 2 has two in-edges, but 3 is reached only through 2,
+        # so deleting the root edge strands both
+        g = new_digraph(3, [1], [(1, 2), (2, 3), (3, 2)])
+        link = _DeletionDegrees(g, 1, None)
+        assert not link._no_single_break()
+        assert link.base == link_controllability(g) == 1
+
+    def test_two_roots_feeding_one_follower(self):
+        # the two root edges count once each; deleting the one follower is
+        # a break by convention
+        g = new_digraph(3, [1, 2], [(1, 3), (2, 3)])
+        link, agent = _degree_kernels(g)
+        assert link._no_single_break() and not agent._no_single_break()
+        assert (link.base, agent.base) == (2, 1)
+
+    def test_an_uncontrollable_graph_keeps_the_floor_0(self):
+        g = new_digraph(5, [1], [(1, 2), (2, 3), (3, 2), (4, 5), (5, 4)])
+        link, agent = _degree_kernels(g)
+        assert (link.base, agent.base) == (0, 0)
+        assert "_dominators" not in vars(g)  # no floor above 0 is tried
+
+    def test_a_long_chain_does_not_recurse(self):
+        # a 5,000-deep dominator tree; a recursive walk would hit the limit
+        chain = new_digraph(5000, [1], [(v, v + 1) for v in range(1, 5000)])
+        link, agent = _degree_kernels(chain)
+        assert not link._no_single_break() and not agent._no_single_break()
+        assert chain._dominators[5000] == (4999, 4999, 5000)
+        assert chain._dominators[2] == (None, 1, 5000)
 
 
 def _bracket_by_edges(g, target, followers, edges, edge_cost, vertex_cost):

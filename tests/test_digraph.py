@@ -207,6 +207,23 @@ class TestBreakConvention:
             removal_breaks_controllability(path3, vertices={1})
 
 
+
+class TestDominators:
+    def test_tree_matches_follower_deletions_on_the_seeded_sweep(self):
+        # reference: v dominates u when deleting v strands u
+        deep = 0
+        for seed, g in seeded_sweep(500):
+            tree = g._dominators
+            assert set(tree) == g.reachable_from_roots() - g.root_set, seed
+            for u, (idom, first, _) in tree.items():
+                strict = {v for v in tree if v != u and tree[v][1] <= first < tree[v][2]}
+                stranding = {v for v in tree if v != u and u in stranded_followers(g, (), {v})}
+                assert strict == stranding, (seed, u)
+                # the immediate dominator is the one every other dominator dominates
+                assert idom == max(strict, key=lambda v: tree[v][1], default=None), (seed, u)
+                deep += len(strict) > 1
+        assert deep > 50  # 73 followers with two or more strict dominators
+
 @settings(max_examples=80)
 @given(digraphs())
 def test_out_cut_matches_definition_scan(g):

@@ -338,6 +338,40 @@ class TestDeletionDegrees:
         # bounded ones without the in-arc brackets 142; complete graphs run none
         assert len(flows) <= 40
 
+    def test_witnesses_stop_at_the_dominator_floor(self, monkeypatch):
+        flows = []
+        original = connectivity._Flow.max_flow
+
+        def counting(self, source, sink, limit=None):
+            flows.append(sink)
+            return original(self, source, sink, limit)
+
+        monkeypatch.setattr(connectivity._Flow, "max_flow", counting)
+        doc = build_report(kautz_rooted(2, 4), sections=("witnesses",))
+        assert len(doc["witnesses"]["mixed"]["edges"]) == 2
+        # the lc and ac reads stop at the floor 2 before their first flow,
+        # leaving one flow per witness cut; a floor of 1 runs 47 here
+        assert len(flows) <= 3
+
+    def test_dominators_only_when_a_degree_needs_a_flow(self, monkeypatch):
+        calls = []
+        original = digraph.Digraph._dominators.func
+
+        def counting(g):
+            calls.append(g.n)
+            return original(g)
+
+        monkeypatch.setattr(digraph.Digraph, "_dominators", property(counting))
+        for n in range(9, 13):
+            build_report(complete_rooted(n), sections=("degrees", "classify", "region"))
+        # the in-arc brackets settle every read of a complete graph first
+        assert calls == []
+        for g in (complete_rooted(6), kautz_rooted(2, 3), preset("double_loop", 20)):
+            joint_controllability_via_duplicate(g)
+        # the all-unit network keeps the floor 1, so `verify` checks jc
+        # against an independent read
+        assert calls == []
+
     def test_complete_report_builds_no_flow(self, monkeypatch):
         built = []
         original = connectivity._Flow.__init__

@@ -20,7 +20,12 @@ graph itself when its dominator tree shows that no single link, or no
 single follower, breaks it), a yes/no question "is the degree after this
 deletion at most ``b``?" at the first follower that answers it, and, for
 ``b`` under the degree of the graph, only the followers the deletion
-exposes are tried (the head rule).  Bounds come before flows:
+exposes are tried (the head rule).  Deleting edges never raises a degree,
+so the exact degree after an edge-only deletion is read by the head rule
+too, from a floor of the graph's degree less what the deleted edges can
+carry: their cost in links, or, when links cannot be cut and no tail is a
+root, their tails.  Deleting a follower can raise a degree, so a deletion
+with followers still reads every survivor.  Bounds come before flows:
 each follower's cut cost is first bracketed from its in-arcs alone (a
 cut of each in-arc at its cheapest element above it, a packing of paths
 of at most two arcs below it), and a flow runs only when that bracket
@@ -268,7 +273,10 @@ class _DeletionDegrees:
       is at most ``bound``; under :attr:`base` it tries only the followers
       a deletion exposes (the head rule, see :meth:`_solve`);
     - :meth:`without`, the exact read, stops at the lower end of what the
-      deletion's earlier reads proved.
+      deletion's earlier reads proved; for an edge-only deletion it tries
+      only the deleted edges' heads, under :attr:`base`, and that end is
+      raised to :attr:`base` less what the deleted edges can carry
+      (:meth:`_edge_floor`).
 
     The arc lists (with the capacities, masks, arc maps and in-arc index
     in their order) are built at the first read, and the :class:`_Flow`
@@ -454,15 +462,46 @@ class _DeletionDegrees:
     def without(
         self, followers: frozenset[int] = frozenset(), edges: frozenset[Edge] = frozenset()
     ) -> int:
-        """The degree of ``g.remove_vertices(followers).remove_edges(edges)``."""
+        """The degree of ``g.remove_vertices(followers).remove_edges(edges)``.
+
+        An edge-only deletion never raises the degree, so it is read under
+        the head rule (see :meth:`_solve`) below :attr:`base`, from the
+        floor of :meth:`_edge_floor`.  A deletion with followers reads every
+        survivor: deleting a follower can raise a degree (with roots 1 and
+        2 and edges 1->3, 1->4, 2->4, ``lc`` is 1, and 2 without 3).
+        """
         if not followers and not edges:
             return self.base
         key = (followers, edges)
         lo, hi = self._interval(key)
         if lo < hi:
-            lo = hi = self._solve(followers, edges, hi, lo, heads_only=False)[0]
-            self._memo[key] = lo, hi
+            if followers:
+                hi = self._solve(followers, edges, hi, lo, heads_only=False)[0]
+            else:
+                floor = max(lo, self._edge_floor(edges))
+                hi = self._solve(followers, edges, min(hi, self.base), floor, heads_only=True)[0]
+            self._memo[key] = hi, hi
         return hi
+
+    def _edge_floor(self, edges: frozenset[Edge]) -> int:
+        """A degree no deletion of just these edges goes below.
+
+        When links can be cut, a cut after the deletion plus the deleted
+        edges is a cut of ``g``: ``base - edge_cost * |edges|``.  When they
+        cannot, the tails stand in for the edges if all are followers:
+        ``base - vertex_cost * |tails|``.  A cut after the deletion that
+        strands ``w`` is a cut of ``g`` with the tails other than ``w``
+        added, since a simple root path to ``w`` uses none of ``w``'s
+        out-edges.  A root tail gives no floor (0): its edge can be the
+        only thing that made its head uncuttable, so deleting it can lower
+        the capped degree by more than one follower.
+        """
+        if self._edge_cost is not None:
+            return self.base - self._edge_cost * len(edges)
+        tails = {tail for tail, _ in edges}
+        if not tails.isdisjoint(self._g.root_set):
+            return 0
+        return self.base - self._vertex_cost * len(tails)
 
     def at_most(
         self,
@@ -514,15 +553,18 @@ class _DeletionDegrees:
     ) -> tuple[int, bool]:
         """``min(below, degree)`` with the deletion masked, stopping at ``floor``.
 
-        The head rule, for ``heads_only`` (``below`` at most :attr:`base`):
-        a cut cheaper than :attr:`base` after the deletion is not a cut of
-        ``g``, so a deleted edge or an out-edge of a deleted follower
-        crosses it, and the follower at its head is separated by it too.
-        So only those heads need a flow, and the degree is the least of
-        theirs when it is under ``below``.  Returns the value and whether
-        it is the exact degree: with the head rule, a value under
-        ``below`` found at the last head is, unless that head's upper
-        bracket alone gave it.
+        ``floor`` must be a proven lower bound on the degree.  The head
+        rule, for ``heads_only`` (``below`` at most :attr:`base`): a cut
+        cheaper than :attr:`base` after the deletion is not a cut of ``g``,
+        so a deleted edge or an out-edge of a deleted follower crosses it,
+        and the follower at its head is separated by it too.  So only those
+        heads need a flow, and the degree is the least of theirs when it is
+        under ``below``.  For an edge-only deletion with ``below`` an upper
+        bound on the degree (:meth:`without`), that least value is the
+        degree itself, since deleting edges never raises it.  Returns the
+        value and whether :meth:`at_most` may take it as the exact degree:
+        with the head rule, a value under ``below`` found at the last head
+        is, unless that head's upper bracket alone gave it.
         """
         masked = self._masked(followers, edges)
         if heads_only:

@@ -16,6 +16,10 @@ graph or network is built per element.  One deletion lowers a degree by at
 most one, so criticality is the bounded read "is the degree after the
 deletion at most one less?".  The indices take the exact read: deleting a
 root edge or all of a follower's out-edges can lower a degree by more.
+Every index deletes edges only, so that read runs flows to the deleted
+edges' heads alone, and it starts from a floor: the degree less the
+deleted links (``lc``), or less their tails when all are followers
+(``ac``).
 The per-element functions below keep the literal definitions, building
 the reduced graph and solving its degree, and the uncritical link
 indices count critical links of each reduced graph that way too.

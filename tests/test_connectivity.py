@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 
 import pytest
@@ -18,7 +19,7 @@ from robonet.connectivity import (
 )
 from robonet.digraph import new_digraph, removal_breaks_controllability
 from robonet.errors import TargetIsRootError, UncontrollableError
-from robonet.families import circulant_rooted, preset
+from robonet.families import circulant_rooted, kautz_rooted, preset
 from robonet.joint import critical_agent_link_witness
 from robonet.oracle import oracle_ac, oracle_lc, random_digraph
 
@@ -146,6 +147,12 @@ class TestDeletionKernels:
                     assert agent.without(*masks) == agent_controllability(reduced), (v, edge)
 
 
+def _built_degrees(g, followers=frozenset(), edges=frozenset()):
+    """``(lc, ac)`` of the graph built with the followers and edges deleted: the masked reads' reference."""
+    reduced = g.remove_edges(edges).remove_vertices(followers)
+    return link_controllability(reduced), agent_controllability(reduced)
+
+
 def _small_deletions(g):
     """Every deletion of at most two elements: followers, edges, or one of each."""
     followers, edges = g.followers, g.sorted_edges
@@ -163,17 +170,19 @@ class TestBoundedReads:
     def test_at_most_matches_the_exact_read_on_the_seeded_sweep(self):
         # each bounded read is checked with a fresh memo, and with one memo
         # shared by every bound of a deletion, asked in ascending and in
-        # descending order
+        # descending order; the reference degree is the built graph's, so it
+        # shares no rule with the kernel's reads
         cases = 0
         for seed, g in seeded_sweep(500):
-            for costs in ((1, None), (None, 1)):
-                exact = _DeletionDegrees(g, *costs)
+            deletions = [(frozenset(), frozenset())] + list(_small_deletions(g))
+            reference = {masks: _built_degrees(g, *masks) for masks in deletions}
+            for mode, costs in enumerate(((1, None), (None, 1))):
                 fresh = _DeletionDegrees(g, *costs)
                 rising = _DeletionDegrees(g, *costs)
                 falling = _DeletionDegrees(g, *costs)
-                bounds = range(-1, exact.base + 3)
-                for masks in [(frozenset(), frozenset())] + list(_small_deletions(g)):
-                    degree = exact.without(*masks)
+                bounds = range(-1, reference[deletions[0]][mode] + 3)
+                for masks in deletions:
+                    degree = reference[masks][mode]
                     for bound in bounds:
                         fresh._memo.clear()
                         case = (seed, costs, masks, bound)
@@ -190,13 +199,13 @@ class TestBoundedReads:
     def test_exact_read_after_bounded_reads(self, g4):
         # the exact read starts from what the bounded reads proved
         for g in (g4, circulant_rooted(7, (1, 3))):
-            for costs in ((1, None), (None, 1)):
-                exact = _DeletionDegrees(g, *costs)
+            reference = {masks: _built_degrees(g, *masks) for masks in _small_deletions(g)}
+            for mode, costs in enumerate(((1, None), (None, 1))):
                 probed = _DeletionDegrees(g, *costs)
-                for masks in _small_deletions(g):
+                for masks, degrees in reference.items():
                     for bound in range(-1, probed.base + 3):
                         probed.at_most(bound, *masks)
-                    assert probed.without(*masks) == exact.without(*masks), (costs, masks)
+                    assert probed.without(*masks) == degrees[mode], (costs, masks)
 
     def test_chain_degrees_stop_at_the_controllable_floor(self, monkeypatch):
         # controllability proves a degree of at least 1, so each degree of
@@ -241,6 +250,77 @@ class TestBoundedReads:
         link, agent = _degree_kernels(g)
         assert (link.base, agent.base) == (2, 2)
         assert flows == []
+
+
+def _edge_deletions(g, seed):
+    """The edge sets the exact read is checked on: each edge, each follower's out-edges, seeded pairs and triples."""
+    edges = g.sorted_edges
+    deletions = {frozenset({edge}) for edge in edges}
+    deletions.update(frozenset(g.out_edges(v)) for v in g.followers if g.out_edges(v))
+    draw = random.Random(seed)  # a str seed draws the same on every run
+    for size in (2, 3):
+        if len(edges) >= size:
+            deletions.update(frozenset(draw.sample(edges, size)) for _ in range(8))
+    return sorted(deletions, key=sorted)
+
+
+class TestEdgeReads:
+    def test_edge_reads_match_built_graphs(self, g4, monkeypatch):
+        # the exact read of an edge-only deletion tries only the deleted
+        # edges' heads, from a floor the deletion proves; a deletion with a
+        # follower still reads every survivor, since it can raise a degree
+        flows = []
+        original = _Flow.max_flow
+
+        def counting(self, source, sink, limit=None):
+            flows.append(sink)
+            return original(self, source, sink, limit)
+
+        monkeypatch.setattr(_Flow, "max_flow", counting)
+        families = [
+            ("g4", g4),
+            ("kautz(2,3)", kautz_rooted(2, 3)),
+            ("circulant(12,{1,2,3})", circulant_rooted(12, (1, 2, 3))),
+            ("double-loop 20", preset("double_loop", 20)),
+        ]
+        modes = ((1, None), (None, 1))  # lc, ac
+        seen = set()
+        for case, g in seeded_sweep(500) + families:
+            kernels = [_DeletionDegrees(g, *costs) for costs in modes]
+            bases = (kernels[0].base, kernels[1].base)
+            for edges in _edge_deletions(g, case):
+                expected = _built_degrees(g, edges=edges)
+                for mode, kernel in enumerate(kernels):
+                    flows.clear()
+                    assert kernel.without(edges=edges) == expected[mode], (case, mode, edges)
+                    if not flows and "floor settles" not in seen:
+                        # does the same read from the floor 0 run a flow?
+                        bare = _DeletionDegrees(g, *modes[mode])
+                        below = bare.base
+                        flows.clear()
+                        bare._solve(frozenset(), edges, below, 0, heads_only=True)
+                        if flows:
+                            seen.add("floor settles")
+                if any(tail in g.root_set for tail, _ in edges) and bases[1] - expected[1] >= 2:
+                    seen.add("root tail lowers ac by 2")
+            for v in g.followers:
+                expected = _built_degrees(g, followers=frozenset({v}))
+                for mode, kernel in enumerate(kernels):
+                    assert kernel.without(followers=frozenset({v})) == expected[mode], (case, mode, v)
+                    if expected[mode] > bases[mode]:
+                        seen.add("a follower deletion raises a degree")
+        assert seen == {
+            "floor settles", "root tail lowers ac by 2", "a follower deletion raises a degree"
+        }
+
+    def test_deleting_a_follower_can_raise_lc(self):
+        # follower 3 has one in-edge, so lc is 1; without 3, follower 4 keeps
+        # its two, so no head rule below the base may read this deletion
+        g = new_digraph(4, [1, 2], [(1, 3), (1, 4), (2, 4)])
+        link = _DeletionDegrees(g, 1, None)
+        assert link.base == 1
+        assert link.without(followers=frozenset({3})) == 2
+        assert link_controllability(g.remove_vertices({3})) == 2
 
 
 def _single_breaks(g):

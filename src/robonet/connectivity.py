@@ -26,12 +26,16 @@ too, from a floor of the graph's degree less what the deleted edges can
 carry: their cost in links, or, when links cannot be cut and no tail is a
 root, their tails.  Deleting a follower can raise a degree, so a deletion
 with followers still reads every survivor.  Bounds come before flows:
-each follower's cut cost is first bracketed from its in-arcs alone (a
-cut of each in-arc at its cheapest element above it, a packing of paths
-of at most two arcs below it), and a flow runs only when that bracket
-leaves the answer open.  A network's arc lists are built at its first
-read and its flow structure at its first flow, so a read that the
-brackets settle builds none.
+each follower's cut cost is first bracketed from its surviving in-edges
+in the graph itself (a cut of each in-edge at its cheapest element above
+it, a packing of paths of at most two edges below it), and a flow runs
+only when that bracket leaves the answer open.  A deletion read whose
+floor is under one element's cost first walks the reduced graph once: a
+stranded follower makes the degree 0, and otherwise the floor rises to
+that cost.  The brackets and the walk read the graph, not the network,
+so a network's arc lists, masked capacities and flow structure are all
+built at its first flow, and a kernel whose reads run no flow builds no
+network.
 
 Cuts are recovered from residual reachability after a maximum flow.  The
 source-side residual set is the same for every maximum flow, so the
@@ -40,8 +44,8 @@ returned cuts are canonical and all results are deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable
+from functools import cached_property, partial
+from typing import Callable, Iterable
 
 from .digraph import Digraph, Edge, removal_breaks_controllability, stranded_followers
 from .errors import (
@@ -255,12 +259,12 @@ class _DeletionDegrees:
     The network is :func:`_network`'s: ``(1, None)`` gives ``lc``,
     ``(None, 1)`` ``ac`` and ``(1, 1)`` ``jc``.  Deleting followers and
     edges zeroes their arcs.  A read goes through the surviving followers
-    and brackets each one's cut cost from the masked capacities of its
-    in-arcs (:meth:`_bracket`) before it runs any flow.  A follower whose
-    bracket cannot lower the least cost found so far is skipped, and one
-    whose bracket closes costs that much; only the others run a flow,
-    capped at the least cost so far.  The read stops as soon as a proven
-    bound settles its answer:
+    and brackets each one's cut cost from its surviving in-edges in ``g``
+    (:meth:`_bracket`) before it runs any flow.  A follower whose bracket
+    cannot lower the least cost found so far is skipped, and one whose
+    bracket closes costs that much; only the others run a flow, capped at
+    the least cost so far.  The read stops as soon as a proven bound
+    settles its answer:
 
     - :attr:`base` starts at :meth:`_cap` and stops at a floor that no cut
       of ``g`` goes below: ``least`` when given, else one element's cost
@@ -278,12 +282,15 @@ class _DeletionDegrees:
       raised to :attr:`base` less what the deleted edges can carry
       (:meth:`_edge_floor`).
 
-    The arc lists (with the capacities, masks, arc maps and in-arc index
-    in their order) are built at the first read, and the :class:`_Flow`
-    over them at the first flow, so a read that its brackets settle builds
-    no flow.  Each deleted
-    (followers, edges) pair keeps an interval ``(lo, hi)`` around its
-    degree, shared by all its reads.
+    A deletion read whose floor is under one element's cost walks the
+    reduced graph once before its first flow (:meth:`_reach_floor`): a
+    stranded follower makes the degree 0, and otherwise the floor rises to
+    that cost.  The brackets and the walk read ``g`` itself, so the arc
+    lists (with the capacities, masks and arc maps in their order), the
+    masked capacities and the :class:`_Flow` over them are built at the
+    first flow; a kernel whose reads no flow needs builds no network.
+    Each deleted (followers, edges) pair keeps an interval ``(lo, hi)``
+    around its degree, shared by all its reads.
     """
 
     def __init__(
@@ -297,6 +304,14 @@ class _DeletionDegrees:
         self._edge_cost = edge_cost
         self._vertex_cost = vertex_cost
         self._least = least
+        # an edge arc's capacity (see _network), the cost of an in-edge from
+        # a follower at its cheapest element, and the cheapest element's cost
+        self._link = vertex_cost * len(g.followers) + 1 if edge_cost is None else edge_cost
+        self._relay = self._link if vertex_cost is None else min(self._link, vertex_cost)
+        if edge_cost is None or vertex_cost is None:
+            self._one = vertex_cost if edge_cost is None else edge_cost
+        else:
+            self._one = min(edge_cost, vertex_cost)
         self._memo: dict[tuple[frozenset[int], frozenset[Edge]], tuple[int, int]] = {}
         self._arcs: tuple[int, list[int], list[int], list[object], dict[int, int]] | None = None
         self._flow: _Flow | None = None
@@ -306,7 +321,7 @@ class _DeletionDegrees:
         return len(self._g.edges) if self._vertex_cost is None else self._vertex_cost * survivors
 
     def _lists(self) -> tuple[int, list[int], list[int], list[object], dict[int, int]]:
-        """The network's arc lists and entry nodes (see :func:`_network`), built at the first read."""
+        """The network's arc lists and entry nodes (see :func:`_network`), built at the first flow."""
         if self._arcs is None:
             self._arcs = _network(self._g, self._edge_cost, self._vertex_cost)
         return self._arcs
@@ -340,76 +355,59 @@ class _DeletionDegrees:
                 arcs_at[v].append(arc)
         return arcs_at
 
-    @cached_property
-    def _into(self) -> dict[int, tuple[list[int], list[tuple[int, int | None, list[int]]]]]:
-        """Each follower's in-arcs, for :meth:`_bracket`.
+    def _bracket(
+        self, followers: frozenset[int], edges: frozenset[Edge], target: int
+    ) -> tuple[int, int]:
+        """Bounds ``lo <= cost <= hi`` on the target's cut cost, from its surviving in-edges alone.
 
-        A pair: the in-arcs from the roots, and each in-arc from a follower
-        ``u`` with the arc of ``u``'s split (None when followers are not
-        split) and the arcs from the roots into ``u``.
+        Read off ``g`` (:attr:`Digraph._pred`) with the followers and edges
+        deleted, on the network's costs.  ``hi`` is a cut: each in-edge is
+        cut at its cheapest element, the edge or its tail follower.  ``lo``
+        is a flow of disjoint paths of at most two edges: each in-edge from
+        a root, and through each follower tail the least of that cut and
+        the tail's surviving in-edges from the roots.
         """
-        nodes, to, _, _, entry = self._lists()
-        into: list[list[int]] = [[] for _ in range(nodes)]
-        fed: list[list[int]] = [[] for _ in range(nodes)]  # arcs from the roots
-        for arc in range(0, len(to), 2):
-            into[to[arc]].append(arc)
-            if to[arc + 1] == 0:
-                fed[to[arc]].append(arc)
-        index = {}
-        for v, node in entry.items():
-            relayed = []
-            for arc in into[node]:
-                tail = to[arc + 1]
-                if tail == 0:
-                    continue
-                split = None
-                if self._vertex_cost is not None:
-                    split = into[tail][0]  # the out-node's one in-arc
-                    tail = to[split + 1]
-                relayed.append((arc, split, fed[tail]))
-            index[v] = fed[node], relayed
-        return index
-
-    def _bracket(self, capacities: list[int], target: int) -> tuple[int, int]:
-        """Bounds ``lo <= cost <= hi`` on the target's cut cost, from its in-arcs alone.
-
-        ``hi`` is a cut: each in-arc is cut at its cheapest element, the
-        arc or the split of its tail.  ``lo`` is a flow of disjoint paths
-        of at most two arcs: each in-arc from the roots, and through each
-        follower tail the least of the arc, the tail's split and the
-        tail's own arcs from the roots.
-        """
-        direct, relayed = self._into[target]
-        lo = 0
-        for arc in direct:
-            lo += capacities[arc]
+        pred = self._g._pred
+        link, relay = self._link, self._relay
+        roots, tails = pred[target]
+        lo = link * len(roots)
+        if edges:
+            for root in roots:
+                if (root, target) in edges:
+                    lo -= link
         hi = lo
-        for arc, split, feeds in relayed:
-            cost = capacities[arc]
-            if split is not None and capacities[split] < cost:
-                cost = capacities[split]
-            hi += cost
-            fed = 0
-            for feed in feeds:
-                fed += capacities[feed]
-            lo += cost if cost < fed else fed
+        for tail in tails:
+            if (followers and tail in followers) or (edges and (tail, target) in edges):
+                continue
+            hi += relay
+            feeds = pred[tail][0]
+            fed = link * len(feeds)
+            if edges:
+                for root in feeds:
+                    if (root, tail) in edges:
+                        fed -= link
+            lo += relay if relay < fed else fed
         return lo, hi
 
     @cached_property
     def _unmasked(self) -> tuple[int, int | None]:
         g = self._g
-        floor, lift = self._least, False
+        floor, lift = self._least, None
         if floor is None:
-            costs = [c for c in (self._edge_cost, self._vertex_cost) if c is not None]
             controllable = g.is_controllable()
-            floor = min(costs) if controllable else 0  # a cut holds an element
+            floor = self._one if controllable else 0  # a cut holds an element
             # lc and ac only: the all-unit network keeps the floor 1, so that
             # `verify` checks jc against a read independent of theirs
-            lift = controllable and len(costs) == 1
+            if controllable and None in (self._edge_cost, self._vertex_cost):
+                lift = self._dominator_floor
         value, winner, _ = self._min_flow(
-            self._lists()[2], g.followers, self._cap(len(g.followers)), floor, lift
+            frozenset(), frozenset(), g.followers, self._cap(len(g.followers)), floor, lift
         )
         return value, winner
+
+    def _dominator_floor(self) -> int:
+        """Two elements' cost when :meth:`_no_single_break` proves it, else one."""
+        return 2 * self._one if self._no_single_break() else self._one
 
     def _no_single_break(self) -> bool:
         """Whether no one link (``lc``) or one follower (``ac``) breaks the controllable ``g``.
@@ -432,6 +430,17 @@ class _DeletionDegrees:
                 spared[head] += 1
         return min(spared.values()) > 1
 
+    def _reach_floor(self, followers: frozenset[int], edges: frozenset[Edge]) -> int | None:
+        """One element's cost when every surviving follower is still reached; None when one is not.
+
+        One walk of ``g`` with the deletion masked (:meth:`Digraph._reach`).
+        A stranded follower needs no cut, so the degree is 0; when every
+        survivor is reached, each cut holds at least one element.
+        """
+        g = self._g
+        reached = g._reach(g.roots, followers, edges)
+        return self._one if len(reached) == g.n - len(followers) else None
+
     @property
     def base(self) -> int:
         """The degree of ``g`` itself."""
@@ -449,7 +458,7 @@ class _DeletionDegrees:
         gets the cap and the full follower set, without a flow.
         """
         g = self._g
-        if self._edge_cost is None and any(t in g.root_set for t, h in g.edges if h == target):
+        if self._edge_cost is None and g._pred[target][0]:
             return self._cap(len(g.followers)), frozenset(g.followers)
         value = self._max_flow(self._lists()[2], target)
         net = self._flow
@@ -535,7 +544,10 @@ class _DeletionDegrees:
 
     def _masked(self, followers: frozenset[int], edges: frozenset[Edge]) -> list[int]:
         """The capacities with the deleted followers' and edges' arcs zeroed."""
-        masked = self._lists()[2][:]
+        capacities = self._lists()[2]
+        if not followers and not edges:
+            return capacities
+        masked = capacities[:]
         for v in followers:
             for arc in self._arcs_at[v]:
                 masked[arc] = 0
@@ -553,7 +565,9 @@ class _DeletionDegrees:
     ) -> tuple[int, bool]:
         """``min(below, degree)`` with the deletion masked, stopping at ``floor``.
 
-        ``floor`` must be a proven lower bound on the degree.  The head
+        ``floor`` must be a proven lower bound on the degree, or the bound
+        of an :meth:`at_most` question.  Under one element's cost it is
+        raised by :meth:`_reach_floor` before the first flow.  The head
         rule, for ``heads_only`` (``below`` at most :attr:`base`): a cut
         cheaper than :attr:`base` after the deletion is not a cut of ``g``,
         so a deleted edge or an out-edge of a deleted follower crosses it,
@@ -566,42 +580,50 @@ class _DeletionDegrees:
         with the head rule, a value under ``below`` found at the last head
         is, unless that head's upper bracket alone gave it.
         """
-        masked = self._masked(followers, edges)
         if heads_only:
-            succ = self._g._succ
-            heads = {h for v in followers for h in succ[v]}.union(h for _, h in edges)
-            targets = sorted(heads - followers)
+            heads = {h for _, h in edges}
+            if followers:
+                succ = self._g._succ
+                for v in followers:
+                    heads.update(succ[v])
+                heads -= followers
+            targets = sorted(heads)
         else:
             targets = [v for v in self._g.followers if v not in followers]
-        value, winner, exact = self._min_flow(masked, targets, below, floor)
+        lift = partial(self._reach_floor, followers, edges) if floor < self._one else None
+        value, winner, exact = self._min_flow(followers, edges, targets, below, floor, lift)
         return value, heads_only and exact and winner is not None and winner == targets[-1]
 
     def _min_flow(
         self,
-        masked: list[int],
+        followers: frozenset[int],
+        edges: frozenset[Edge],
         targets: Iterable[int],
         best: int,
         floor: int,
-        lift: bool = False,
+        lift: Callable[[], int | None] | None = None,
     ) -> tuple[int, int | None, bool]:
         """The least of ``best`` and the targets' cut costs, its first target, and if it is exact.
 
-        Each target's :meth:`_bracket` comes first.  A target whose lower
-        end is at least the least cost so far cannot lower it and is
-        skipped; one whose ends meet costs that much.  One whose upper end
-        is down to ``floor`` ends the loop with that end, which is only an
-        upper bound on its cost (its exact cost when ``floor`` is a proven
-        lower bound).  Any other target runs a flow capped at the least
-        cost so far.  The loop stops once that cost is down to ``floor``.
-        The target is None when no cut costs less than ``best``.  With
-        ``lift``, the first target that would run a flow first doubles
-        ``floor`` when :meth:`_no_single_break` proves that bound.
+        The cut costs are read with the followers and edges deleted.  Each
+        target's :meth:`_bracket` comes first.  A target whose lower end is
+        at least the least cost so far cannot lower it and is skipped; one
+        whose ends meet costs that much.  One whose upper end is down to
+        ``floor`` ends the loop with that end, which is only an upper bound
+        on its cost (its exact cost when ``floor`` is a proven lower bound).
+        Any other target runs a flow capped at the least cost so far, on
+        capacities masked at the first such flow.  The loop stops once that
+        cost is down to ``floor``.  The target is None when no cut costs
+        less than ``best``.  ``lift``, called once before the first flow,
+        proves a new floor (:meth:`_dominator_floor`, :meth:`_reach_floor`),
+        or returns None when the degree is 0.
         """
         winner = None
+        masked = None
         for v in targets:
             if best <= floor:
                 break
-            lo, hi = self._bracket(masked, v)
+            lo, hi = self._bracket(followers, edges, v)
             if lo >= best:
                 continue
             if lo == hi:
@@ -609,14 +631,17 @@ class _DeletionDegrees:
             elif hi <= floor:
                 return hi, v, False
             else:
-                if lift:
-                    lift = False
-                    if self._no_single_break():
-                        floor *= 2
-                        if best <= floor:
-                            break
-                        if hi <= floor:
-                            return hi, v, False
+                if lift is not None:
+                    raised, lift = lift(), None
+                    if raised is None:
+                        return 0, None, True
+                    floor = max(floor, raised)
+                    if best <= floor:
+                        break
+                    if hi <= floor:
+                        return hi, v, False
+                if masked is None:
+                    masked = self._masked(followers, edges)
                 value = self._max_flow(masked, v, best)
                 if value < best:
                     best, winner = value, v

@@ -19,7 +19,9 @@ root edge or all of a follower's out-edges can lower a degree by more.
 Every index deletes edges only, so that read runs flows to the deleted
 edges' heads alone, and it starts from a floor: the degree less the
 deleted links (``lc``), or less their tails when all are followers
-(``ac``).
+(``ac``).  Where that floor is under 1, one walk of the reduced graph
+before the first flow either finds a stranded follower (the degree is 0)
+or raises it to 1.
 The per-element functions below keep the literal definitions, building
 the reduced graph and solving its degree, and the uncritical link
 indices count critical links of each reduced graph that way too.

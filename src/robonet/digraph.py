@@ -69,7 +69,9 @@ class Digraph:
 
     The constructor validates every invariant, so any reachable in-memory
     value is well formed: roots are nonempty and have no incoming edges,
-    edge endpoints exist, and there are no self-loops.
+    edge endpoints exist, and there are no self-loops.  :func:`new_digraph`
+    and the removal operations check what they build themselves and skip
+    the second validation (:func:`_unchecked_digraph`).
     """
 
     vertices: frozenset[int]
@@ -123,10 +125,22 @@ class Digraph:
 
     @cached_property
     def _succ(self) -> Mapping[int, tuple[int, ...]]:
+        """Each vertex's out-neighbours, ascending."""
         adj: dict[int, list[int]] = {v: [] for v in self.vertices}
-        for tail, head in self.sorted_edges:
+        for tail, head in self.edges:
             adj[tail].append(head)
+        for heads in adj.values():
+            heads.sort()
         return {v: tuple(heads) for v, heads in adj.items()}
+
+    @cached_property
+    def _pred(self) -> Mapping[int, tuple[tuple[int, ...], tuple[int, ...]]]:
+        """Each vertex's in-neighbours, split into the roots and the followers."""
+        tails: dict[int, tuple[list[int], list[int]]] = {v: ([], []) for v in self.vertices}
+        root_set = self.root_set
+        for tail, head in self.edges:
+            tails[head][tail not in root_set].append(tail)
+        return {v: (tuple(roots), tuple(followers)) for v, (roots, followers) in tails.items()}
 
     def out_edges(self, v: int) -> tuple[Edge, ...]:
         if v not in self.vertices:
@@ -261,9 +275,13 @@ class Digraph:
             for w in range(1, count)
         }
 
-    def reachable_from_roots(self) -> frozenset[int]:
-        """All vertices reachable from the root-set (roots included)."""
+    @cached_property
+    def _root_reach(self) -> frozenset[int]:
         return frozenset(self._reach(self.roots))
+
+    def reachable_from_roots(self) -> frozenset[int]:
+        """All vertices reachable from the root-set (roots included), walked once per graph."""
+        return self._root_reach
 
     def is_controllable(self) -> bool:
         """True when every follower is reachable from the root-set.
@@ -285,7 +303,7 @@ class Digraph:
         if unknown:
             tail, head = min(unknown)
             raise UnknownEdgeError(f"edge {tail}->{head} is not in the graph")
-        return Digraph(self.vertices, self.roots, self.edges - gone)
+        return _unchecked_digraph(self.vertices, self.roots, self.edges - gone)
 
     def remove_vertices(self, loss: Iterable[int]) -> "Digraph":
         gone = frozenset(int(v) for v in loss)
@@ -297,7 +315,23 @@ class Digraph:
             raise RootRemovalError(f"root {min(doomed_roots)} cannot fail")
         kept = self.vertices - gone
         edges = frozenset(e for e in self.edges if e[0] in kept and e[1] in kept)
-        return Digraph(kept, self.roots, edges)
+        return _unchecked_digraph(kept, self.roots, edges)
+
+
+def _unchecked_digraph(
+    vertices: frozenset[int], roots: tuple[int, ...], edges: frozenset[Edge]
+) -> Digraph:
+    """A :class:`Digraph` of parts already known to be valid, built without validating them.
+
+    The parts must be what validation leaves behind: integer vertices,
+    distinct sorted roots among them, and integer edges between them that
+    are neither self-loops nor into a root.
+    """
+    g = object.__new__(Digraph)
+    object.__setattr__(g, "vertices", vertices)
+    object.__setattr__(g, "roots", roots)
+    object.__setattr__(g, "edges", edges)
+    return g
 
 
 def new_digraph(
@@ -312,7 +346,10 @@ def new_digraph(
     Edge lists are deduplicated; ``strip_self_loops`` downgrades explicit
     self-loops from an error to a silent drop (used by file ingestion).
     A vertex count above :data:`MAX_GENERATED_VERTICES` is rejected
-    before anything is allocated for it.
+    before anything is allocated for it.  The edges are checked in one
+    pass; a graph that passes is built without validating it again, and
+    one that does not goes to the :class:`Digraph` constructor, which
+    raises the error for its first fault.
     """
     n = int(n)
     if n < 1:
@@ -325,9 +362,11 @@ def new_digraph(
     for r in root_list:
         if not 1 <= r <= n:
             raise IndexOutOfRangeError(f"root {r} outside 1..{n}")
+    root_set = frozenset(root_list)
+    valid = bool(root_set)
     edge_list = []
-    for raw in edges:
-        tail, head = _normalize_edge(raw)
+    for tail, head in edges:
+        tail, head = int(tail), int(head)
         if not (1 <= tail <= n and 1 <= head <= n):
             raise IndexOutOfRangeError(f"edge {tail}->{head} outside 1..{n}")
         if tail == head and strip_self_loops:
@@ -337,8 +376,12 @@ def new_digraph(
                 stacklevel=2,
             )
             continue
+        valid = valid and tail != head and head not in root_set
         edge_list.append((tail, head))
-    return Digraph(frozenset(range(1, n + 1)), tuple(root_list), frozenset(edge_list))
+    vertices = frozenset(range(1, n + 1))
+    if not valid:
+        return Digraph(vertices, tuple(root_list), frozenset(edge_list))
+    return _unchecked_digraph(vertices, tuple(sorted(root_set)), frozenset(edge_list))
 
 
 @dataclass(frozen=True, eq=True)

@@ -18,20 +18,22 @@ subsets, each quantifier block "all u-edge-subsets after deleting the
 follower set A" collapses to the single polynomial test ``lc(g - A) > u``,
 so only follower subsets are enumerated; a brute-force oracle
 cross-checks the result cell for cell in the test suite.  No graph is
-built per subset: one flow network of g is built per report, and each
-subset masks the arcs that touch it.  A test asks only whether
-``lc(g - A) <= u``, so it stops at the first follower that answers yes;
-under ``lc(g)`` only the surviving out-neighbours of A can answer yes, so
-only they are tried.  Each follower's answer is first read off the
-bounds its in-arcs give on its cut (on a complete graph they meet, and
-the whole region runs no flow); a flow, capped at ``u + 1``, runs only
-where they leave it open, and the network's flow structure is built at
-the first such flow.  The report's index records, classification tests,
-region, bound checks and witnesses share that network and a second one
-for ``ac``;
-what one test proves about ``lc(g - A)`` serves every later test of A,
-and every "agent controllability index is 1" test masks one edge and
-runs at most one flow, to its head.
+built per subset: each subset masks the elements it deletes on one
+kernel of g per report.  A test asks only whether ``lc(g - A) <= u``, so
+it stops at the first follower that answers yes; under ``lc(g)`` only
+the surviving out-neighbours of A can answer yes, so only they are
+tried.  Each follower's answer is first read off the bounds its
+surviving in-edges in g give on its cut (on a complete graph they meet,
+and the whole region runs no flow).  A test with ``u = 0`` walks g - A
+once before its first flow: a stranded follower answers yes, and
+otherwise every cut holds a link, which answers no.  A flow, capped at
+``u + 1``, runs only where these leave the answer open, and the flow
+network of g is built at the first such flow.  The report's index
+records, classification tests, region, bound checks and witnesses share
+that kernel and a second one for ``ac``; what one test proves about
+``lc(g - A)`` serves every later test of A, and every "agent
+controllability index is 1" test masks one edge and runs at most one
+flow, to its head.
 
 The subset budget bounds the follower subsets of each tested pair, so it
 applies to the pairs above the triangle only; a region over budget names

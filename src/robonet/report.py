@@ -69,7 +69,7 @@ def build_report(
         "controllable": controllable,
     }
 
-    kernels = _degree_kernels(g)  # each builds its network on its first read
+    kernels = _degree_kernels(g)  # each builds its network at its first flow
 
     if "degrees" in wanted:
         lcv, acv = kernels[0].base, kernels[1].base

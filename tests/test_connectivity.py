@@ -210,7 +210,7 @@ class TestBoundedReads:
     def test_chain_degrees_stop_at_the_controllable_floor(self, monkeypatch):
         # controllability proves a degree of at least 1, so each degree of
         # the 500-vertex chain stops at the first follower that reads 1, and
-        # the in-arc brackets read it without a flow
+        # the in-edge brackets read it without a flow
         chain = new_digraph(500, [1], [(v, v + 1) for v in range(1, 500)])
         flows = []
         original = _Flow.max_flow
@@ -222,8 +222,8 @@ class TestBoundedReads:
         monkeypatch.setattr(_Flow, "max_flow", counting)
         link, agent = _degree_kernels(chain)
         assert (link.base, agent.base) == (1, 1)
-        # lc: follower 2's one root in-arc; ac: follower 2 has a root edge,
-        # and follower 3's one in-arc comes through follower 2 alone
+        # lc: follower 2's one root in-edge; ac: follower 2 has a root edge,
+        # and follower 3's one in-edge comes through follower 2 alone
         assert len(flows) == 0
 
     def test_mixed_witness_is_the_same_with_the_jc_floor_on_the_seeded_sweep(self):
@@ -267,7 +267,8 @@ def _edge_deletions(g, seed):
 class TestEdgeReads:
     def test_edge_reads_match_built_graphs(self, g4, monkeypatch):
         # the exact read of an edge-only deletion tries only the deleted
-        # edges' heads, from a floor the deletion proves; a deletion with a
+        # edges' heads, from a floor the deletion proves, raised by a walk of
+        # the reduced graph where it is under one element; a deletion with a
         # follower still reads every survivor, since it can raise a degree
         flows = []
         original = _Flow.max_flow
@@ -293,6 +294,12 @@ class TestEdgeReads:
                 for mode, kernel in enumerate(kernels):
                     flows.clear()
                     assert kernel.without(edges=edges) == expected[mode], (case, mode, edges)
+                    if expected[mode] == 0 < bases[mode] and not flows:
+                        # no head's bracket reaches 0, so the walk of the
+                        # reduced graph found the stranded follower
+                        heads = {head for _, head in edges}
+                        if all(kernel._bracket(frozenset(), edges, h)[1] > 0 for h in heads):
+                            seen.add("a walk finds a stranded follower")
                     if not flows and "floor settles" not in seen:
                         # does the same read from the floor 0 run a flow?
                         bare = _DeletionDegrees(g, *modes[mode])
@@ -310,7 +317,10 @@ class TestEdgeReads:
                     if expected[mode] > bases[mode]:
                         seen.add("a follower deletion raises a degree")
         assert seen == {
-            "floor settles", "root tail lowers ac by 2", "a follower deletion raises a degree"
+            "floor settles",
+            "root tail lowers ac by 2",
+            "a follower deletion raises a degree",
+            "a walk finds a stranded follower",
         }
 
     def test_deleting_a_follower_can_raise_lc(self):
@@ -426,7 +436,7 @@ class TestBrackets:
                         if v in followers:
                             continue
                         case = (seed, costs, followers, edges, v)
-                        lo, hi = network._bracket(masked, v)
+                        lo, hi = network._bracket(followers, edges, v)
                         assert lo <= network._max_flow(masked, v) <= hi, case
                         assert (lo, hi) == _bracket_by_edges(g, v, followers, edges, *costs), case
                         closed += lo == hi
@@ -441,7 +451,7 @@ class TestBrackets:
         link = _DeletionDegrees(new_digraph(5, [1], edges), 1, None)
         masks = (frozenset({4}), frozenset({(1, 3)}))
         assert link.base == 2
-        assert link._bracket(link._masked(*masks), 3) == (0, 1)
+        assert link._bracket(*masks, 3) == (0, 1)
         assert link.at_most(1, *masks)
         assert link.at_most(0, *masks)
         assert link.without(*masks) == 0

@@ -270,9 +270,12 @@ class TestRecords:
 
     def test_index_reads_run_flows_to_the_deleted_edges_heads_alone(self, g4, monkeypatch):
         # each exact drop reads the deleted edges' heads from the floor the
-        # deletion proves, and most heads' in-arc brackets settle there;
+        # deletion proves, and most heads' in-edge brackets settle there;
         # reading every surviving follower ran 40, 298, 1,814, 1,187 and 410
-        # flows on these graphs
+        # flows on these graphs.  Where that floor is under one link, one
+        # walk of the reduced graph raises it to 1 or shows a stranded
+        # follower, so Kautz(2,3) and double-loop 20 run none (14 and 32
+        # from the floor base - |E| alone)
         flows = []
         original = _Flow.max_flow
 
@@ -283,9 +286,9 @@ class TestRecords:
         monkeypatch.setattr(_Flow, "max_flow", counting)
         most = {
             "g4": (g4, 20),
-            "kautz(2,3)": (kautz_rooted(2, 3), 15),
+            "kautz(2,3)": (kautz_rooted(2, 3), 0),
             "kautz(2,4)": (kautz_rooted(2, 4), 40),
-            "double-loop 20": (preset("double_loop", 20), 35),
+            "double-loop 20": (preset("double_loop", 20), 0),
             "circulant(12,{1,2,3})": (circulant_rooted(12, (1, 2, 3)), 45),
         }
         for case, (g, bound) in most.items():

@@ -216,15 +216,20 @@ class TestRegion:
 
 @pytest.fixture()
 def built_graphs(monkeypatch):
-    """Grows by one entry for every ``Digraph`` built while the test runs."""
+    """Grows by one entry for every ``Digraph`` built while the test runs, validated or not."""
     built = []
-    original = digraph.Digraph.__post_init__
+    validated, unchecked = digraph.Digraph.__post_init__, digraph._unchecked_digraph
 
     def counting(self):
         built.append(1)
-        original(self)
+        validated(self)
+
+    def counting_unchecked(vertices, roots, edges):
+        built.append(1)
+        return unchecked(vertices, roots, edges)
 
     monkeypatch.setattr(digraph.Digraph, "__post_init__", counting)
+    monkeypatch.setattr(digraph, "_unchecked_digraph", counting_unchecked)
     return built
 
 
@@ -320,7 +325,7 @@ class TestDeletionDegrees:
         monkeypatch.setattr(connectivity._Flow, "max_flow", counting)
         doc = build_report(complete_rooted(8), sections=("indices",))
         assert all(r["critical"] for r in doc["indices"]["edges"])
-        # every masked follower's in-arc bracket closes, so no drop needs a flow
+        # every masked follower's in-edge bracket closes, so no drop needs a flow
         assert flows == []
 
     def test_region_reads_stop_at_their_bounds(self, monkeypatch):
@@ -335,7 +340,7 @@ class TestDeletionDegrees:
         for g in [complete_rooted(n) for n in range(9, 13)] + [kautz_rooted(3, 2)]:
             build_report(g, sections=("degrees", "classify", "region"))
         # exact degree reads in place of bounded ones run 356 flows here, and
-        # bounded ones without the in-arc brackets 142; complete graphs run none
+        # bounded ones without the in-edge brackets 142; complete graphs run none
         assert len(flows) <= 40
 
     def test_witnesses_stop_at_the_dominator_floor(self, monkeypatch):
@@ -364,7 +369,7 @@ class TestDeletionDegrees:
         monkeypatch.setattr(digraph.Digraph, "_dominators", property(counting))
         for n in range(9, 13):
             build_report(complete_rooted(n), sections=("degrees", "classify", "region"))
-        # the in-arc brackets settle every read of a complete graph first
+        # the in-edge brackets settle every read of a complete graph first
         assert calls == []
         for g in (complete_rooted(6), kautz_rooted(2, 3), preset("double_loop", 20)):
             joint_controllability_via_duplicate(g)
@@ -376,15 +381,32 @@ class TestDeletionDegrees:
         built = []
         original = connectivity._Flow.__init__
 
-        def counting(self, arcs):
-            built.append(arcs.node_count)
-            original(self, arcs)
+        def counting(self, node_count, to, cap, tag):
+            built.append(node_count)
+            original(self, node_count, to, cap, tag)
 
         monkeypatch.setattr(connectivity._Flow, "__init__", counting)
         doc = build_report(complete_rooted(10), sections=("degrees", "classify", "region"))
         assert doc["degrees"] == {"lc": 9, "ac": 9, "jc": 9}
-        # every follower's in-arc bracket closes, or shows it cannot lower the
-        # least cost, so both networks stay arc lists
+        # every follower's in-edge bracket closes, or shows it cannot lower
+        # the least cost, so no read runs a flow
+        assert built == []
+
+    def test_reads_without_a_flow_build_no_network(self, monkeypatch):
+        built = []
+        original = connectivity._network
+
+        def counting(g, edge_cost, vertex_cost):
+            built.append((g.n, edge_cost, vertex_cost))
+            return original(g, edge_cost, vertex_cost)
+
+        monkeypatch.setattr(connectivity, "_network", counting)
+        doc = build_report(complete_rooted(10), sections=("degrees", "classify", "region"))
+        assert doc["degrees"] == {"lc": 9, "ac": 9, "jc": 9}
+        chain = new_digraph(500, [1], [(v, v + 1) for v in range(1, 500)])
+        assert build_report(chain, sections=("degrees",))["degrees"]["lc"] == 1
+        # the brackets read the graph itself, so a network is built only for
+        # a read's first flow, and none of these reads runs one
         assert built == []
 
 

@@ -206,6 +206,11 @@ def _check_target(g: Digraph, target: int) -> None:
         raise TargetIsRootError(f"vertex {target} is a root")
 
 
+def _link_capacity(g: Digraph, edge_cost: int | None, vertex_cost: int | None) -> int:
+    """An edge arc's capacity: ``edge_cost``, or with None more than all followers together."""
+    return vertex_cost * len(g.followers) + 1 if edge_cost is None else edge_cost
+
+
 def _network(
     g: Digraph, edge_cost: int | None, vertex_cost: int | None
 ) -> tuple[int, list[int], list[int], list[object], dict[int, int]]:
@@ -243,11 +248,10 @@ def _network(
     edges = g.sorted_edges
     for tail, head in edges:
         to += (entry[head], leave.get(tail, 0))
+    cap += [_link_capacity(g, edge_cost, vertex_cost), 0] * len(edges)
     if edge_cost is None:
-        cap += [vertex_cost * len(entry) + 1, 0] * len(edges)  # dearer than every follower
         tag += [None, None] * len(edges)
     else:
-        cap += [edge_cost, 0] * len(edges)
         for edge in edges:
             tag += (edge, None)
     return node_count, to, cap, tag, entry
@@ -306,12 +310,9 @@ class _DeletionDegrees:
         self._least = least
         # an edge arc's capacity (see _network), the cost of an in-edge from
         # a follower at its cheapest element, and the cheapest element's cost
-        self._link = vertex_cost * len(g.followers) + 1 if edge_cost is None else edge_cost
+        self._link = _link_capacity(g, edge_cost, vertex_cost)
         self._relay = self._link if vertex_cost is None else min(self._link, vertex_cost)
-        if edge_cost is None or vertex_cost is None:
-            self._one = vertex_cost if edge_cost is None else edge_cost
-        else:
-            self._one = min(edge_cost, vertex_cost)
+        self._one = min(c for c in (edge_cost, vertex_cost) if c is not None)
         self._memo: dict[tuple[frozenset[int], frozenset[Edge]], tuple[int, int]] = {}
         self._arcs: tuple[int, list[int], list[int], list[object], dict[int, int]] | None = None
         self._flow: _Flow | None = None

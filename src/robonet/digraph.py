@@ -69,9 +69,9 @@ class Digraph:
 
     The constructor validates every invariant, so any reachable in-memory
     value is well formed: roots are nonempty and have no incoming edges,
-    edge endpoints exist, and there are no self-loops.  :func:`new_digraph`
-    and the removal operations check what they build themselves and skip
-    the second validation (:func:`_unchecked_digraph`).
+    edge endpoints exist, and there are no self-loops.  The edges are
+    checked in one unsorted pass; only a graph with a fault sorts them, to
+    report the first faulty edge in ascending order.
     """
 
     vertices: frozenset[int]
@@ -79,9 +79,9 @@ class Digraph:
     edges: frozenset[Edge]
 
     def __post_init__(self) -> None:
-        vertices = frozenset(int(v) for v in self.vertices)
-        roots = tuple(sorted({int(r) for r in self.roots}))
-        edges = frozenset(_normalize_edge(e) for e in self.edges)
+        vertices = frozenset(map(int, self.vertices))
+        roots = tuple(sorted(set(map(int, self.roots))))
+        edges = frozenset((int(tail), int(head)) for tail, head in self.edges)
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "roots", roots)
         object.__setattr__(self, "edges", edges)
@@ -92,18 +92,24 @@ class Digraph:
         if missing_roots:
             raise IndexOutOfRangeError(f"root {missing_roots[0]} is not a vertex")
         root_set = frozenset(roots)
-        for tail, head in sorted(edges):
-            if tail == head:
-                raise SelfLoopError(
-                    f"self-loop {tail}->{head}: follower self-loops are implicit "
-                    "in the model and must be omitted"
-                )
-            if tail not in vertices or head not in vertices:
-                raise IndexOutOfRangeError(f"edge {tail}->{head} uses an unknown vertex")
-            if head in root_set:
-                raise RootInEdgeHeadError(
-                    f"edge {tail}->{head} enters root {head}; roots never receive edges"
-                )
+        faults = [
+            (tail, head)
+            for tail, head in edges
+            if tail == head or head in root_set or tail not in vertices or head not in vertices
+        ]
+        if not faults:
+            return
+        tail, head = min(faults)
+        if tail == head:
+            raise SelfLoopError(
+                f"self-loop {tail}->{head}: follower self-loops are implicit "
+                "in the model and must be omitted"
+            )
+        if tail not in vertices or head not in vertices:
+            raise IndexOutOfRangeError(f"edge {tail}->{head} uses an unknown vertex")
+        raise RootInEdgeHeadError(
+            f"edge {tail}->{head} enters root {head}; roots never receive edges"
+        )
 
     # ---- derived views ---------------------------------------------------
 
@@ -303,7 +309,7 @@ class Digraph:
         if unknown:
             tail, head = min(unknown)
             raise UnknownEdgeError(f"edge {tail}->{head} is not in the graph")
-        return _unchecked_digraph(self.vertices, self.roots, self.edges - gone)
+        return Digraph(self.vertices, self.roots, self.edges - gone)
 
     def remove_vertices(self, loss: Iterable[int]) -> "Digraph":
         gone = frozenset(int(v) for v in loss)
@@ -315,23 +321,7 @@ class Digraph:
             raise RootRemovalError(f"root {min(doomed_roots)} cannot fail")
         kept = self.vertices - gone
         edges = frozenset(e for e in self.edges if e[0] in kept and e[1] in kept)
-        return _unchecked_digraph(kept, self.roots, edges)
-
-
-def _unchecked_digraph(
-    vertices: frozenset[int], roots: tuple[int, ...], edges: frozenset[Edge]
-) -> Digraph:
-    """A :class:`Digraph` of parts already known to be valid, built without validating them.
-
-    The parts must be what validation leaves behind: integer vertices,
-    distinct sorted roots among them, and integer edges between them that
-    are neither self-loops nor into a root.
-    """
-    g = object.__new__(Digraph)
-    object.__setattr__(g, "vertices", vertices)
-    object.__setattr__(g, "roots", roots)
-    object.__setattr__(g, "edges", edges)
-    return g
+        return Digraph(kept, self.roots, edges)
 
 
 def new_digraph(
@@ -346,10 +336,7 @@ def new_digraph(
     Edge lists are deduplicated; ``strip_self_loops`` downgrades explicit
     self-loops from an error to a silent drop (used by file ingestion).
     A vertex count above :data:`MAX_GENERATED_VERTICES` is rejected
-    before anything is allocated for it.  The edges are checked in one
-    pass; a graph that passes is built without validating it again, and
-    one that does not goes to the :class:`Digraph` constructor, which
-    raises the error for its first fault.
+    before anything is allocated for it.
     """
     n = int(n)
     if n < 1:
@@ -362,8 +349,6 @@ def new_digraph(
     for r in root_list:
         if not 1 <= r <= n:
             raise IndexOutOfRangeError(f"root {r} outside 1..{n}")
-    root_set = frozenset(root_list)
-    valid = bool(root_set)
     edge_list = []
     for tail, head in edges:
         tail, head = int(tail), int(head)
@@ -376,12 +361,8 @@ def new_digraph(
                 stacklevel=2,
             )
             continue
-        valid = valid and tail != head and head not in root_set
         edge_list.append((tail, head))
-    vertices = frozenset(range(1, n + 1))
-    if not valid:
-        return Digraph(vertices, tuple(root_list), frozenset(edge_list))
-    return _unchecked_digraph(vertices, tuple(sorted(root_set)), frozenset(edge_list))
+    return Digraph(frozenset(range(1, n + 1)), tuple(root_list), frozenset(edge_list))
 
 
 @dataclass(frozen=True, eq=True)

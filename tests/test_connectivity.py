@@ -9,6 +9,7 @@ from robonet.connectivity import (
     _DeletionDegrees,
     _Flow,
     _degree_kernels,
+    _link_capacity,
     agent_controllability,
     agent_controllability_vertex,
     link_controllability,
@@ -399,10 +400,10 @@ def _bracket_by_edges(g, target, followers, edges, edge_cost, vertex_cost):
 
     ``hi`` cuts each in-edge at the cheaper of the edge and its tail
     follower; ``lo`` routes through each in-edge the least of that and
-    the tail's root in-edges.  A link that cannot be cut costs more than
-    all followers together.
+    the tail's root in-edges.  A link costs its arc's capacity in the
+    network.
     """
-    link = len(g.followers) * vertex_cost + 1 if edge_cost is None else edge_cost
+    link = _link_capacity(g, edge_cost, vertex_cost)
 
     def alive(edge):
         return edge not in edges and edge[0] not in followers

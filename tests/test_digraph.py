@@ -1,5 +1,4 @@
 import random
-import re
 
 import pytest
 from hypothesis import given, settings
@@ -70,34 +69,29 @@ class TestConstruction:
         assert len(g4.edges) == 15
         assert g4.is_controllable()
 
-    def test_unchecked_builds_match_the_validating_constructor(self):
-        # new_digraph and the removals skip the constructor's validation;
-        # each graph must equal the validated one, and each bad input must
-        # raise what the constructor raises
+    def test_constructor_reports_the_least_faulty_edge(self):
+        # the edges are checked unsorted, yet among several faults the
+        # least edge must be reported, by its own fault's class
         rng = random.Random(15)
         faults = set()
         for seed, g in seeded_sweep(300):
-            vertices = frozenset(range(1, g.n + 1))
-            assert g == Digraph(vertices, g.roots, g.edges), seed
-            assert type(g.roots) is tuple and type(g.edges) is frozenset, seed
-            loss_e = frozenset(rng.sample(g.sorted_edges, min(2, len(g.edges))))
-            loss_v = frozenset(rng.sample(g.followers, min(2, len(g.followers))))
-            reduced = g.remove_edges(loss_e)
-            assert reduced == Digraph(g.vertices, g.roots, g.edges - loss_e), seed
-            kept = g.vertices - loss_v
-            edges = frozenset(e for e in g.edges if e[0] in kept and e[1] in kept)
-            assert g.remove_vertices(loss_v) == Digraph(kept, g.roots, edges), seed
-            # one bad edge or an empty root-set among valid parts
-            tail, head = rng.choice(sorted(vertices)), rng.choice(g.roots)
-            for roots, bad in ((g.roots, (tail, head)), (g.roots, (tail, tail)), ((), None)):
-                edge_list = list(g.sorted_edges) + ([bad] if bad else [])
-                rng.shuffle(edge_list)
-                with pytest.raises(Exception) as built:
-                    Digraph(vertices, roots, frozenset(edge_list))
-                with pytest.raises(built.type, match=f"^{re.escape(str(built.value))}$"):
-                    new_digraph(g.n, roots, edge_list)
-                faults.add(built.type)
-        assert faults == {RootInEdgeHeadError, SelfLoopError, EmptyRootSetError}
+            vertices = sorted(g.vertices)
+            bad = [(v, v) for v in rng.sample(vertices, min(2, g.n))]
+            bad += [(rng.choice(vertices), rng.choice(g.roots)), (rng.choice(vertices), g.n + 1)]
+            chosen = rng.sample(bad, rng.randint(1, len(bad)))
+            edge_list = list(g.sorted_edges) + chosen
+            rng.shuffle(edge_list)
+            tail, head = min(chosen)
+            if tail == head:
+                expected = SelfLoopError
+            elif head > g.n:
+                expected = IndexOutOfRangeError
+            else:
+                expected = RootInEdgeHeadError
+            with pytest.raises(expected, match=f"^(self-loop|edge) {tail}->{head}[: ]"):
+                Digraph(g.vertices, g.roots, frozenset(edge_list))
+            faults.add(expected)
+        assert faults == {SelfLoopError, IndexOutOfRangeError, RootInEdgeHeadError}
 
 
 class TestControllability:

@@ -216,20 +216,15 @@ class TestRegion:
 
 @pytest.fixture()
 def built_graphs(monkeypatch):
-    """Grows by one entry for every ``Digraph`` built while the test runs, validated or not."""
+    """Grows by one entry for every ``Digraph`` built while the test runs."""
     built = []
-    validated, unchecked = digraph.Digraph.__post_init__, digraph._unchecked_digraph
+    original = digraph.Digraph.__post_init__
 
     def counting(self):
         built.append(1)
-        validated(self)
-
-    def counting_unchecked(vertices, roots, edges):
-        built.append(1)
-        return unchecked(vertices, roots, edges)
+        original(self)
 
     monkeypatch.setattr(digraph.Digraph, "__post_init__", counting)
-    monkeypatch.setattr(digraph, "_unchecked_digraph", counting_unchecked)
     return built
 
 

@@ -44,7 +44,7 @@ from .connectivity import (
     agent_controllability,
     link_controllability,
 )
-from .digraph import Digraph, Edge, removal_breaks_controllability
+from .digraph import Digraph, Edge, removal_breaks_controllability, stranded_followers
 from .errors import (
     EdgeIsCriticalError,
     IndexOutOfRangeError,
@@ -170,10 +170,12 @@ def enumerate_critical_sets(
 ) -> tuple[list[WitnessSet], bool]:
     """All minimal breaking sets of minimum size, in lexicographic order.
 
-    ``kind`` selects links or agents.  Returns ``(sets, truncated)``;
-    ``truncated`` is set when ``cap`` stopped the enumeration early.
-    Raises :class:`InstanceTooLargeError` when the number of candidate
-    subsets exceeds the budget.
+    Every breaking set of the minimum size is minimal: a breaking proper
+    subset would be smaller than the degree.  ``kind`` selects links or
+    agents.  Returns ``(sets, truncated)``; ``truncated`` is set when
+    ``cap`` stopped the enumeration early.  Raises
+    :class:`InstanceTooLargeError` when the number of candidate subsets
+    exceeds the budget.
     """
     if kind not in ("link", "agent"):
         raise ValueError(f"kind must be 'link' or 'agent', not {kind!r}")
@@ -190,30 +192,16 @@ def enumerate_critical_sets(
             f"{candidates} candidate {kind} sets exceed the budget of {budget}"
         )
 
-    def breaks(subset: tuple) -> bool:
-        if kind == "link":
-            return removal_breaks_controllability(g, edges=subset)
-        return removal_breaks_controllability(g, vertices=subset)
-
     found: list[WitnessSet] = []
-    truncated = False
     for combo in combinations(pool, size):
-        if not breaks(combo):
+        edges = frozenset(combo) if kind == "link" else frozenset()
+        vertices = frozenset() if kind == "link" else frozenset(combo)
+        if not removal_breaks_controllability(g, edges, vertices):
             continue
-        if any(breaks(combo[:i] + combo[i + 1 :]) for i in range(len(combo))):
-            continue  # not minimal
         if cap is not None and len(found) >= cap:
-            truncated = True
-            break
-        if kind == "link":
-            edges, vertices = frozenset(combo), frozenset()
-        else:
-            edges, vertices = frozenset(), frozenset(combo)
-        stranded = g.remove_edges(edges).remove_vertices(vertices).unreachable_followers()
-        found.append(
-            WitnessSet(kind=kind, edges=edges, vertices=vertices, unreachable=stranded)
-        )
-    return found, truncated
+            return found, True
+        found.append(WitnessSet(kind, edges, vertices, stranded_followers(g, edges, vertices)))
+    return found, False
 
 
 @dataclass(frozen=True)

@@ -65,15 +65,12 @@ def parse_json_graph(text: str, strip_self_loops: bool = False) -> Digraph:
         raise GraphFormatError('"edges" must be a list of [tail, head] pairs')
     _check_edge_count(len(edges))
     for item in edges:
-        if (
-            not isinstance(item, list)
-            or len(item) != 2
-            or not all(isinstance(x, int) for x in item)
-        ):
+        pair = isinstance(item, list) and len(item) == 2
+        if not (pair and isinstance(item[0], int) and isinstance(item[1], int)):
             raise GraphFormatError(
                 f'"edges" entry {reprlib.repr(item)} is not a [tail, head] pair'
             )
-    return new_digraph(n, roots, [tuple(e) for e in edges], strip_self_loops=strip_self_loops)
+    return new_digraph(n, roots, edges, strip_self_loops=strip_self_loops)
 
 
 def _check_edge_count(count: int) -> None:

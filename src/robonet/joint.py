@@ -29,11 +29,12 @@ once before its first flow: a stranded follower answers yes, and
 otherwise every cut holds a link, which answers no.  A flow, capped at
 ``u + 1``, runs only where these leave the answer open, and the flow
 network of g is built at the first such flow.  The report's index
-records, classification tests, region, bound checks and witnesses share
-that kernel and a second one for ``ac``; what one test proves about
-``lc(g - A)`` serves every later test of A, and every "agent
-controllability index is 1" test masks one edge and runs at most one
-flow, to its head.
+records, region, classification, bound checks and witnesses share that
+kernel and a second one for ``ac``, and a report tests each pair once:
+its classification reads off its region whether that is the triangle.
+What one test proves about ``lc(g - A)`` serves every later test of A,
+and every "agent controllability index is 1" test masks one edge and
+runs at most one flow, to its head.
 
 The subset budget bounds the follower subsets of each tested pair, so it
 applies to the pairs above the triangle only; a region over budget names
@@ -370,8 +371,14 @@ def classify(
     g: Digraph,
     budget: int = DEFAULT_SUBSET_BUDGET,
     _kernels: tuple[_DeletionDegrees, _DeletionDegrees] | None = None,
+    _region: JointRegion | None = None,
 ) -> Classification:
-    """The classes of ``g``; callers holding its kernels pass them as ``_kernels``."""
+    """The classes of ``g``; callers holding its kernels pass them as ``_kernels``.
+
+    Callers holding its joint region, computed within the budget, pass it
+    as ``_region``, whose ``exact_for_degree`` then answers
+    ``jointly_critical``: :func:`_region_is_exact` tests the same cells.
+    """
     if not g.is_controllable():
         raise UncontrollableError("classification is defined for controllable graphs")
     link, agent = _kernels or _degree_kernels(g)
@@ -381,6 +388,8 @@ def classify(
     link_critical = _link_critical(g, agent.base, unit_index, budget)
     if agent_critical and link_critical:
         jointly: bool | None = True
+    elif _region is not None:
+        jointly = _region.exact_for_degree
     else:
         jointly = _region_is_exact(g, link, agent.base, budget)
     return Classification(
@@ -412,22 +421,18 @@ def _unit_index_test(agent: _DeletionDegrees) -> Callable[[Edge], bool]:
 def _link_critical(
     g: Digraph, q: int, unit_index: Callable[[Edge], bool], budget: int
 ) -> bool | None:
-    """Does some minimum breaking agent set have a unit-index out-edge per member?"""
+    """Does some minimum breaking agent set have a unit-index out-edge per member?
+
+    ``q`` is ``ac(g)``, so every breaking set of ``q`` followers is minimal.
+    """
     followers = g.followers
     if not followers:
         return False
-    scanned = 0
-    for combo in combinations(followers, q):
-        scanned += 1
+    for scanned, combo in enumerate(combinations(followers, q), 1):
         if scanned > budget:
             return None  # existential not settled within budget
-        if not removal_breaks_controllability(g, vertices=combo):
-            continue
-        if any(
-            removal_breaks_controllability(g, vertices=combo[:i] + combo[i + 1 :])
-            for i in range(len(combo))
-        ):
-            continue
+        if q < len(followers) and len(g._reach(g.roots, frozenset(combo))) + q == g.n:
+            continue  # strands no follower
         if all(any(unit_index(e) for e in g.out_edges(v)) for v in combo):
             return True
     return False
@@ -440,16 +445,15 @@ def _region_is_exact(
 
     By downward closure it suffices to show no pair on the diagonal
     r + s = jc + 1 is joint-controllable; degree equality lc == ac is
-    necessary first.  ``link`` is the ``lc`` kernel of ``g``.
+    necessary first.  ``link`` is the ``lc`` kernel of ``g``.  Only a
+    classification without a region computed within the budget asks.
     """
-    lcv = link.base
-    degree = min(lcv, acv)
-    if lcv != acv:
+    degree = link.base
+    if degree != acv:
         return False
     try:
-        for r in range(max(0, degree + 1 - acv), min(lcv, degree + 1) + 1):
-            s = degree + 1 - r
-            if is_joint_rs_controllable(g, r, s, budget, link):
+        for r in range(1, degree + 1):
+            if is_joint_rs_controllable(g, r, degree + 1 - r, budget, link):
                 return False
     except InstanceTooLargeError:
         return None

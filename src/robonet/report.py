@@ -55,7 +55,8 @@ def build_report(
     """Assemble the selected report sections (all of them by default).
 
     Every section and the bound checks read ``lc`` and ``ac`` from one
-    pair of kernels, built once per report.
+    pair of kernels, built once per report, and the classification reads
+    the region computed before it.
     """
     wanted = tuple(sections) if sections else SECTIONS
     unknown = set(wanted) - set(SECTIONS)
@@ -106,18 +107,6 @@ def build_report(
             ),
         }
 
-    classification: Classification | None = None
-    if "classify" in wanted:
-        if controllable:
-            classification = classify(g, budget=budget, _kernels=kernels)
-            doc["classification"] = {
-                "agent_critical": classification.agent_critical,
-                "link_critical": classification.link_critical,
-                "jointly_critical": classification.jointly_critical,
-            }
-        else:
-            doc["classification"] = None
-
     region: JointRegion | None = None
     if "region" in wanted:
         if not controllable:
@@ -136,6 +125,18 @@ def build_report(
             except InstanceTooLargeError as exc:
                 exhausted.append("region")
                 doc["region"] = {"error": str(exc)}
+
+    classification: Classification | None = None
+    if "classify" in wanted:
+        if controllable:
+            classification = classify(g, budget=budget, _kernels=kernels, _region=region)
+            doc["classification"] = {
+                "agent_critical": classification.agent_critical,
+                "link_critical": classification.link_critical,
+                "jointly_critical": classification.jointly_critical,
+            }
+        else:
+            doc["classification"] = None
 
     if "witnesses" in wanted:
         doc["witnesses"] = _witness_section(g, *kernels)

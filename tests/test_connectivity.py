@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import combinations
 
 import pytest
@@ -10,6 +11,7 @@ from robonet.connectivity import (
     _Flow,
     _degree_kernels,
     _link_capacity,
+    _replay,
     agent_controllability,
     agent_controllability_vertex,
     link_controllability,
@@ -18,7 +20,7 @@ from robonet.connectivity import (
     min_agent_cut_witness,
     min_link_cut_witness,
 )
-from robonet.digraph import new_digraph, removal_breaks_controllability
+from robonet.digraph import new_digraph, removal_breaks_controllability, stranded_followers
 from robonet.errors import TargetIsRootError, UncontrollableError
 from robonet.families import circulant_rooted, kautz_rooted, preset
 from robonet.joint import critical_agent_link_witness
@@ -543,6 +545,54 @@ class TestWitnesses:
     def test_witnesses_are_deterministic(self, g4):
         assert min_link_cut_witness(g4) == min_link_cut_witness(g4)
         assert min_agent_cut_witness(g4) == min_agent_cut_witness(g4)
+
+
+def _first_redundant(g, edges, vertices):
+    """The element a replay names: the first, links before followers, whose drop still breaks."""
+    for edge in sorted(edges):
+        if removal_breaks_controllability(g, edges - {edge}, vertices):
+            return edge
+    return next(v for v in sorted(vertices) if removal_breaks_controllability(g, edges, vertices - {v}))
+
+
+class TestReplay:
+    @pytest.mark.parametrize(
+        "g", [circulant_rooted(6, (2, 3, 5)), circulant_rooted(12, (1, 2, 3))], ids=["g4", "circulant12"]
+    )
+    def test_planted_bad_witnesses_fail_their_replay(self, g):
+        link = min_link_cut_witness(g)
+        agent = min_agent_cut_witness(g)
+        assert _replay(g, link.edges, frozenset()) == stranded_followers(g, link.edges) == link.unreachable
+        assert _replay(g, frozenset(), agent.vertices) == stranded_followers(g, (), agent.vertices)
+        # a proper part of a minimum cut breaks nothing
+        for edges, vertices in (
+            (frozenset(sorted(link.edges)[1:]), frozenset()),
+            (frozenset(), frozenset(sorted(agent.vertices)[1:])),
+        ):
+            assert not removal_breaks_controllability(g, edges, vertices)
+            with pytest.raises(AssertionError, match="^witness does not break the graph$"):
+                _replay(g, edges, vertices)
+        # a minimum cut with one extra edge, one extra follower, or both breaks, but not minimally
+        extra_edge = next(e for e in g.sorted_edges if e not in link.edges)
+        extra_follower = max(v for v in g.followers if v not in agent.vertices)
+        planted = (
+            (link.edges | {extra_edge}, frozenset(), tuple),
+            (frozenset(), agent.vertices | {extra_follower}, int),
+            (link.edges | {extra_edge}, frozenset({extra_follower}), object),
+        )
+        for edges, vertices, named in planted:
+            assert removal_breaks_controllability(g, edges, vertices)
+            redundant = _first_redundant(g, edges, vertices)
+            assert isinstance(redundant, named)
+            message = f"witness is not minimal: dropping {redundant} still breaks"
+            with pytest.raises(AssertionError, match=f"^{re.escape(message)}$"):
+                _replay(g, edges, vertices)
+
+    def test_deleting_every_follower_breaks_by_convention(self, star4):
+        everyone = frozenset(star4.followers)
+        assert _replay(star4, frozenset(), everyone) == ()
+        with pytest.raises(AssertionError, match=re.escape("dropping (1, 2) still breaks")):
+            _replay(star4, frozenset({(1, 2)}), everyone)
 
 
 @settings(max_examples=60)

@@ -1,4 +1,5 @@
 import functools
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -27,7 +28,7 @@ from robonet.errors import (
     UncontrollableError,
     UnknownEdgeError,
 )
-from robonet.connectivity import _Flow, agent_controllability
+from robonet.connectivity import WitnessSet, _Flow, agent_controllability, link_controllability
 from robonet.families import circulant_rooted, complete_rooted, kautz_rooted, preset
 from robonet.report import build_report
 
@@ -210,6 +211,38 @@ class TestEnumeration:
         for kind in ("link", "agent"):
             for w in enumerate_critical_sets(g4, kind)[0]:
                 assert removal_breaks_controllability(g4, w.edges, w.vertices)
+
+    def test_matches_the_literal_enumeration_on_the_seeded_sweep(self):
+        # reference: a minimality filter on every breaking set, and the
+        # stranded followers read off the reduced graph built from it
+        def literal(g, kind):
+            pool = g.sorted_edges if kind == "link" else g.followers
+            size = link_controllability(g) if kind == "link" else agent_controllability(g)
+
+            def breaks(subset):
+                if kind == "link":
+                    return removal_breaks_controllability(g, edges=subset)
+                return removal_breaks_controllability(g, vertices=subset)
+
+            found = []
+            for combo in combinations(pool, size):
+                if not breaks(combo) or any(
+                    breaks(combo[:i] + combo[i + 1 :]) for i in range(len(combo))
+                ):
+                    continue
+                edges = frozenset(combo) if kind == "link" else frozenset()
+                vertices = frozenset() if kind == "link" else frozenset(combo)
+                reduced = g.remove_edges(edges).remove_vertices(vertices)
+                found.append(WitnessSet(kind, edges, vertices, reduced.unreachable_followers()))
+            return found
+
+        for seed, g in seeded_sweep(500):
+            if not g.is_controllable():
+                continue
+            for kind in ("link", "agent"):
+                expected = literal(g, kind)
+                assert enumerate_critical_sets(g, kind) == (expected, False), (seed, kind)
+                assert enumerate_critical_sets(g, kind, cap=1) == (expected[:1], len(expected) > 1)
 
 
 class TestRanking:

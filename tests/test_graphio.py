@@ -36,6 +36,28 @@ class TestJson:
         with pytest.raises(GraphFormatError, match="pair"):
             parse_json_graph('{"n": 2, "roots": [1], "edges": [[1, 2, 3]]}')
 
+    def test_first_malformed_edge_entry_is_quoted(self):
+        for entries, quoted in (
+            ("[[1, 2], 7, [2, 3, 4]]", "7"),
+            ('[[1, 2], "23", 7]', "'23'"),
+            ('[[1, 2], {"1": 2, "3": 4}]', "{'1': 2, '3': 4}"),
+            ("[[1, 2], [2, 3, 4], 7]", "[2, 3, 4]"),
+            ("[[1, 2], [2], [1]]", "[2]"),
+            ("[[1, 2], []]", "[]"),
+            ("[[1, 2], [0, 1, 2, 3, 4, 5, 6, 7]]", "[0, 1, 2, 3, 4, 5, ...]"),
+            ('[[1, 2], [1, "3"], [1.0, 2]]', "[1, '3']"),
+            ("[[1, 2], [1.0, 2]]", "[1.0, 2]"),
+            ("[[1, 2], [2, null]]", "[2, None]"),
+            ("[[1, 2], [[1], 2]]", "[[1], 2]"),
+        ):
+            with pytest.raises(GraphFormatError) as caught:
+                parse_json_graph(f'{{"n": 3, "roots": [1], "edges": {entries}}}')
+            assert str(caught.value) == f'"edges" entry {quoted} is not a [tail, head] pair'
+
+    def test_boolean_endpoints_are_integers(self):
+        g = parse_json_graph('{"n": 2, "roots": [1], "edges": [[true, 2]]}')
+        assert g == new_digraph(2, [1], [(1, 2)])
+
     def test_bad_types(self):
         with pytest.raises(GraphFormatError):
             parse_json_graph('{"n": "3", "roots": [1], "edges": []}')

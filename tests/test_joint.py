@@ -1,4 +1,4 @@
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -515,6 +515,26 @@ class TestLinkSubstitution:
         assert links == frozenset({(3, 6), (4, 2)})
         assert not removal_breaks_controllability(g, edges=links)
 
+    def test_no_choice_of_unit_index_links_breaks(self):
+        # the sets behind the failing acceptance check 08b: taking any
+        # unit-index out-edge of each agent, not only the first, leaves
+        # the graph controllable, so no search for the choice mends 08b
+        sweep = dict(seeded_sweep(219))
+        cases = (
+            (sweep[8], {2, 5}),
+            (sweep[110], {2, 3}),
+            (sweep[218], {3, 5}),
+            (ROUTE_LINK_GRAPH, {3, 4}),
+        )
+        for g, agents in cases:
+            link_set_from_agent_set(g, agents)  # a minimum breaking set, every member covered
+            choices = [
+                [e for e in g.out_edges(v) if agent_controllability_index(g, e) == 1]
+                for v in sorted(agents)
+            ]
+            for links in product(*choices):
+                assert not removal_breaks_controllability(g, edges=links), (sorted(agents), links)
+
 
 class TestClassification:
     def test_complete_graphs(self):
@@ -569,6 +589,84 @@ class TestClassification:
             seen.add((agent_critical, link_critical))
         # both certificates are exercised in both directions
         assert {(True, True), (True, False), (False, True), (False, False)} <= seen
+
+    def test_link_critical_matches_the_literal_definition_on_the_seeded_sweep(self):
+        # reference: every breaking set of ac followers checked for
+        # minimality through the public removal test, as first written
+        def literal(g, q, unit_index, budget):
+            scanned = 0
+            for combo in combinations(g.followers, q):
+                scanned += 1
+                if scanned > budget:
+                    return None
+                if not removal_breaks_controllability(g, vertices=combo):
+                    continue
+                if any(
+                    removal_breaks_controllability(g, vertices=combo[:i] + combo[i + 1 :])
+                    for i in range(len(combo))
+                ):
+                    continue
+                if all(any(unit_index(e) for e in g.out_edges(v)) for v in combo):
+                    return True
+            return False
+
+        answers = set()
+        for seed, g in seeded_sweep(500):
+            if not g.is_controllable():
+                continue
+            agent = _DeletionDegrees(g, None, 1)
+            unit_index = joint._unit_index_test(agent)
+            for budget in (1, 3, 10, DEFAULT_SUBSET_BUDGET):
+                expected = literal(g, agent.base, unit_index, budget)
+                assert joint._link_critical(g, agent.base, unit_index, budget) == expected, (seed, budget)
+                answers.add(expected)
+        assert answers == {True, False, None}
+
+    def test_report_tests_each_region_cell_once(self, monkeypatch):
+        tested = []
+        original = joint.is_joint_rs_controllable
+
+        def recording(g, r, s, *args):
+            tested.append((r, s))
+            return original(g, r, s, *args)
+
+        monkeypatch.setattr(joint, "is_joint_rs_controllable", recording)
+        for g in (complete_rooted(10), kautz_rooted(3, 2)):
+            tested.clear()
+            doc = build_report(g, ("classify", "region"))
+            members = {tuple(pair) for pair in doc["region"]["members"]}
+            lcv, acv, degree = doc["region"]["lc"], doc["region"]["ac"], doc["region"]["jc"]
+            # the cells above the triangle that no known non-member dominates
+            cells = [
+                (r, s)
+                for r in range(lcv + 1)
+                for s in range(acv + 1)
+                if r + s > degree
+                and (r == 0 or (r - 1, s) in members)
+                and (s == 0 or (r, s - 1) in members)
+            ]
+            assert sorted(tested) == sorted(cells)
+            assert doc["classification"]["jointly_critical"] is True
+
+    def test_classify_alone_matches_the_report_on_the_seeded_sweep(self):
+        # small budgets put the region over budget, and the classification
+        # then tests the diagonal above the triangle on its own
+        paths = set()
+        for seed, g in seeded_sweep(500):
+            if not g.is_controllable():
+                continue
+            for budget in (1, 2, 5, DEFAULT_SUBSET_BUDGET):
+                doc = build_report(g, ("classify", "region"), budget=budget)
+                alone = classify(g, budget=budget)
+                assert doc["classification"] == {
+                    "agent_critical": alone.agent_critical,
+                    "link_critical": alone.link_critical,
+                    "jointly_critical": alone.jointly_critical,
+                }, (seed, budget)
+                certified = alone.agent_critical and alone.link_critical
+                paths.add((certified, bool(doc["budget"]["exhausted_sections"])))
+        # the certificates, the report's region and the fallback all decide some graph
+        assert {(False, False), (False, True), (True, False)} <= paths
 
 
 class TestBounds:

@@ -14,7 +14,6 @@ import sys
 
 from . import oracle
 from .budget import DEFAULT_SUBSET_BUDGET, ENV_VAR, resolve_budget
-from .connectivity import _degree_kernels
 from .errors import GraphValidationError, InstanceTooLargeError, RobonetError
 from .families import PRESET_KINDS, FamilySpec, build
 from .graphio import dumps_json_graph, load_graph_file
@@ -118,7 +117,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     g = load_graph_file(args.input, strip_self_loops=args.strip_self_loops)
     budget = oracle.OracleBudget(max_subset_candidates=subset_budget)
     # the lc, ac and jc rows and the region come from the kernels analyze uses
-    kernels = link, agent = _degree_kernels(g)
+    link, agent = g._kernels
     rows = [
         ("lc", link.base, oracle.oracle_lc(g, budget)),
         ("ac", agent.base, oracle.oracle_ac(g, budget)),
@@ -135,7 +134,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         mismatch = mismatch or fast != slow
         print(f"{name:<15} {fast:>4}  {slow:>6}{marker}")
     if not args.skip_region and g.is_controllable():
-        fast_region = joint_region(g, budget=subset_budget, _kernels=kernels).members
+        fast_region = joint_region(g, budget=subset_budget).members
         slow_region = oracle.oracle_region(g, budget)
         ok = fast_region == slow_region
         mismatch = mismatch or not ok

@@ -8,10 +8,12 @@ of edge-disjoint (respectively internally vertex-disjoint) paths from the
 contracted root-set to that follower.
 
 Every degree, cut and witness is read off :class:`_DeletionDegrees`, the
-one holder of a flow network (:func:`_network`).  Each witness reads the
-cheapest cut of one network per graph and cost pair, and the report masks
-deletions, from the region's follower sets to the indices' deleted edges
-and followers, on one network per graph and mode;
+one holder of a flow network (:func:`_network`).  Each graph carries its
+``lc`` and ``ac`` kernels (:attr:`Digraph._kernels
+<robonet.digraph.Digraph._kernels>`): every analysis of the graph reads
+them, and masks its deletions, from the region's follower sets to the
+indices' deleted edges and followers, on their two networks.  Each
+witness reads the cheapest cut of one network per graph and cost pair;
 :func:`link_controllability` and :func:`agent_controllability` still
 build one network per target.
 Each read stops at a proven bound: a degree at the cost no cut goes below
@@ -95,42 +97,43 @@ class _Flow:
     The lists come from :func:`_network`; arc ``i ^ 1`` is the reverse of
     arc ``i``.  Each node lists its arcs in arc order, which makes the
     residual structure (and hence every derived cut) deterministic.
-    ``cap`` is a working copy of the capacities; ``to`` and ``tag`` are
-    shared with the caller.
+    ``to`` and ``tag`` are shared with the caller.  A flow pushes on the
+    capacity list its caller passes, which then holds the residual, so
+    the structure keeps no working state and flows on one network from
+    several threads do not meet.
     """
 
-    def __init__(self, node_count: int, to: list[int], cap: list[int], tag: list[object]) -> None:
+    def __init__(self, node_count: int, to: list[int], tag: list[object]) -> None:
         self.node_count = node_count
         self.to = to
-        self.cap = list(cap)
         self.tag = tag
         self.adj = adj = [[] for _ in range(node_count)]
         for arc in range(0, len(to), 2):
             adj[to[arc + 1]].append(arc)
             adj[to[arc]].append(arc + 1)
 
-    def max_flow(self, source: int, sink: int, limit: int | None = None) -> int:
-        """Value of a maximum flow, or stop as soon as it reaches ``limit``.
+    def max_flow(self, cap: list[int], source: int, sink: int, limit: int | None = None) -> int:
+        """Value of a maximum flow pushed on ``cap``, or stop as soon as it reaches ``limit``.
 
         A limited call returns some value ``>= limit`` when the maximum
         flow is at least ``limit``, and the exact value otherwise.
         """
         total = 0
         while True:
-            level = self._levels(source)
+            level = self._levels(cap, source)
             if level[sink] < 0:
                 return total
             it = [0] * self.node_count
             while True:
-                pushed = self._augment(source, sink, level, it)
+                pushed = self._augment(cap, source, sink, level, it)
                 if not pushed:
                     break
                 total += pushed
                 if limit is not None and total >= limit:
                     return total
 
-    def _levels(self, source: int) -> list[int]:
-        adj, to, cap = self.adj, self.to, self.cap
+    def _levels(self, cap: list[int], source: int) -> list[int]:
+        adj, to = self.adj, self.to
         level = [-1] * self.node_count
         level[source] = 0
         queue = [source]
@@ -141,13 +144,13 @@ class _Flow:
                     queue.append(to[arc])
         return level
 
-    def _augment(self, source: int, sink: int, level: list[int], it: list[int]) -> int:
+    def _augment(self, cap: list[int], source: int, sink: int, level: list[int], it: list[int]) -> int:
         """Push the bottleneck of one level-increasing source-sink path; 0 if none is left.
 
         An explicit arc stack replaces recursion, so path length is not
         bounded by the interpreter's recursion limit.
         """
-        adj, to, cap = self.adj, self.to, self.cap
+        adj, to = self.adj, self.to
         path: list[int] = []
         v = source
         while v != sink:
@@ -174,9 +177,9 @@ class _Flow:
             cap[arc ^ 1] += pushed
         return pushed
 
-    def source_side(self, source: int) -> set[int]:
-        """Nodes reachable from the source in the final residual graph."""
-        adj, to, cap = self.adj, self.to, self.cap
+    def source_side(self, cap: list[int], source: int) -> set[int]:
+        """Nodes reachable from the source in the residual capacities ``cap``."""
+        adj, to = self.adj, self.to
         seen = {source}
         stack = [source]
         while stack:
@@ -188,8 +191,8 @@ class _Flow:
                     stack.append(head)
         return seen
 
-    def crossing_tags(self, side: set[int]) -> list[object]:
-        adj, to, cap, tag = self.adj, self.to, self.cap, self.tag
+    def crossing_tags(self, cap: list[int], side: set[int]) -> list[object]:
+        adj, to, tag = self.adj, self.to, self.tag
         tags = []
         for v in side:
             for arc in adj[v]:
@@ -291,10 +294,11 @@ class _DeletionDegrees:
     stranded follower makes the degree 0, and otherwise the floor rises to
     that cost.  The brackets and the walk read ``g`` itself, so the arc
     lists (with the capacities, masks and arc maps in their order), the
-    masked capacities and the :class:`_Flow` over them are built at the
-    first flow; a kernel whose reads no flow needs builds no network.
-    Each deleted (followers, edges) pair keeps an interval ``(lo, hi)``
-    around its degree, shared by all its reads.
+    masked capacities and the :class:`_Flow` over the arcs are built at
+    the first flow; a kernel whose reads no flow needs builds no network.
+    Each flow pushes on a copy of the capacities it reads, so one kernel
+    can serve several threads.  Each deleted (followers, edges) pair keeps
+    an interval ``(lo, hi)`` around its degree, shared by all its reads.
     """
 
     def __init__(
@@ -327,14 +331,15 @@ class _DeletionDegrees:
             self._arcs = _network(self._g, self._edge_cost, self._vertex_cost)
         return self._arcs
 
-    def _max_flow(self, capacities: list[int], target: int, limit: int | None = None) -> int:
-        """``_Flow.max_flow`` to the target under the capacities; the first call builds the flow."""
+    def _max_flow(self, residual: list[int], target: int, limit: int | None = None) -> int:
+        """``_Flow.max_flow`` to the target, pushed on ``residual``, the caller's copy of the capacities.
+
+        The first call builds the flow.
+        """
         nodes, to, _, tag, entry = self._lists()
         if self._flow is None:
-            self._flow = _Flow(nodes, to, capacities, tag)
-        else:
-            self._flow.cap[:] = capacities
-        return self._flow.max_flow(0, entry[target], limit)
+            self._flow = _Flow(nodes, to, tag)
+        return self._flow.max_flow(residual, 0, entry[target], limit)
 
     @cached_property
     def _arc_of(self) -> dict[Edge, int]:
@@ -461,9 +466,10 @@ class _DeletionDegrees:
         g = self._g
         if self._edge_cost is None and g._pred[target][0]:
             return self._cap(len(g.followers)), frozenset(g.followers)
-        value = self._max_flow(self._lists()[2], target)
+        residual = self._lists()[2][:]
+        value = self._max_flow(residual, target)
         net = self._flow
-        cut = frozenset(net.crossing_tags(net.source_side(0)))
+        cut = frozenset(net.crossing_tags(residual, net.source_side(residual, 0)))
         assert value == sum(
             self._vertex_cost if type(element) is int else self._edge_cost for element in cut
         ), "max-flow/min-cut duality violated"
@@ -643,15 +649,10 @@ class _DeletionDegrees:
                         return hi, v, False
                 if masked is None:
                     masked = self._masked(followers, edges)
-                value = self._max_flow(masked, v, best)
+                value = self._max_flow(masked[:], v, best)
                 if value < best:
                     best, winner = value, v
         return best, winner, True
-
-
-def _degree_kernels(g: Digraph) -> tuple[_DeletionDegrees, _DeletionDegrees]:
-    """The ``lc`` and the ``ac`` kernel of ``g``, in that order."""
-    return _DeletionDegrees(g, 1, None), _DeletionDegrees(g, None, 1)
 
 
 def max_edge_disjoint(g: Digraph, target: int) -> FlowResult:
@@ -742,27 +743,25 @@ def _cheapest_witness(kind: str, network: _DeletionDegrees) -> WitnessSet:
     return WitnessSet(kind, edges, vertices, unreachable=_replay(g, edges, vertices))
 
 
-def min_link_cut_witness(g: Digraph, _kernel: _DeletionDegrees | None = None) -> WitnessSet:
-    """One minimal breaking edge set of size ``lc(g)``.
+def min_link_cut_witness(g: Digraph) -> WitnessSet:
+    """One minimal breaking edge set of size ``lc(g)``, the cheapest cut of the graph's ``lc`` kernel.
 
     Ties across followers are broken toward the smallest follower id;
     the cut itself is the canonical residual cut of that follower.
-    Callers holding the ``lc`` kernel of ``g`` pass it as ``_kernel``.
     """
     if not g.followers or not g.is_controllable():
         raise UncontrollableError("degrees are zero; every link is already critical")
-    return _cheapest_witness("link", _kernel or _DeletionDegrees(g, 1, None))
+    return _cheapest_witness("link", g._kernels[0])
 
 
-def min_agent_cut_witness(g: Digraph, _kernel: _DeletionDegrees | None = None) -> WitnessSet:
-    """One minimal breaking follower set of size ``ac(g)``.
+def min_agent_cut_witness(g: Digraph) -> WitnessSet:
+    """One minimal breaking follower set of size ``ac(g)``, the cheapest cut of the graph's ``ac`` kernel.
 
     When every follower is directly root-connected the only breaking set
     is the full follower set, which is returned with an empty stranded
     list (the break is by convention, see
-    :func:`~robonet.digraph.removal_breaks_controllability`).  Callers
-    holding the ``ac`` kernel of ``g`` pass it as ``_kernel``.
+    :func:`~robonet.digraph.removal_breaks_controllability`).
     """
     if not g.followers or not g.is_controllable():
         raise UncontrollableError("degrees are zero; every agent is already critical")
-    return _cheapest_witness("agent", _kernel or _DeletionDegrees(g, None, 1))
+    return _cheapest_witness("agent", g._kernels[1])

@@ -9,22 +9,25 @@ breaking set of the original, and conversely).  The same argument works
 for followers and the agent degree.  The exhaustive enumeration operation
 below serves as the independent cross-check for that shortcut.
 
-The record builders read every degree drop of the graph itself from its
-``lc`` and ``ac`` kernels (:class:`~robonet.connectivity._DeletionDegrees`),
-with the deleted edges or follower masked on one network per mode, so no
-graph or network is built per element.  One deletion lowers a degree by at
-most one, so criticality is the bounded read "is the degree after the
-deletion at most one less?".  The indices take the exact read: deleting a
-root edge or all of a follower's out-edges can lower a degree by more.
-Every index deletes edges only, so that read runs flows to the deleted
-edges' heads alone, and it starts from a floor: the degree less the
-deleted links (``lc``), or less their tails when all are followers
-(``ac``).  Where that floor is under 1, one walk of the reduced graph
-before the first flow either finds a stranded follower (the degree is 0)
-or raises it to 1.
-The per-element functions below keep the literal definitions, building
-the reduced graph and solving its degree, and the uncritical link
-indices count critical links of each reduced graph that way too.
+The per-element functions read every degree drop of the graph itself
+from its ``lc`` and ``ac`` kernels (:attr:`Digraph._kernels
+<robonet.digraph.Digraph._kernels>`), with the deleted edges or follower
+masked on one network per mode, so no graph or network is built per
+element, and the record builders are made of these functions.  One
+deletion lowers a degree by at most one, so criticality is the bounded
+read "is the degree after the deletion at most one less?".  The indices
+take the exact read: deleting a root edge or all of a follower's
+out-edges can lower a degree by more.  Every index deletes edges only, so
+that read runs flows to the deleted edges' heads alone, and it starts
+from a floor: the degree less the deleted links (``lc``), or less their
+tails when all are followers (``ac``).  Where that floor is under 1, one
+walk of the reduced graph before the first flow either finds a stranded
+follower (the degree is 0) or raises it to 1.
+:func:`is_link_critical`, :func:`link_controllability_index` and the
+uncritical link index of :func:`agent_link_indices` keep the literal
+definitions: they build each reduced graph and solve its degree with
+:func:`~robonet.connectivity.link_controllability`, one network per
+follower, and count the critical links of each reduced graph that way.
 
 All index operations presuppose a controllable baseline.  For an
 uncontrollable graph the degrees are zero, every element counts as
@@ -37,13 +40,7 @@ from itertools import combinations
 from math import comb
 
 from .budget import DEFAULT_SUBSET_BUDGET
-from .connectivity import (
-    WitnessSet,
-    _DeletionDegrees,
-    _degree_kernels,
-    agent_controllability,
-    link_controllability,
-)
+from .connectivity import WitnessSet, _DeletionDegrees, link_controllability
 from .digraph import Digraph, Edge, removal_breaks_controllability, stranded_followers
 from .errors import (
     EdgeIsCriticalError,
@@ -78,6 +75,16 @@ def _require_controllable(g: Digraph) -> None:
         )
 
 
+def _drop(kernel: _DeletionDegrees, edges: frozenset[Edge]) -> int:
+    """How much deleting the edges lowers the kernel's degree (the exact read)."""
+    return kernel.base - kernel.without(edges=edges)
+
+
+def _is_critical_link(link: _DeletionDegrees, edge: Edge) -> bool:
+    """:func:`is_link_critical` on the ``lc`` kernel of a controllable graph."""
+    return link.at_most(link.base - 1, edges=frozenset((edge,)))
+
+
 def is_link_critical(g: Digraph, edge: Edge) -> bool:
     """True when the edge belongs to some minimum breaking edge set.
 
@@ -90,34 +97,37 @@ def is_link_critical(g: Digraph, edge: Edge) -> bool:
 
 
 def is_agent_critical(g: Digraph, v: int) -> bool:
-    """True when the follower belongs to some minimum breaking agent set."""
+    """True when the follower belongs to some minimum breaking agent set.
+
+    That is, when deleting it lowers ``ac`` by one, read on the graph's
+    ``ac`` kernel.
+    """
     v = _check_follower(g, v)
     if not g.is_controllable():
         return True
-    return agent_controllability(g.remove_vertices({v})) == agent_controllability(g) - 1
+    agent = g._kernels[1]
+    return agent.at_most(agent.base - 1, followers=frozenset((v,)))
 
 
 def agent_controllability_index(g: Digraph, edge: Edge) -> int:
     """Drop in the agent controllability degree caused by deleting one edge."""
     edge = _check_edge(g, edge)
     _require_controllable(g)
-    return agent_controllability(g) - agent_controllability(g.remove_edges({edge}))
+    return _drop(g._kernels[1], frozenset((edge,)))
 
 
 def agent_criticality_index(g: Digraph, v: int) -> int:
     """Drop in the agent degree when all out-edges of the follower are deleted."""
     v = _check_follower(g, v)
     _require_controllable(g)
-    stripped = g.remove_edges(g.out_edges(v))
-    return agent_controllability(g) - agent_controllability(stripped)
+    return _drop(g._kernels[1], frozenset(g.out_edges(v)))
 
 
 def link_criticality_index(g: Digraph, v: int) -> int:
     """Drop in the link degree when all out-edges of the follower are deleted."""
     v = _check_follower(g, v)
     _require_controllable(g)
-    stripped = g.remove_edges(g.out_edges(v))
-    return link_controllability(g) - link_controllability(stripped)
+    return _drop(g._kernels[0], frozenset(g.out_edges(v)))
 
 
 def _critical_link_count(g: Digraph) -> int:
@@ -143,16 +153,16 @@ def link_controllability_index(g: Digraph, edge: Edge) -> int:
 def agent_link_indices(g: Digraph, v: int) -> tuple[int, int]:
     """(critical link index, uncritical link index) of a follower.
 
-    The first counts critical links among the follower's out-edges; the
-    second is the growth in the total critical-link count after removing
-    the uncritical ones.
+    The first counts critical links among the follower's out-edges, read
+    on the graph's ``lc`` kernel; the second is the growth in the total
+    critical-link count after removing the uncritical ones.
     """
     v = _check_follower(g, v)
     _require_controllable(g)
     out = g.out_edges(v)
-    critical = [e for e in out if is_link_critical(g, e)]
-    uncritical = [e for e in out if e not in critical]
-    return len(critical), _uncritical_link_index(g, uncritical)
+    link = g._kernels[0]
+    uncritical = [e for e in out if not _is_critical_link(link, e)]
+    return len(out) - len(uncritical), _uncritical_link_index(g, uncritical)
 
 
 def _uncritical_link_index(g: Digraph, uncritical: list[Edge]) -> int:
@@ -180,12 +190,13 @@ def enumerate_critical_sets(
     if kind not in ("link", "agent"):
         raise ValueError(f"kind must be 'link' or 'agent', not {kind!r}")
     _require_controllable(g)
+    link, agent = g._kernels
     if kind == "link":
         pool: tuple = g.sorted_edges
-        size = link_controllability(g)
+        size = link.base
     else:
         pool = g.followers
-        size = agent_controllability(g)
+        size = agent.base
     candidates = comb(len(pool), size)
     if candidates > budget:
         raise InstanceTooLargeError(
@@ -231,27 +242,11 @@ class AgentIndexRecord:
         )
 
 
-def _drop(kernel: _DeletionDegrees, edges: frozenset[Edge]) -> int:
-    """How much deleting the edges lowers the kernel's degree (the exact read)."""
-    return kernel.base - kernel.without(edges=edges)
-
-
-def _is_critical_link(link: _DeletionDegrees, edge: Edge) -> bool:
-    """:func:`is_link_critical` on the ``lc`` kernel of a controllable graph."""
-    return link.at_most(link.base - 1, edges=frozenset((edge,)))
-
-
-def edge_records(
-    g: Digraph, _kernels: tuple[_DeletionDegrees, _DeletionDegrees] | None = None
-) -> list[EdgeIndexRecord]:
-    """Per-edge criticality and indices; indices are None when undefined.
-
-    Callers holding the ``lc`` and ``ac`` kernels of ``g`` pass them as
-    ``_kernels``.
-    """
+def edge_records(g: Digraph) -> list[EdgeIndexRecord]:
+    """Per-edge criticality and indices; indices are None when undefined."""
     if not g.is_controllable():
         return [EdgeIndexRecord(edge, True, None, None) for edge in g.sorted_edges]
-    link, agent = _kernels or _degree_kernels(g)
+    link = g._kernels[0]
     records = []
     for edge in g.sorted_edges:
         critical = _is_critical_link(link, edge)
@@ -259,7 +254,7 @@ def edge_records(
             EdgeIndexRecord(
                 edge=edge,
                 critical=critical,
-                agent_controllability_index=_drop(agent, frozenset((edge,))),
+                agent_controllability_index=agent_controllability_index(g, edge),
                 link_controllability_index=(
                     None if critical else link_controllability_index(g, edge)
                 ),
@@ -268,30 +263,24 @@ def edge_records(
     return records
 
 
-def agent_records(
-    g: Digraph, _kernels: tuple[_DeletionDegrees, _DeletionDegrees] | None = None
-) -> list[AgentIndexRecord]:
+def agent_records(g: Digraph) -> list[AgentIndexRecord]:
     """Per-follower criticality and the four importance indices.
 
-    Callers holding the ``lc`` and ``ac`` kernels of ``g`` pass them as
-    ``_kernels``; a link whose criticality :func:`edge_records` read on
-    the same kernel is answered from the kernel's memo.
+    A link whose criticality :func:`edge_records` read is answered from
+    the memo of the graph's ``lc`` kernel.
     """
     if not g.is_controllable():
         return [AgentIndexRecord(v, True, None, None, None, None) for v in g.followers]
-    link, agent = _kernels or _degree_kernels(g)
     records = []
     for v in g.followers:
-        out = g.out_edges(v)
-        uncritical = [e for e in out if not _is_critical_link(link, e)]
+        link_indices = agent_link_indices(g, v)
         records.append(
             AgentIndexRecord(
-                vertex=v,
-                critical=agent.at_most(agent.base - 1, followers=frozenset((v,))),
-                agent_criticality_index=_drop(agent, frozenset(out)),
-                link_criticality_index=_drop(link, frozenset(out)),
-                critical_link_index=len(out) - len(uncritical),
-                uncritical_link_index=_uncritical_link_index(g, uncritical),
+                v,
+                is_agent_critical(g, v),
+                agent_criticality_index(g, v),
+                link_criticality_index(g, v),
+                *link_indices,
             )
         )
     return records

@@ -14,9 +14,10 @@ all public interfaces.
 from __future__ import annotations
 
 import warnings
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .errors import (
     EmptyRootSetError,
@@ -27,6 +28,9 @@ from .errors import (
     SelfLoopError,
     UnknownEdgeError,
 )
+
+if TYPE_CHECKING:
+    from .connectivity import _DeletionDegrees
 
 Edge = tuple[int, int]
 
@@ -148,10 +152,15 @@ class Digraph:
             tails[head][tail not in root_set].append(tail)
         return {v: (tuple(roots), tuple(followers)) for v, (roots, followers) in tails.items()}
 
+    @cached_property
+    def _out(self) -> Mapping[int, tuple[Edge, ...]]:
+        """Each vertex's out-edges, by ascending head: every per-follower index reads them."""
+        return {v: tuple([(v, h) for h in heads]) for v, heads in self._succ.items()}
+
     def out_edges(self, v: int) -> tuple[Edge, ...]:
         if v not in self.vertices:
             raise IndexOutOfRangeError(f"unknown vertex {v}")
-        return tuple((v, h) for h in self._succ[v])
+        return self._out[v]
 
     def in_edges(self, v: int) -> tuple[Edge, ...]:
         if v not in self.vertices:
@@ -282,6 +291,23 @@ class Digraph:
         }
 
     @cached_property
+    def _kernels(self) -> tuple[_DeletionDegrees, _DeletionDegrees]:
+        """The ``lc`` and the ``ac`` kernel of this graph, in that order, built at the first read.
+
+        Every reader of the two degrees, of their drops under deletions and
+        of their cuts shares these two (see
+        :class:`~robonet.connectivity._DeletionDegrees`), so what one read
+        proves serves the later ones.  They hold the graph through a weak
+        proxy, so the graph and its kernels form no reference cycle and are
+        freed together as soon as the graph is; a kernel is read only while
+        its graph lives.
+        """
+        from .connectivity import _DeletionDegrees  # connectivity imports this module
+
+        graph = weakref.proxy(self)
+        return _DeletionDegrees(graph, 1, None), _DeletionDegrees(graph, None, 1)
+
+    @cached_property
     def _root_reach(self) -> frozenset[int]:
         return frozenset(self._reach(self.roots))
 
@@ -293,8 +319,13 @@ class Digraph:
         """True when every follower is reachable from the root-set.
 
         A graph without followers is vacuously controllable; it serves as
-        the degenerate base case for removal recursions.
+        the degenerate base case for removal recursions.  The answer is
+        kept, since every per-element index checks it.
         """
+        return self._controllable
+
+    @cached_property
+    def _controllable(self) -> bool:
         return len(self.reachable_from_roots()) == self.n
 
     def unreachable_followers(self) -> tuple[int, ...]:

@@ -18,23 +18,25 @@ subsets, each quantifier block "all u-edge-subsets after deleting the
 follower set A" collapses to the single polynomial test ``lc(g - A) > u``,
 so only follower subsets are enumerated; a brute-force oracle
 cross-checks the result cell for cell in the test suite.  No graph is
-built per subset: each subset masks the elements it deletes on one
-kernel of g per report.  A test asks only whether ``lc(g - A) <= u``, so
-it stops at the first follower that answers yes; under ``lc(g)`` only
-the surviving out-neighbours of A can answer yes, so only they are
-tried.  Each follower's answer is first read off the bounds its
-surviving in-edges in g give on its cut (on a complete graph they meet,
-and the whole region runs no flow).  A test with ``u = 0`` walks g - A
-once before its first flow: a stranded follower answers yes, and
+built per subset: each subset masks the elements it deletes on the
+``lc`` kernel that g carries (:attr:`Digraph._kernels
+<robonet.digraph.Digraph._kernels>`).  A test asks only whether
+``lc(g - A) <= u``, so it stops at the first follower that answers yes;
+under ``lc(g)`` only the surviving out-neighbours of A can answer yes, so
+only they are tried.  Each follower's answer is first read off the bounds
+its surviving in-edges in g give on its cut (on a complete graph they
+meet, and the whole region runs no flow).  A test with ``u = 0`` walks
+g - A once before its first flow: a stranded follower answers yes, and
 otherwise every cut holds a link, which answers no.  A flow, capped at
 ``u + 1``, runs only where these leave the answer open, and the flow
-network of g is built at the first such flow.  The report's index
-records, region, classification, bound checks and witnesses share that
-kernel and a second one for ``ac``, and a report tests each pair once:
-its classification reads off its region whether that is the triangle.
-What one test proves about ``lc(g - A)`` serves every later test of A,
-and every "agent controllability index is 1" test masks one edge and
-runs at most one flow, to its head.
+network of g is built at the first such flow.  The classification, the
+bound checks, the joint degree and the substitution routines read that
+kernel and g's second one, for ``ac``, and the mixed witness takes its
+floor ``jc`` from them.  A report tests each pair once: its
+classification reads off its region whether that is the triangle.  What
+one test proves about ``lc(g - A)`` serves every later test of A, and
+every "agent controllability index is 1" test masks one edge and runs at
+most one flow, to its head.
 
 The subset budget bounds the follower subsets of each tested pair, so it
 applies to the pairs above the triangle only; a region over budget names
@@ -50,14 +52,7 @@ from math import comb
 from typing import Callable, Iterable
 
 from .budget import DEFAULT_SUBSET_BUDGET
-from .connectivity import (
-    WitnessSet,
-    _DeletionDegrees,
-    _cheapest_witness,
-    _degree_kernels,
-    agent_controllability,
-    link_controllability,
-)
+from .connectivity import WitnessSet, _DeletionDegrees, _cheapest_witness
 from .digraph import Digraph, Edge, removal_breaks_controllability
 from .errors import (
     ConditionUnmetError,
@@ -73,9 +68,11 @@ from .errors import (
 def joint_controllability(g: Digraph) -> int:
     """Largest t such that any mixed removal of fewer than t elements is survived.
 
-    Equals ``min(lc, ac)``; zero when the graph is uncontrollable.
+    Equals ``min(lc, ac)``, read on the graph's kernels; zero when the
+    graph is uncontrollable.
     """
-    return min(link_controllability(g), agent_controllability(g))
+    link, agent = g._kernels
+    return min(link.base, agent.base)
 
 
 def joint_controllability_via_duplicate(g: Digraph) -> int:
@@ -121,7 +118,6 @@ def is_joint_rs_controllable(
     r: int,
     s: int,
     budget: int = DEFAULT_SUBSET_BUDGET,
-    _degrees: _DeletionDegrees | None = None,
 ) -> bool:
     """Exact joint (r, s)-controllability test.
 
@@ -129,10 +125,9 @@ def is_joint_rs_controllable(
     empty removal is quantified) is anchored to plain controllability so
     that an uncontrollable graph is never vacuously joint-controllable.
     Deleting the full follower set counts as a break, mirroring
-    :func:`~robonet.digraph.removal_breaks_controllability`.  Callers
-    testing several pairs of one graph pass its ``lc`` kernel as
-    ``_degrees``, so its network and its memo of ``lc(g - A)`` are shared
-    between them.
+    :func:`~robonet.digraph.removal_breaks_controllability`.  Every
+    follower subset is a bounded read on the graph's ``lc`` kernel, so
+    its network and its memo of ``lc(g - A)`` serve every pair tested.
     """
     if r < 0 or s < 0:
         raise ValueError("r and s must be non-negative")
@@ -145,7 +140,7 @@ def is_joint_rs_controllable(
         raise InstanceTooLargeError(
             f"joint ({r},{s}) test needs {candidates} follower subsets, budget is {budget}"
         )
-    degrees = _degrees if _degrees is not None else _DeletionDegrees(g, 1, None)
+    degrees = g._kernels[0]
     for u, v in patterns:
         if v == len(followers):
             return False  # deleting every follower breaks by convention
@@ -178,11 +173,7 @@ class JointRegion:
         return tuple(pair) in set(self.members)
 
 
-def joint_region(
-    g: Digraph,
-    budget: int = DEFAULT_SUBSET_BUDGET,
-    _kernels: tuple[_DeletionDegrees, _DeletionDegrees] | None = None,
-) -> JointRegion:
+def joint_region(g: Digraph, budget: int = DEFAULT_SUBSET_BUDGET) -> JointRegion:
     """The joint region over its bounding box [0..lc] x [0..ac].
 
     Every cell with r + s <= jc is a member without a test: such a cell
@@ -193,12 +184,11 @@ def joint_region(
     downward closed), so cells dominated by a known non-member are
     skipped.  The budget bounds each enumerated cell on its own, so an
     over-budget error names the first enumerated cell whose test
-    exceeds it; the triangle never needs the budget.  Callers that hold
-    the graph's ``lc`` and ``ac`` kernels pass them as ``_kernels``.
+    exceeds it; the triangle never needs the budget.
     """
     if not g.is_controllable():
         raise UncontrollableError("the joint region is defined for controllable graphs")
-    link, agent = _kernels or _degree_kernels(g)
+    link, agent = g._kernels
     lcv = link.base
     acv = agent.base
     degree = min(lcv, acv)
@@ -210,7 +200,7 @@ def joint_region(
                 members[(r, s)] = True
                 continue
             dominated = (r > 0 and not members[(r - 1, s)]) or (s > 0 and not members[(r, s - 1)])
-            members[(r, s)] = not dominated and is_joint_rs_controllable(g, r, s, budget, link)
+            members[(r, s)] = not dominated and is_joint_rs_controllable(g, r, s, budget)
     inside = sorted(pair for pair, ok in members.items() if ok)
     member_set = set(inside)
     frontier = tuple(
@@ -231,7 +221,7 @@ def joint_region(
 # mixed witnesses
 
 
-def critical_agent_link_witness(g: Digraph, _jc: int | None = None) -> WitnessSet:
+def critical_agent_link_witness(g: Digraph) -> WitnessSet:
     """One minimal mixed breaking set of size jc(g), with as few agents as possible.
 
     A breaking set of links and agents is a mixed cut that separates some
@@ -244,13 +234,13 @@ def critical_agent_link_witness(g: Digraph, _jc: int | None = None) -> WitnessSe
     the full follower set, which breaks with fewer and is returned
     instead, as in :func:`~robonet.connectivity.min_agent_cut_witness`.
     Every cut holds at least ``jc`` elements, so no cut costs less than
-    ``K * jc``; callers that know ``jc(g)`` pass it as ``_jc``, and the
-    search stops at the first follower whose cut costs that much.
+    ``K * jc``, with ``jc`` read on the graph's kernels, and the search
+    stops at the first follower whose cut costs that much.
     """
     if not g.followers or not g.is_controllable():
         raise UncontrollableError("degrees are zero; every element is already critical")
     link_cost = len(g.followers) + 1
-    least = None if _jc is None else link_cost * _jc
+    least = link_cost * joint_controllability(g)
     return _cheapest_witness("mixed", _DeletionDegrees(g, link_cost, link_cost + 1, least))
 
 
@@ -300,7 +290,7 @@ def agent_substitution_witness(g: Digraph) -> tuple[frozenset[Edge], frozenset[i
     """
     if not g.followers or not g.is_controllable():
         raise UncontrollableError("degrees are zero; every element is already critical")
-    link = _DeletionDegrees(g, 1, None)
+    link = g._kernels[0]
     for target in g.followers:
         value, cut = link.cut(target)
         if value != link.base:
@@ -328,7 +318,7 @@ def link_set_from_agent_set(g: Digraph, cq: Iterable[int]) -> frozenset[Edge]:
             raise NotACriticalAgentSetError(f"vertex {v} is not a follower")
     if not g.is_controllable():
         raise UncontrollableError("the graph must be controllable")
-    agent = _DeletionDegrees(g, None, 1)
+    agent = g._kernels[1]
     if len(agents) != agent.base:
         raise NotACriticalAgentSetError(f"expected a minimum breaking set of {agent.base} agents")
     if not removal_breaks_controllability(g, vertices=agents):
@@ -370,10 +360,9 @@ class Classification:
 def classify(
     g: Digraph,
     budget: int = DEFAULT_SUBSET_BUDGET,
-    _kernels: tuple[_DeletionDegrees, _DeletionDegrees] | None = None,
     _region: JointRegion | None = None,
 ) -> Classification:
-    """The classes of ``g``; callers holding its kernels pass them as ``_kernels``.
+    """The classes of ``g``, read on its ``lc`` and ``ac`` kernels.
 
     Callers holding its joint region, computed within the budget, pass it
     as ``_region``, whose ``exact_for_degree`` then answers
@@ -381,7 +370,7 @@ def classify(
     """
     if not g.is_controllable():
         raise UncontrollableError("classification is defined for controllable graphs")
-    link, agent = _kernels or _degree_kernels(g)
+    agent = g._kernels[1]
     unit_index = _unit_index_test(agent)
     root_out = g.out_cut(g.roots).sorted_members
     agent_critical = all(unit_index(e) for e in root_out)
@@ -391,7 +380,7 @@ def classify(
     elif _region is not None:
         jointly = _region.exact_for_degree
     else:
-        jointly = _region_is_exact(g, link, agent.base, budget)
+        jointly = _region_is_exact(g, budget)
     return Classification(
         agent_critical=agent_critical,
         link_critical=link_critical,
@@ -402,11 +391,11 @@ def classify(
 def _unit_index_test(agent: _DeletionDegrees) -> Callable[[Edge], bool]:
     """The "agent controllability index is 1" test on the ``ac`` kernel of a graph.
 
-    Asks what :func:`~robonet.criticality.agent_controllability_index`
-    asks, ``ac(g) - ac(g - e) == 1``, with the edge masked on the kernel's
-    network instead of built out of a new graph, as two bounded reads:
-    ``ac(g - e) <= ac(g) - 1`` and not ``<= ac(g) - 2``.  Both are needed,
-    since an edge from a root can lower the capped ``ac`` by more than 1.
+    Asks whether :func:`~robonet.criticality.agent_controllability_index`
+    is 1, ``ac(g) - ac(g - e) == 1``, as two bounded reads instead of its
+    exact one: ``ac(g - e) <= ac(g) - 1`` and not ``<= ac(g) - 2``.  Both
+    are needed, since an edge from a root can lower the capped ``ac`` by
+    more than 1.
     """
 
     def unit_index(edge: Edge) -> bool:
@@ -438,22 +427,21 @@ def _link_critical(
     return False
 
 
-def _region_is_exact(
-    g: Digraph, link: _DeletionDegrees, acv: int, budget: int
-) -> bool | None:
+def _region_is_exact(g: Digraph, budget: int) -> bool | None:
     """Is the joint region exactly the triangle r + s <= jc?
 
     By downward closure it suffices to show no pair on the diagonal
     r + s = jc + 1 is joint-controllable; degree equality lc == ac is
-    necessary first.  ``link`` is the ``lc`` kernel of ``g``.  Only a
-    classification without a region computed within the budget asks.
+    necessary first.  Only a classification without a region computed
+    within the budget asks.
     """
+    link, agent = g._kernels
     degree = link.base
-    if degree != acv:
+    if degree != agent.base:
         return False
     try:
         for r in range(1, degree + 1):
-            if is_joint_rs_controllable(g, r, degree + 1 - r, budget, link):
+            if is_joint_rs_controllable(g, r, degree + 1 - r, budget):
                 return False
     except InstanceTooLargeError:
         return None
@@ -485,13 +473,12 @@ def check_bounds(
     g: Digraph,
     region: JointRegion | None = None,
     classification: Classification | None = None,
-    _kernels: tuple[_DeletionDegrees, _DeletionDegrees] | None = None,
 ) -> list[BoundCheck]:
-    """The bound rows of ``g``; callers holding its kernels pass them as ``_kernels``."""
+    """The bound rows of ``g``, with its degrees read on its kernels."""
     n = g.n
     m = len(g.roots)
     e = len(g.edges)
-    link, agent = _kernels or _degree_kernels(g)
+    link, agent = g._kernels
     lcv = link.base
     acv = agent.base
     degree = min(lcv, acv)

@@ -11,13 +11,7 @@ from __future__ import annotations
 import json
 
 from .budget import DEFAULT_SUBSET_BUDGET
-from .connectivity import (
-    WitnessSet,
-    _DeletionDegrees,
-    _degree_kernels,
-    min_agent_cut_witness,
-    min_link_cut_witness,
-)
+from .connectivity import WitnessSet, min_agent_cut_witness, min_link_cut_witness
 from .criticality import AgentIndexRecord, agent_records, edge_records
 from .digraph import Digraph
 from .errors import GraphFormatError, InstanceTooLargeError, UncontrollableError
@@ -54,9 +48,9 @@ def build_report(
 ) -> dict:
     """Assemble the selected report sections (all of them by default).
 
-    Every section and the bound checks read ``lc`` and ``ac`` from one
-    pair of kernels, built once per report, and the classification reads
-    the region computed before it.
+    Every section and the bound checks read ``lc`` and ``ac`` from the
+    pair of kernels that ``g`` carries, and the classification reads the
+    region computed before it.
     """
     wanted = tuple(sections) if sections else SECTIONS
     unknown = set(wanted) - set(SECTIONS)
@@ -70,15 +64,13 @@ def build_report(
         "controllable": controllable,
     }
 
-    kernels = _degree_kernels(g)  # each builds its network at its first flow
-
     if "degrees" in wanted:
-        lcv, acv = kernels[0].base, kernels[1].base
+        lcv, acv = (kernel.base for kernel in g._kernels)
         doc["degrees"] = {"lc": lcv, "ac": acv, "jc": min(lcv, acv)}
 
     if "indices" in wanted:
-        edges = edge_records(g, _kernels=kernels)
-        agents = agent_records(g, _kernels=kernels)
+        edges = edge_records(g)
+        agents = agent_records(g)
         doc["indices"] = {
             "edges": [
                 {
@@ -113,7 +105,7 @@ def build_report(
             doc["region"] = None
         else:
             try:
-                region = joint_region(g, budget=budget, _kernels=kernels)
+                region = joint_region(g, budget=budget)
                 doc["region"] = {
                     "lc": region.lc,
                     "ac": region.ac,
@@ -129,7 +121,7 @@ def build_report(
     classification: Classification | None = None
     if "classify" in wanted:
         if controllable:
-            classification = classify(g, budget=budget, _kernels=kernels, _region=region)
+            classification = classify(g, budget=budget, _region=region)
             doc["classification"] = {
                 "agent_critical": classification.agent_critical,
                 "link_critical": classification.link_critical,
@@ -139,7 +131,7 @@ def build_report(
             doc["classification"] = None
 
     if "witnesses" in wanted:
-        doc["witnesses"] = _witness_section(g, *kernels)
+        doc["witnesses"] = _witness_section(g)
 
     if "classify" in wanted and "region" in wanted:
         doc["bounds"] = [
@@ -149,9 +141,7 @@ def build_report(
                 "holds": row.holds,
                 "detail": row.detail,
             }
-            for row in check_bounds(
-                g, region=region, classification=classification, _kernels=kernels
-            )
+            for row in check_bounds(g, region=region, classification=classification)
         ]
 
     doc["budget"] = {"limit": budget, "exhausted_sections": sorted(exhausted)}
@@ -166,16 +156,16 @@ def _witness_payload(w: WitnessSet) -> dict:
     }
 
 
-def _witness_section(g: Digraph, lc: _DeletionDegrees, ac: _DeletionDegrees) -> dict | None:
+def _witness_section(g: Digraph) -> dict | None:
     try:
-        link = min_link_cut_witness(g, _kernel=lc)
-        agent = min_agent_cut_witness(g, _kernel=ac)
+        link = min_link_cut_witness(g)
+        agent = min_agent_cut_witness(g)
     except UncontrollableError:
         return None
     return {
         "link": _witness_payload(link),
         "agent": _witness_payload(agent),
-        "mixed": _witness_payload(critical_agent_link_witness(g, _jc=min(lc.base, ac.base))),
+        "mixed": _witness_payload(critical_agent_link_witness(g)),
     }
 
 

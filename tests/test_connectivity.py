@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from robonet.connectivity import (
     _DeletionDegrees,
     _Flow,
-    _degree_kernels,
+    _cheapest_witness,
     _link_capacity,
     _replay,
     agent_controllability,
@@ -120,7 +120,7 @@ class TestDegrees:
 class TestDeletionKernels:
     def test_unmasked_kernels_give_the_degrees_on_the_seeded_sweep(self):
         for seed, g in seeded_sweep(500):
-            link, agent = _degree_kernels(g)
+            link, agent = g._kernels
             assert link.base == link.without() == link_controllability(g), f"seed {seed}"
             assert agent.base == agent.without() == agent_controllability(g), f"seed {seed}"
 
@@ -139,7 +139,7 @@ class TestDeletionKernels:
 
     def test_follower_and_edge_masks_match_built_graphs(self, g4):
         for g in (g4, circulant_rooted(7, (1, 3))):
-            link, agent = _degree_kernels(g)
+            link, agent = g._kernels
             for v in g.followers:
                 for edge in g.sorted_edges:
                     if v in edge:
@@ -218,24 +218,26 @@ class TestBoundedReads:
         flows = []
         original = _Flow.max_flow
 
-        def counting(self, source, sink, limit=None):
+        def counting(self, cap, source, sink, limit=None):
             flows.append(sink)
-            return original(self, source, sink, limit)
+            return original(self, cap, source, sink, limit)
 
         monkeypatch.setattr(_Flow, "max_flow", counting)
-        link, agent = _degree_kernels(chain)
+        link, agent = chain._kernels
         assert (link.base, agent.base) == (1, 1)
         # lc: follower 2's one root in-edge; ac: follower 2 has a root edge,
         # and follower 3's one in-edge comes through follower 2 alone
         assert len(flows) == 0
 
     def test_mixed_witness_is_the_same_with_the_jc_floor_on_the_seeded_sweep(self):
+        # the witness stops at the floor K * jc; the reference reads the
+        # same network from the floor of one link, K
         for seed, g in seeded_sweep(500):
             if not g.followers or not g.is_controllable():
                 continue
-            degree = min(link_controllability(g), agent_controllability(g))
-            floored = critical_agent_link_witness(g, _jc=degree)
-            assert floored == critical_agent_link_witness(g), seed
+            k = len(g.followers) + 1
+            unfloored = _cheapest_witness("mixed", _DeletionDegrees(g, k, k + 1))
+            assert critical_agent_link_witness(g) == unfloored, seed
 
     def test_double_loop_degrees_run_no_flow(self, monkeypatch):
         # every follower of double-loop 200 has two in-edges and is dominated
@@ -245,12 +247,12 @@ class TestBoundedReads:
         flows = []
         original = _Flow.max_flow
 
-        def counting(self, source, sink, limit=None):
+        def counting(self, cap, source, sink, limit=None):
             flows.append(sink)
-            return original(self, source, sink, limit)
+            return original(self, cap, source, sink, limit)
 
         monkeypatch.setattr(_Flow, "max_flow", counting)
-        link, agent = _degree_kernels(g)
+        link, agent = g._kernels
         assert (link.base, agent.base) == (2, 2)
         assert flows == []
 
@@ -276,9 +278,9 @@ class TestEdgeReads:
         flows = []
         original = _Flow.max_flow
 
-        def counting(self, source, sink, limit=None):
+        def counting(self, cap, source, sink, limit=None):
             flows.append(sink)
-            return original(self, source, sink, limit)
+            return original(self, cap, source, sink, limit)
 
         monkeypatch.setattr(_Flow, "max_flow", counting)
         families = [
@@ -356,7 +358,7 @@ class TestSingleBreakCertificate:
         for g in graphs:
             if not g.followers or not g.is_controllable():
                 continue
-            link, agent = _degree_kernels(g)
+            link, agent = g._kernels
             certified = (link._no_single_break(), agent._no_single_break())
             by_deletion = _single_breaks(g)
             assert certified == (not by_deletion[0], not by_deletion[1]), g
@@ -378,20 +380,20 @@ class TestSingleBreakCertificate:
         # the two root edges count once each; deleting the one follower is
         # a break by convention
         g = new_digraph(3, [1, 2], [(1, 3), (2, 3)])
-        link, agent = _degree_kernels(g)
+        link, agent = g._kernels
         assert link._no_single_break() and not agent._no_single_break()
         assert (link.base, agent.base) == (2, 1)
 
     def test_an_uncontrollable_graph_keeps_the_floor_0(self):
         g = new_digraph(5, [1], [(1, 2), (2, 3), (3, 2), (4, 5), (5, 4)])
-        link, agent = _degree_kernels(g)
+        link, agent = g._kernels
         assert (link.base, agent.base) == (0, 0)
         assert "_dominators" not in vars(g)  # no floor above 0 is tried
 
     def test_a_long_chain_does_not_recurse(self):
         # a 5,000-deep dominator tree; a recursive walk would hit the limit
         chain = new_digraph(5000, [1], [(v, v + 1) for v in range(1, 5000)])
-        link, agent = _degree_kernels(chain)
+        link, agent = chain._kernels
         assert not link._no_single_break() and not agent._no_single_break()
         assert chain._dominators[5000] == (4999, 4999, 5000)
         assert chain._dominators[2] == (None, 1, 5000)
@@ -440,7 +442,7 @@ class TestBrackets:
                             continue
                         case = (seed, costs, followers, edges, v)
                         lo, hi = network._bracket(followers, edges, v)
-                        assert lo <= network._max_flow(masked, v) <= hi, case
+                        assert lo <= network._max_flow(masked[:], v) <= hi, case
                         assert (lo, hi) == _bracket_by_edges(g, v, followers, edges, *costs), case
                         closed += lo == hi
                         open_ += lo < hi

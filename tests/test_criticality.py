@@ -20,7 +20,7 @@ from robonet.criticality import (
     link_criticality_index,
     rank_agents,
 )
-from robonet.digraph import new_digraph, removal_breaks_controllability
+from robonet.digraph import Digraph, new_digraph, removal_breaks_controllability
 from robonet.errors import (
     EdgeIsCriticalError,
     InstanceTooLargeError,
@@ -94,16 +94,23 @@ class TestAgentCriticality:
 
     def test_matches_unit_criticality_index_on_the_seeded_sweep(self):
         # outside the all-directly-fed corner ac = |V| - |R|, a follower is
-        # critical exactly when stripping its out-edges lowers ac by one
+        # critical exactly when stripping its out-edges lowers ac by one;
+        # both sides are read literally, on built graphs, and the public
+        # functions must agree with them
         checked = 0
         for seed, g in seeded_sweep(500):
             if not g.followers or not g.is_controllable():
                 continue
-            if agent_controllability(g) >= len(g.vertices) - len(g.roots):
+            acv = agent_controllability(g)
+            if acv >= len(g.vertices) - len(g.roots):
                 continue
             for v in g.followers:
                 checked += 1
-                assert is_agent_critical(g, v) == (agent_criticality_index(g, v) == 1), (seed, v)
+                critical = agent_controllability(g.remove_vertices({v})) == acv - 1
+                index = acv - agent_controllability(g.remove_edges(g.out_edges(v)))
+                assert critical == (index == 1), (seed, v)
+                assert is_agent_critical(g, v) == critical, (seed, v)
+                assert agent_criticality_index(g, v) == index, (seed, v)
         assert checked > 500
 
 
@@ -272,20 +279,31 @@ class TestRecords:
             assert record.link_controllability_index is None
 
     def test_records_match_the_public_degree_drops(self, g4, monkeypatch):
-        # the records read every drop off the graph's two kernels; the
-        # reference builds each one from the per-element definitions, which
-        # (like the uncritical link indices of the records) solve the degree
-        # of each reduced graph, so those solves are remembered per graph
-        for name in ("link_controllability", "agent_controllability"):
-            monkeypatch.setattr(criticality, name, functools.cache(getattr(criticality, name)))
+        # the records and the public per-element functions read every drop
+        # off the graph's two kernels; the reference takes each one from its
+        # literal definition, the degrees of built reduced graphs, which (like
+        # the uncritical link indices) are solved again and again, so those
+        # solves are remembered per graph
+        monkeypatch.setattr(
+            criticality, "link_controllability", functools.cache(link_controllability)
+        )
         families = {"g4": g4, "kautz(2,3)": kautz_rooted(2, 3), "double-loop 20": preset("double_loop", 20)}
         families["circulant(12,{1,2,3})"] = circulant_rooted(12, (1, 2, 3))
         families.update((f"complete {n}", complete_rooted(n)) for n in range(5, 9))
         seen = set()
         for case, g in seeded_sweep(500) + list(families.items()):
             edges, agents = _reference_records(g)
-            assert edge_records(g) == edges, case
-            assert agent_records(g) == agents, case
+            # records and public functions each on a graph of their own,
+            # so neither reads what the other proved on the kernels
+            built = [(edge_records(g), agent_records(g))]
+            if g.is_controllable():  # the public indices need a controllable graph
+                built.append(_public_records(Digraph(g.vertices, g.roots, g.edges)))
+            for got_edges, got_agents in built:
+                assert len(got_edges) == len(edges) and len(got_agents) == len(agents), case
+                for record, expected in zip(got_edges, edges):
+                    assert record == expected, case
+                for record, expected in zip(got_agents, agents):
+                    assert record == expected, case
             if case in families:
                 continue
             if not g.is_controllable():
@@ -312,9 +330,9 @@ class TestRecords:
         flows = []
         original = _Flow.max_flow
 
-        def counting(self, source, sink, limit=None):
+        def counting(self, cap, source, sink, limit=None):
             flows.append(sink)
-            return original(self, source, sink, limit)
+            return original(self, cap, source, sink, limit)
 
         monkeypatch.setattr(_Flow, "max_flow", counting)
         most = {
@@ -331,12 +349,58 @@ class TestRecords:
 
 
 def _reference_records(g):
-    """The edge and agent records of ``g``, built from the per-element functions."""
+    """The edge and agent records of ``g`` from the literal definitions.
+
+    Every degree drop is the difference of ``lc`` or ``ac`` of ``g`` and of
+    a reduced graph built with ``remove_edges``/``remove_vertices``, and
+    every critical-link count counts such drops of one.  The degree of
+    each graph is solved once.
+    """
     if not g.is_controllable():
         return (
             [EdgeIndexRecord(e, True, None, None) for e in g.sorted_edges],
             [AgentIndexRecord(v, True, None, None, None, None) for v in g.followers],
         )
+    _lc, _ac = functools.cache(link_controllability), functools.cache(agent_controllability)
+
+    def critical_links(h):
+        if not h.is_controllable():
+            return set(h.edges)
+        return {e for e in h.edges if _lc(h.remove_edges({e})) == _lc(h) - 1}
+
+    lcv, acv, critical = _lc(g), _ac(g), critical_links(g)
+
+    def growth(gone):
+        return len(critical_links(g.remove_edges(gone))) - len(critical) if gone else 0
+
+    edges = [
+        EdgeIndexRecord(
+            e,
+            e in critical,
+            acv - _ac(g.remove_edges({e})),
+            None if e in critical else growth({e}),
+        )
+        for e in g.sorted_edges
+    ]
+    agents = []
+    for v in g.followers:
+        out = g.out_edges(v)
+        stripped = g.remove_edges(out)
+        agents.append(
+            AgentIndexRecord(
+                v,
+                _ac(g.remove_vertices({v})) == acv - 1,
+                acv - _ac(stripped),
+                lcv - _lc(stripped),
+                len(critical.intersection(out)),
+                growth([e for e in out if e not in critical]),
+            )
+        )
+    return edges, agents
+
+
+def _public_records(g):
+    """The edge and agent records of a controllable ``g``, built from the public per-element functions."""
     edges = []
     for e in g.sorted_edges:
         critical = is_link_critical(g, e)

@@ -1,3 +1,7 @@
+import gc
+import sys
+import threading
+import weakref
 from itertools import combinations, product
 
 import pytest
@@ -10,6 +14,8 @@ from robonet.connectivity import (
     agent_controllability,
     link_controllability,
     max_vertex_disjoint,
+    min_agent_cut_witness,
+    min_link_cut_witness,
 )
 from robonet.digraph import edge_duplicate, new_digraph, removal_breaks_controllability
 from robonet.errors import (
@@ -19,7 +25,7 @@ from robonet.errors import (
     NotAnOutCutError,
     UncontrollableError,
 )
-from robonet.criticality import agent_controllability_index
+from robonet.criticality import agent_controllability_index, agent_records, edge_records
 from robonet.families import circulant_rooted, complete_rooted, kautz_rooted, preset
 from robonet.joint import (
     Classification,
@@ -313,9 +319,9 @@ class TestDeletionDegrees:
         flows = []
         original = connectivity._Flow.max_flow
 
-        def counting(self, source, sink, limit=None):
+        def counting(self, cap, source, sink, limit=None):
             flows.append(sink)
-            return original(self, source, sink, limit)
+            return original(self, cap, source, sink, limit)
 
         monkeypatch.setattr(connectivity._Flow, "max_flow", counting)
         doc = build_report(complete_rooted(8), sections=("indices",))
@@ -327,9 +333,9 @@ class TestDeletionDegrees:
         flows = []
         original = connectivity._Flow.max_flow
 
-        def counting(self, source, sink, limit=None):
+        def counting(self, cap, source, sink, limit=None):
             flows.append(sink)
-            return original(self, source, sink, limit)
+            return original(self, cap, source, sink, limit)
 
         monkeypatch.setattr(connectivity._Flow, "max_flow", counting)
         for g in [complete_rooted(n) for n in range(9, 13)] + [kautz_rooted(3, 2)]:
@@ -342,9 +348,9 @@ class TestDeletionDegrees:
         flows = []
         original = connectivity._Flow.max_flow
 
-        def counting(self, source, sink, limit=None):
+        def counting(self, cap, source, sink, limit=None):
             flows.append(sink)
-            return original(self, source, sink, limit)
+            return original(self, cap, source, sink, limit)
 
         monkeypatch.setattr(connectivity._Flow, "max_flow", counting)
         doc = build_report(kautz_rooted(2, 4), sections=("witnesses",))
@@ -376,9 +382,9 @@ class TestDeletionDegrees:
         built = []
         original = connectivity._Flow.__init__
 
-        def counting(self, node_count, to, cap, tag):
+        def counting(self, node_count, to, tag):
             built.append(node_count)
-            original(self, node_count, to, cap, tag)
+            original(self, node_count, to, tag)
 
         monkeypatch.setattr(connectivity._Flow, "__init__", counting)
         doc = build_report(complete_rooted(10), sections=("degrees", "classify", "region"))
@@ -403,6 +409,85 @@ class TestDeletionDegrees:
         # the brackets read the graph itself, so a network is built only for
         # a read's first flow, and none of these reads runs one
         assert built == []
+
+
+def _copy(g):
+    """An equal graph with kernels of its own."""
+    return digraph.Digraph(g.vertices, g.roots, g.edges)
+
+
+class TestGraphKernels:
+    def test_standalone_calls_share_the_graphs_two_networks(self, monkeypatch):
+        built = []
+        original = connectivity._network
+
+        def counting(g, edge_cost, vertex_cost):
+            built.append((edge_cost, vertex_cost))
+            return original(g, edge_cost, vertex_cost)
+
+        monkeypatch.setattr(connectivity, "_network", counting)
+        g = kautz_rooted(3, 2)
+        region = joint_region(g)
+        classification = classify(g)
+        check_bounds(g, region, classification)
+        edges = edge_records(g)
+        agent_records(g)
+        min_link_cut_witness(g)
+        min_agent_cut_witness(g)
+        cells = ((0, 3), (1, 2), (2, 1), (1, 3), (2, 2), (3, 1))
+        assert [is_joint_rs_controllable(g, r, s) for r, s in cells] == [True] * 3 + [False] * 3
+        for edge in g.sorted_edges:
+            agent_controllability_index(g, edge)
+        # every link of Kautz(3,2) is critical, so no uncritical link index
+        # solves a reduced graph, and every call reads the graph's two kernels
+        assert all(record.critical for record in edges)
+        assert set(built) <= {(1, None), (None, 1)}
+        assert built.count((1, None)) <= 1 and built.count((None, 1)) <= 1, built
+
+    def test_concurrent_reports_on_one_graph_match_the_single_thread_one(self):
+        # four threads share one graph's kernels, and with them its flow
+        # networks; the switch interval makes them interleave inside flows
+        sections = ("degrees", "classify", "region", "witnesses")
+        graphs = (kautz_rooted(3, 2), circulant_rooted(12, (1, 2, 3)), random_digraph(16, 64, 2, 3))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for template in graphs:
+                expected = build_report(_copy(template), sections)
+                for _ in range(10):
+                    g = _copy(template)  # fresh kernels, so the threads run the flows
+                    reports, errors, start = [None] * 4, [], threading.Barrier(4)
+
+                    def work(i):
+                        try:
+                            start.wait()
+                            reports[i] = build_report(g, sections)
+                        except Exception as exc:  # a duality assert, say
+                            errors.append(exc)
+
+                    threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+                    for thread in threads:
+                        thread.start()
+                    for thread in threads:
+                        thread.join()
+                    assert errors == []
+                    assert all(report == expected for report in reports)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_a_graph_and_its_kernels_are_freed_without_the_cycle_collector(self):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            g = circulant_rooted(12, (1, 2, 3))
+            build_report(g)
+            refs = [weakref.ref(g)] + [weakref.ref(kernel) for kernel in g._kernels]
+            assert g._kernels[0]._arcs  # the report built a network
+            del g
+            assert [ref() for ref in refs] == [None, None, None]
+        finally:
+            if enabled:
+                gc.enable()
 
 
 class TestMixedWitness:
@@ -566,8 +651,9 @@ class TestClassification:
             classify(new_digraph(3, [1], [(1, 2)]))
 
     def test_kernel_unit_index_matches_the_index_on_the_seeded_sweep(self):
-        # reference: the same rules with every unit-index test asked of
-        # criticality.agent_controllability_index on a built graph
+        # reference: the same rules with every unit-index test asked of the
+        # literal index, ac(g) - ac(g - e) on a built graph, and the region
+        # test on a graph of its own, so it shares no kernel with classify
         seen = set()
         for seed, g in seeded_sweep(500):
             if not g.is_controllable():
@@ -575,15 +661,15 @@ class TestClassification:
             acv = agent_controllability(g)
 
             def unit_index(edge):
-                return agent_controllability_index(g, edge) == 1
+                return acv - agent_controllability(g.remove_edges({edge})) == 1
 
             agent_critical = all(unit_index(e) for e in g.out_cut(g.roots).sorted_members)
             link_critical = joint._link_critical(g, acv, unit_index, DEFAULT_SUBSET_BUDGET)
             if agent_critical and link_critical:
                 jointly = True
             else:
-                link = connectivity._DeletionDegrees(g, 1, None)
-                jointly = joint._region_is_exact(g, link, acv, DEFAULT_SUBSET_BUDGET)
+                copy = digraph.Digraph(g.vertices, g.roots, g.edges)
+                jointly = joint._region_is_exact(copy, DEFAULT_SUBSET_BUDGET)
             expected = Classification(agent_critical, link_critical, jointly)
             assert classify(g) == expected, f"seed {seed}"
             seen.add((agent_critical, link_critical))

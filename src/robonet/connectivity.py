@@ -8,14 +8,15 @@ of edge-disjoint (respectively internally vertex-disjoint) paths from the
 contracted root-set to that follower.
 
 Every degree, cut and witness is read off :class:`_DeletionDegrees`, the
-one holder of a flow network (:func:`_network`).  Each graph carries its
+one holder of a flow network (:class:`_Flow`).  Each graph carries its
 ``lc`` and ``ac`` kernels (:attr:`Digraph._kernels
 <robonet.digraph.Digraph._kernels>`): every analysis of the graph reads
 them, and masks its deletions, from the region's follower sets to the
 indices' deleted edges and followers, on their two networks.  Each
-witness reads the cheapest cut of one network per graph and cost pair;
-:func:`link_controllability` and :func:`agent_controllability` still
-build one network per target.
+witness reads the cheapest cut of one network per graph and cost pair.
+:func:`agent_controllability` and :func:`max_vertex_disjoint` read the
+graph's ``ac`` kernel; :func:`link_controllability` still builds one
+network per target, through :func:`max_edge_disjoint`.
 Each read stops at a proven bound: a degree at the cost no cut goes below
 (one element on a controllable graph; two for ``lc`` or ``ac`` of the
 graph itself when its dominator tree shows that no single link, or no
@@ -92,22 +93,57 @@ class WitnessSet:
 
 
 class _Flow:
-    """Dinic's algorithm over parallel arc lists with integer capacities.
+    """The flow network of ``g`` whose cuts are sets of links and followers, and Dinic's algorithm.
 
-    The lists come from :func:`_network`; arc ``i ^ 1`` is the reverse of
-    arc ``i``.  Each node lists its arcs in arc order, which makes the
-    residual structure (and hence every derived cut) deterministic.
-    ``to`` and ``tag`` are shared with the caller.  A flow pushes on the
-    capacity list its caller passes, which then holds the residual, so
-    the structure keeps no working state and flows on one network from
+    Node 0 is the contracted root-set.  Each edge is an arc tagged with the
+    edge and costing ``edge_cost``; with ``edge_cost`` None it is untagged
+    and costs more than all followers together, so no minimum cut holds it.
+    Without a ``vertex_cost`` the followers are nodes ``1..|F|`` in
+    ascending order.  With one, each follower is split (Even & Tarjan) into
+    an in-node and the out-node after it, joined by an arc tagged with the
+    follower and costing ``vertex_cost``; these split arcs come first, in
+    follower order, and the edge arcs from ``first_edge`` on, in
+    ``g.sorted_edges`` order.  ``entry`` maps each follower to its in-node,
+    the sink when it is the target.
+
+    The arcs are parallel lists ``to``, ``cap`` and ``tag``; arc ``i ^ 1``
+    is the reverse of arc ``i``, with capacity 0 and no tag, so
+    ``to[i ^ 1]`` is the tail of arc ``i``.  Each node
+    lists its arcs in arc order, which makes the residual structure (and
+    hence every derived cut) deterministic.  The network holds no
+    reference to ``g``, and a flow pushes on the capacity list its caller
+    passes, which then holds the residual, so flows on one network from
     several threads do not meet.
     """
 
-    def __init__(self, node_count: int, to: list[int], tag: list[object]) -> None:
-        self.node_count = node_count
-        self.to = to
-        self.tag = tag
-        self.adj = adj = [[] for _ in range(node_count)]
+    def __init__(self, g: Digraph, edge_cost: int | None, vertex_cost: int | None) -> None:
+        to: list[int] = []
+        if vertex_cost is None:
+            entry = {v: i + 1 for i, v in enumerate(g.followers)}
+            leave = entry
+            self.node_count = len(entry) + 1
+            cap: list[int] = []
+            tag: list[object] = []
+        else:
+            entry = {v: 2 * i + 1 for i, v in enumerate(g.followers)}
+            leave = {v: node + 1 for v, node in entry.items()}
+            self.node_count = 2 * len(entry) + 1
+            for node in entry.values():
+                to += (node + 1, node)
+            cap = [vertex_cost, 0] * len(entry)
+            tag = [element for v in entry for element in (v, None)]
+        self.first_edge = len(to)
+        edges = g.sorted_edges
+        for tail, head in edges:
+            to += (entry[head], leave.get(tail, 0))
+        cap += [_link_capacity(g, edge_cost, vertex_cost), 0] * len(edges)
+        if edge_cost is None:
+            tag += [None, None] * len(edges)
+        else:
+            for edge in edges:
+                tag += (edge, None)
+        self.to, self.cap, self.tag, self.entry = to, cap, tag, entry
+        self.adj = adj = [[] for _ in range(self.node_count)]
         for arc in range(0, len(to), 2):
             adj[to[arc + 1]].append(arc)
             adj[to[arc]].append(arc + 1)
@@ -196,9 +232,8 @@ class _Flow:
         tags = []
         for v in side:
             for arc in adj[v]:
-                if arc % 2 == 0 and cap[arc] == 0 and to[arc] not in side:
-                    if tag[arc] is not None:
-                        tags.append(tag[arc])
+                if arc % 2 == 0 and cap[arc] == 0 and to[arc] not in side and tag[arc] is not None:
+                    tags.append(tag[arc])
         return tags
 
 
@@ -214,56 +249,10 @@ def _link_capacity(g: Digraph, edge_cost: int | None, vertex_cost: int | None) -
     return vertex_cost * len(g.followers) + 1 if edge_cost is None else edge_cost
 
 
-def _network(
-    g: Digraph, edge_cost: int | None, vertex_cost: int | None
-) -> tuple[int, list[int], list[int], list[object], dict[int, int]]:
-    """The flow network of ``g`` whose cuts are sets of links and followers.
-
-    Node 0 is the contracted root-set.  Each edge is an arc tagged with the
-    edge and costing ``edge_cost``; with ``edge_cost`` None it is untagged
-    and costs more than all followers together, so no minimum cut holds it.
-    Without a ``vertex_cost`` the followers are nodes ``1..|F|`` in
-    ascending order.  With one, each follower is split (Even & Tarjan) into
-    an in-node and the out-node after it, joined by an arc tagged with the
-    follower and costing ``vertex_cost``; these split arcs come first.  The
-    edge arcs come last, in ``g.sorted_edges`` order.
-
-    Returns the node count, the arcs as parallel lists of heads,
-    capacities and tags (arc ``i ^ 1`` is the reverse of arc ``i``, with
-    capacity 0 and no tag, so ``to[i ^ 1]`` is the tail of arc ``i``), and
-    each follower's entry node: its in-node, the sink when it is the target.
-    """
-    to: list[int] = []
-    if vertex_cost is None:
-        entry = {v: i + 1 for i, v in enumerate(g.followers)}
-        leave = entry
-        node_count = len(entry) + 1
-        cap: list[int] = []
-        tag: list[object] = []
-    else:
-        entry = {v: 2 * i + 1 for i, v in enumerate(g.followers)}
-        leave = {v: node + 1 for v, node in entry.items()}
-        node_count = 2 * len(entry) + 1
-        for node in entry.values():
-            to += (node + 1, node)
-        cap = [vertex_cost, 0] * len(entry)
-        tag = [element for v in entry for element in (v, None)]
-    edges = g.sorted_edges
-    for tail, head in edges:
-        to += (entry[head], leave.get(tail, 0))
-    cap += [_link_capacity(g, edge_cost, vertex_cost), 0] * len(edges)
-    if edge_cost is None:
-        tag += [None, None] * len(edges)
-    else:
-        for edge in edges:
-            tag += (edge, None)
-    return node_count, to, cap, tag, entry
-
-
 class _DeletionDegrees:
     """One flow network of one graph and cost pair, for its degrees and cuts.
 
-    The network is :func:`_network`'s: ``(1, None)`` gives ``lc``,
+    The network is a :class:`_Flow`: ``(1, None)`` gives ``lc``,
     ``(None, 1)`` ``ac`` and ``(1, 1)`` ``jc``.  Deleting followers and
     edges zeroes their arcs.  A read goes through the surviving followers
     and brackets each one's cut cost from its surviving in-edges in ``g``
@@ -292,10 +281,9 @@ class _DeletionDegrees:
     A deletion read whose floor is under one element's cost walks the
     reduced graph once before its first flow (:meth:`_reach_floor`): a
     stranded follower makes the degree 0, and otherwise the floor rises to
-    that cost.  The brackets and the walk read ``g`` itself, so the arc
-    lists (with the capacities, masks and arc maps in their order), the
-    masked capacities and the :class:`_Flow` over the arcs are built at
-    the first flow; a kernel whose reads no flow needs builds no network.
+    that cost.  The brackets and the walk read ``g`` itself, so the network
+    (:meth:`_built_net`), its arc maps and the masked capacities are built
+    at the first flow, and a kernel whose reads need no flow builds none.
     Each flow pushes on a copy of the capacities it reads, so one kernel
     can serve several threads.  Each deleted (followers, edges) pair keeps
     an interval ``(lo, hi)`` around its degree, shared by all its reads.
@@ -312,53 +300,40 @@ class _DeletionDegrees:
         self._edge_cost = edge_cost
         self._vertex_cost = vertex_cost
         self._least = least
-        # an edge arc's capacity (see _network), the cost of an in-edge from
+        # an edge arc's capacity (see _Flow), the cost of an in-edge from
         # a follower at its cheapest element, and the cheapest element's cost
         self._link = _link_capacity(g, edge_cost, vertex_cost)
         self._relay = self._link if vertex_cost is None else min(self._link, vertex_cost)
         self._one = min(c for c in (edge_cost, vertex_cost) if c is not None)
         self._memo: dict[tuple[frozenset[int], frozenset[Edge]], tuple[int, int]] = {}
-        self._arcs: tuple[int, list[int], list[int], list[object], dict[int, int]] | None = None
-        self._flow: _Flow | None = None
+        self._net: _Flow | None = None
 
     def _cap(self, survivors: int) -> int:
         """The cost of a breaking set needing no cut: every edge, or every surviving follower."""
         return len(self._g.edges) if self._vertex_cost is None else self._vertex_cost * survivors
 
-    def _lists(self) -> tuple[int, list[int], list[int], list[object], dict[int, int]]:
-        """The network's arc lists and entry nodes (see :func:`_network`), built at the first flow."""
-        if self._arcs is None:
-            self._arcs = _network(self._g, self._edge_cost, self._vertex_cost)
-        return self._arcs
-
-    def _max_flow(self, residual: list[int], target: int, limit: int | None = None) -> int:
-        """``_Flow.max_flow`` to the target, pushed on ``residual``, the caller's copy of the capacities.
-
-        The first call builds the flow.
-        """
-        nodes, to, _, tag, entry = self._lists()
-        if self._flow is None:
-            self._flow = _Flow(nodes, to, tag)
-        return self._flow.max_flow(residual, 0, entry[target], limit)
+    def _built_net(self) -> _Flow:
+        """The network, built at the first flow."""
+        if self._net is None:
+            self._net = _Flow(self._g, self._edge_cost, self._vertex_cost)
+        return self._net
 
     @cached_property
     def _arc_of(self) -> dict[Edge, int]:
-        edges = self._g.sorted_edges
-        first = len(self._lists()[1]) - 2 * len(edges)  # edges come last
-        return {edge: first + 2 * k for k, edge in enumerate(edges)}
+        first = self._built_net().first_edge
+        return {edge: first + 2 * k for k, edge in enumerate(self._g.sorted_edges)}
 
     @cached_property
     def _arcs_at(self) -> dict[int, list[int]]:
-        nodes, to, _, _, entry = self._lists()
-        owner = [0] * nodes  # the follower of each node, 0 at the roots
-        for v, node in entry.items():
-            owner[node] = v
-            if self._vertex_cost is not None:
-                owner[node + 1] = v  # the out-node
-        arcs_at: dict[int, list[int]] = {v: [] for v in entry}
-        for arc in range(0, len(to), 2):
-            for v in {owner[to[arc]], owner[to[arc + 1]]} - {0}:
-                arcs_at[v].append(arc)
+        """The arcs at each follower's nodes: its split arc, then its edges' arcs."""
+        net = self._built_net()
+        arcs_at: dict[int, list[int]] = {v: [] for v in net.entry}
+        for v, arc in zip(net.entry, range(0, net.first_edge, 2)):  # split arcs come first
+            arcs_at[v].append(arc)
+        for edge, arc in self._arc_of.items():
+            for v in edge:
+                if v in arcs_at:
+                    arcs_at[v].append(arc)
         return arcs_at
 
     def _bracket(
@@ -466,9 +441,9 @@ class _DeletionDegrees:
         g = self._g
         if self._edge_cost is None and g._pred[target][0]:
             return self._cap(len(g.followers)), frozenset(g.followers)
-        residual = self._lists()[2][:]
-        value = self._max_flow(residual, target)
-        net = self._flow
+        net = self._built_net()
+        residual = net.cap[:]
+        value = net.max_flow(residual, 0, net.entry[target])
         cut = frozenset(net.crossing_tags(residual, net.source_side(residual, 0)))
         assert value == sum(
             self._vertex_cost if type(element) is int else self._edge_cost for element in cut
@@ -551,7 +526,7 @@ class _DeletionDegrees:
 
     def _masked(self, followers: frozenset[int], edges: frozenset[Edge]) -> list[int]:
         """The capacities with the deleted followers' and edges' arcs zeroed."""
-        capacities = self._lists()[2]
+        capacities = self._built_net().cap
         if not followers and not edges:
             return capacities
         masked = capacities[:]
@@ -648,8 +623,8 @@ class _DeletionDegrees:
                     if hi <= floor:
                         return hi, v, False
                 if masked is None:
-                    masked = self._masked(followers, edges)
-                value = self._max_flow(masked[:], v, best)
+                    masked, net = self._masked(followers, edges), self._built_net()
+                value = net.max_flow(masked[:], 0, net.entry[v], best)
                 if value < best:
                     best, winner = value, v
         return best, winner, True
@@ -670,13 +645,13 @@ def max_vertex_disjoint(g: Digraph, target: int) -> FlowResult:
     """Minimum number of intermediate vertices separating the target.
 
     The minimum cut in which every follower other than the target costs
-    one and no link can be cut.  When some edge connects a root directly
-    to the target no follower set can separate it; the value is then
-    reported as ``|V| - |R|`` with the full follower set as the only
-    consistent witness.
+    one and no link can be cut, read on the graph's ``ac`` kernel.  When
+    some edge connects a root directly to the target no follower set can
+    separate it; the value is then reported as ``|V| - |R|`` with the full
+    follower set as the only consistent witness.
     """
     _check_target(g, target)
-    value, cut = _DeletionDegrees(g, None, 1).cut(target)
+    value, cut = g._kernels[1].cut(target)
     return FlowResult(value=value, cut_edges=frozenset(), cut_vertices=cut)
 
 
@@ -698,10 +673,11 @@ def agent_controllability_vertex(g: Digraph, v: int) -> int:
 
 
 def agent_controllability(g: Digraph) -> int:
-    """Largest ``q`` such that any ``q - 1`` follower removals keep the graph controllable."""
-    if not g.followers or not g.is_controllable():
-        return 0
-    return min(agent_controllability_vertex(g, v) for v in g.followers)
+    """Largest ``q`` such that any ``q - 1`` follower removals keep the graph controllable.
+
+    Read on the graph's ``ac`` kernel; zero when it is uncontrollable or has no followers.
+    """
+    return g._kernels[1].base
 
 
 def _replay(g: Digraph, edges: frozenset[Edge], vertices: frozenset[int]) -> tuple[int, ...]:

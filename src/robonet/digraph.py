@@ -300,7 +300,9 @@ class Digraph:
         proves serves the later ones.  They hold the graph through a weak
         proxy, so the graph and its kernels form no reference cycle and are
         freed together as soon as the graph is; a kernel is read only while
-        its graph lives.
+        its graph lives.  So bind the graph to a name before reading a
+        kernel: ``g.remove_edges(gone)._kernels[0].base`` frees the reduced
+        graph before ``.base`` runs and raises ``ReferenceError``.
         """
         from .connectivity import _DeletionDegrees  # connectivity imports this module
 
@@ -364,8 +366,9 @@ def new_digraph(
 ) -> Digraph:
     """Build and validate a digraph on vertices ``1..n``.
 
-    Edge lists are deduplicated; ``strip_self_loops`` downgrades explicit
-    self-loops from an error to a silent drop (used by file ingestion).
+    Edge lists are deduplicated; ``strip_self_loops`` drops explicit
+    self-loops instead of rejecting them, with a ``UserWarning`` for each
+    (used by file ingestion).
     A vertex count above :data:`MAX_GENERATED_VERTICES` is rejected
     before anything is allocated for it.
     """

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import strategies as st
 
 import robonet
+from robonet.connectivity import max_edge_disjoint, max_vertex_disjoint
 from robonet.digraph import new_digraph
 from robonet.families import circulant_rooted, complete_rooted, preset
 from robonet.oracle import random_digraph
@@ -81,3 +82,25 @@ def seeded_sweep(size: int = 500) -> list:
         cap = min(16, (n - roots) * (n - 1))
         population.append((seed, random_digraph(n, (seed * 7919) % (cap + 1), roots, seed)))
     return population
+
+
+def literal_lc(g) -> int:
+    """``lc`` by its definition: the least per-follower edge-disjoint flow, 0 without followers or control.
+
+    The reference for the ``lc`` kernel's degree reads: each flow is a
+    full cut of one follower, which shares no bound or stopping rule with
+    those reads.
+    """
+    if not g.followers or not g.is_controllable():
+        return 0
+    return min(max_edge_disjoint(g, v).value for v in g.followers)
+
+
+def literal_ac(g) -> int:
+    """``ac`` by its definition: the least per-follower vertex-disjoint flow, 0 without followers or control.
+
+    The reference for the ``ac`` kernel's degree reads, as :func:`literal_lc` is for ``lc``.
+    """
+    if not g.followers or not g.is_controllable():
+        return 0
+    return min(max_vertex_disjoint(g, v).value for v in g.followers)

@@ -134,7 +134,8 @@ class TestAnalyze:
         path = tmp_path / "loopy.json"
         path.write_text('{"n": 2, "roots": [1], "edges": [[1, 2], [2, 2]]}')
         assert cli.main(["analyze", str(path), "--degrees"]) == 2
-        assert cli.main(["analyze", str(path), "--degrees", "--strip-self-loops"]) == 0
+        with pytest.warns(UserWarning, match="dropped self-loop 2->2"):
+            assert cli.main(["analyze", str(path), "--degrees", "--strip-self-loops"]) == 0
 
     def test_budget_exhaustion_exits_3(self, tmp_path, capsys):
         path = tmp_path / "c5.json"

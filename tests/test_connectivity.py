@@ -26,7 +26,7 @@ from robonet.families import circulant_rooted, kautz_rooted, preset
 from robonet.joint import critical_agent_link_witness
 from robonet.oracle import oracle_ac, oracle_lc, random_digraph
 
-from conftest import digraphs, seeded_sweep
+from conftest import digraphs, literal_ac, literal_lc, seeded_sweep
 
 
 class TestEdgeDisjoint:
@@ -80,6 +80,38 @@ class TestVertexDisjoint:
     def test_g4_worst_target(self, g4):
         assert min(max_vertex_disjoint(g4, v).value for v in g4.followers) == 2
 
+    def test_agent_calls_share_the_graphs_ac_network(self, monkeypatch):
+        built = []
+        original = _Flow.__init__
+
+        def counting(self, *args):
+            built.append(args[1:])
+            original(self, *args)
+
+        monkeypatch.setattr(_Flow, "__init__", counting)
+        g = kautz_rooted(3, 2)
+        assert agent_controllability(g) == 3
+        for v in g.followers:
+            assert agent_controllability_vertex(g, v) == max_vertex_disjoint(g, v).value
+        # every call reads the graph's ac kernel, which builds one network,
+        # the (None, 1) one
+        assert built in ([], [(None, 1)]), built
+
+    def test_calls_on_graphs_no_name_holds(self):
+        # the kernels hold their graph through a weak proxy; each call's
+        # argument keeps a graph built in the call expression alive
+        g = kautz_rooted(3, 2)
+        gone = frozenset(g.sorted_edges[::4])
+        reduced = g.remove_edges(gone)
+        assert agent_controllability(new_digraph(g.n, g.roots, g.edges)) == literal_ac(g)
+        assert agent_controllability(g.remove_edges(gone)) == literal_ac(reduced)
+        for v in g.followers:
+            expected = max_vertex_disjoint(reduced, v)
+            assert max_vertex_disjoint(g.remove_edges(gone), v) == expected, v
+            assert agent_controllability_vertex(g.remove_edges(gone), v) == expected.value, v
+            fresh = max_vertex_disjoint(new_digraph(g.n, g.roots, g.edges), v)
+            assert fresh == max_vertex_disjoint(g, v), v
+
 
 class TestDegrees:
     def test_simple_loop(self, loop5):
@@ -121,15 +153,15 @@ class TestDeletionKernels:
     def test_unmasked_kernels_give_the_degrees_on_the_seeded_sweep(self):
         for seed, g in seeded_sweep(500):
             link, agent = g._kernels
-            assert link.base == link.without() == link_controllability(g), f"seed {seed}"
-            assert agent.base == agent.without() == agent_controllability(g), f"seed {seed}"
+            assert link.base == link.without() == literal_lc(g), f"seed {seed}"
+            assert agent.base == agent.without() == literal_ac(g), f"seed {seed}"
 
     def test_agent_kernel_masks_one_edge_on_the_seeded_sweep(self):
         from_root = 0
         for seed, g in seeded_sweep(500):
             agent = _DeletionDegrees(g, None, 1)
             for edge in g.sorted_edges:
-                expected = agent_controllability(g.remove_edges({edge}))
+                expected = literal_ac(g.remove_edges({edge}))
                 assert agent.without(edges=frozenset({edge})) == expected, (seed, edge)
                 # the direct-root corner: a root edge into the head, masked or not
                 from_root += any(
@@ -146,14 +178,14 @@ class TestDeletionKernels:
                         continue
                     reduced = g.remove_vertices({v}).remove_edges({edge})
                     masks = (frozenset({v}), frozenset({edge}))
-                    assert link.without(*masks) == link_controllability(reduced), (v, edge)
-                    assert agent.without(*masks) == agent_controllability(reduced), (v, edge)
+                    assert link.without(*masks) == literal_lc(reduced), (v, edge)
+                    assert agent.without(*masks) == literal_ac(reduced), (v, edge)
 
 
 def _built_degrees(g, followers=frozenset(), edges=frozenset()):
     """``(lc, ac)`` of the graph built with the followers and edges deleted: the masked reads' reference."""
     reduced = g.remove_edges(edges).remove_vertices(followers)
-    return link_controllability(reduced), agent_controllability(reduced)
+    return literal_lc(reduced), literal_ac(reduced)
 
 
 def _small_deletions(g):
@@ -335,7 +367,7 @@ class TestEdgeReads:
         link = _DeletionDegrees(g, 1, None)
         assert link.base == 1
         assert link.without(followers=frozenset({3})) == 2
-        assert link_controllability(g.remove_vertices({3})) == 2
+        assert literal_lc(g.remove_vertices({3})) == 2
 
 
 def _single_breaks(g):
@@ -374,7 +406,7 @@ class TestSingleBreakCertificate:
         g = new_digraph(3, [1], [(1, 2), (2, 3), (3, 2)])
         link = _DeletionDegrees(g, 1, None)
         assert not link._no_single_break()
-        assert link.base == link_controllability(g) == 1
+        assert link.base == literal_lc(g) == 1
 
     def test_two_roots_feeding_one_follower(self):
         # the two root edges count once each; deleting the one follower is
@@ -442,7 +474,9 @@ class TestBrackets:
                             continue
                         case = (seed, costs, followers, edges, v)
                         lo, hi = network._bracket(followers, edges, v)
-                        assert lo <= network._max_flow(masked[:], v) <= hi, case
+                        net = network._built_net()
+                        flow = net.max_flow(masked[:], 0, net.entry[v])
+                        assert lo <= flow <= hi, case
                         assert (lo, hi) == _bracket_by_edges(g, v, followers, edges, *costs), case
                         closed += lo == hi
                         open_ += lo < hi

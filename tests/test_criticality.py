@@ -28,11 +28,11 @@ from robonet.errors import (
     UncontrollableError,
     UnknownEdgeError,
 )
-from robonet.connectivity import WitnessSet, _Flow, agent_controllability, link_controllability
+from robonet.connectivity import WitnessSet, _Flow, link_controllability
 from robonet.families import circulant_rooted, complete_rooted, kautz_rooted, preset
 from robonet.report import build_report
 
-from conftest import digraphs, seeded_sweep
+from conftest import digraphs, literal_ac, literal_lc, seeded_sweep
 
 
 @pytest.fixture(scope="module")
@@ -101,13 +101,13 @@ class TestAgentCriticality:
         for seed, g in seeded_sweep(500):
             if not g.followers or not g.is_controllable():
                 continue
-            acv = agent_controllability(g)
+            acv = literal_ac(g)
             if acv >= len(g.vertices) - len(g.roots):
                 continue
             for v in g.followers:
                 checked += 1
-                critical = agent_controllability(g.remove_vertices({v})) == acv - 1
-                index = acv - agent_controllability(g.remove_edges(g.out_edges(v)))
+                critical = literal_ac(g.remove_vertices({v})) == acv - 1
+                index = acv - literal_ac(g.remove_edges(g.out_edges(v)))
                 assert critical == (index == 1), (seed, v)
                 assert is_agent_critical(g, v) == critical, (seed, v)
                 assert agent_criticality_index(g, v) == index, (seed, v)
@@ -224,7 +224,7 @@ class TestEnumeration:
         # stranded followers read off the reduced graph built from it
         def literal(g, kind):
             pool = g.sorted_edges if kind == "link" else g.followers
-            size = link_controllability(g) if kind == "link" else agent_controllability(g)
+            size = literal_lc(g) if kind == "link" else literal_ac(g)
 
             def breaks(subset):
                 if kind == "link":
@@ -361,7 +361,7 @@ def _reference_records(g):
             [EdgeIndexRecord(e, True, None, None) for e in g.sorted_edges],
             [AgentIndexRecord(v, True, None, None, None, None) for v in g.followers],
         )
-    _lc, _ac = functools.cache(link_controllability), functools.cache(agent_controllability)
+    _lc, _ac = functools.cache(literal_lc), functools.cache(literal_ac)
 
     def critical_links(h):
         if not h.is_controllable():

@@ -43,7 +43,7 @@ from robonet.joint import (
 from robonet.oracle import oracle_jc, oracle_region, random_digraph
 from robonet.report import SECTIONS, build_report
 
-from conftest import digraphs, seeded_sweep
+from conftest import digraphs, literal_ac, literal_lc, seeded_sweep
 
 
 # ledger counterexample: agent-critical, but the canonical minimum cut of
@@ -246,9 +246,7 @@ class TestDeletionDegrees:
         for g in (g4, kautz_rooted(2, 3), complete_rooted(6)):
             degrees = _DeletionDegrees(g, 1, None)
             for removed in _proper_follower_subsets(g):
-                assert degrees.without(removed) == link_controllability(
-                    g.remove_vertices(removed)
-                ), sorted(removed)
+                assert degrees.without(removed) == literal_lc(g.remove_vertices(removed)), sorted(removed)
 
     def test_matches_vertex_deleted_graphs_on_random_graphs(self):
         stranded = 0
@@ -259,7 +257,7 @@ class TestDeletionDegrees:
             g = random_digraph(n, (seed * 7919) % (cap + 1), roots, seed)
             degrees = _DeletionDegrees(g, 1, None)
             for removed in _proper_follower_subsets(g):
-                expected = link_controllability(g.remove_vertices(removed))
+                expected = literal_lc(g.remove_vertices(removed))
                 assert degrees.without(removed) == expected, (seed, sorted(removed))
                 stranded += expected == 0
         assert stranded > 100  # subsets that strand a follower are covered
@@ -277,13 +275,13 @@ class TestDeletionDegrees:
 
     def test_report_builds_one_network_per_mode(self, monkeypatch):
         built = []
-        original = connectivity._network
+        original = connectivity._Flow.__init__
 
-        def counting(g, edge_cost, vertex_cost):
+        def counting(self, g, edge_cost, vertex_cost):
             built.append((edge_cost, vertex_cost))
-            return original(g, edge_cost, vertex_cost)
+            original(self, g, edge_cost, vertex_cost)
 
-        monkeypatch.setattr(connectivity, "_network", counting)
+        monkeypatch.setattr(connectivity._Flow, "__init__", counting)
         doc = build_report(complete_rooted(10), sections=("degrees", "classify", "region"))
         assert doc["degrees"] == {"lc": 9, "ac": 9, "jc": 9}
         assert doc["classification"]["jointly_critical"] is True
@@ -292,13 +290,13 @@ class TestDeletionDegrees:
 
     def test_witnesses_build_one_network_per_cost_pair(self, monkeypatch):
         built = []
-        original = connectivity._network
+        original = connectivity._Flow.__init__
 
-        def counting(g, edge_cost, vertex_cost):
+        def counting(self, g, edge_cost, vertex_cost):
             built.append((edge_cost, vertex_cost))
-            return original(g, edge_cost, vertex_cost)
+            original(self, g, edge_cost, vertex_cost)
 
-        monkeypatch.setattr(connectivity, "_network", counting)
+        monkeypatch.setattr(connectivity._Flow, "__init__", counting)
         graphs = (complete_rooted(8), kautz_rooted(2, 3), circulant_rooted(12, (1, 2, 3)))
         for sections in (("witnesses",), ("degrees", "classify", "region", "witnesses"), SECTIONS):
             for g in graphs + (complete_rooted(6), kautz_rooted(2, 2)):
@@ -382,9 +380,9 @@ class TestDeletionDegrees:
         built = []
         original = connectivity._Flow.__init__
 
-        def counting(self, node_count, to, tag):
-            built.append(node_count)
-            original(self, node_count, to, tag)
+        def counting(self, g, edge_cost, vertex_cost):
+            built.append((g.n, edge_cost, vertex_cost))
+            original(self, g, edge_cost, vertex_cost)
 
         monkeypatch.setattr(connectivity._Flow, "__init__", counting)
         doc = build_report(complete_rooted(10), sections=("degrees", "classify", "region"))
@@ -395,13 +393,13 @@ class TestDeletionDegrees:
 
     def test_reads_without_a_flow_build_no_network(self, monkeypatch):
         built = []
-        original = connectivity._network
+        original = connectivity._Flow.__init__
 
-        def counting(g, edge_cost, vertex_cost):
+        def counting(self, g, edge_cost, vertex_cost):
             built.append((g.n, edge_cost, vertex_cost))
-            return original(g, edge_cost, vertex_cost)
+            original(self, g, edge_cost, vertex_cost)
 
-        monkeypatch.setattr(connectivity, "_network", counting)
+        monkeypatch.setattr(connectivity._Flow, "__init__", counting)
         doc = build_report(complete_rooted(10), sections=("degrees", "classify", "region"))
         assert doc["degrees"] == {"lc": 9, "ac": 9, "jc": 9}
         chain = new_digraph(500, [1], [(v, v + 1) for v in range(1, 500)])
@@ -419,13 +417,13 @@ def _copy(g):
 class TestGraphKernels:
     def test_standalone_calls_share_the_graphs_two_networks(self, monkeypatch):
         built = []
-        original = connectivity._network
+        original = connectivity._Flow.__init__
 
-        def counting(g, edge_cost, vertex_cost):
+        def counting(self, g, edge_cost, vertex_cost):
             built.append((edge_cost, vertex_cost))
-            return original(g, edge_cost, vertex_cost)
+            original(self, g, edge_cost, vertex_cost)
 
-        monkeypatch.setattr(connectivity, "_network", counting)
+        monkeypatch.setattr(connectivity._Flow, "__init__", counting)
         g = kautz_rooted(3, 2)
         region = joint_region(g)
         classification = classify(g)
@@ -482,7 +480,7 @@ class TestGraphKernels:
             g = circulant_rooted(12, (1, 2, 3))
             build_report(g)
             refs = [weakref.ref(g)] + [weakref.ref(kernel) for kernel in g._kernels]
-            assert g._kernels[0]._arcs  # the report built a network
+            assert g._kernels[0]._net is not None  # the report built a network
             del g
             assert [ref() for ref in refs] == [None, None, None]
         finally:
@@ -658,10 +656,10 @@ class TestClassification:
         for seed, g in seeded_sweep(500):
             if not g.is_controllable():
                 continue
-            acv = agent_controllability(g)
+            acv = literal_ac(g)
 
             def unit_index(edge):
-                return acv - agent_controllability(g.remove_edges({edge})) == 1
+                return acv - literal_ac(g.remove_edges({edge})) == 1
 
             agent_critical = all(unit_index(e) for e in g.out_cut(g.roots).sorted_members)
             link_critical = joint._link_critical(g, acv, unit_index, DEFAULT_SUBSET_BUDGET)

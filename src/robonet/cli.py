@@ -11,11 +11,13 @@ import argparse
 import csv
 import functools
 import sys
+import warnings
 
 from . import oracle
 from .budget import DEFAULT_SUBSET_BUDGET, ENV_VAR, resolve_budget
 from .errors import GraphValidationError, InstanceTooLargeError, RobonetError
 from .families import PRESET_KINDS, FamilySpec, build
+from .digraph import Digraph
 from .graphio import dumps_json_graph, load_graph_file
 from .joint import joint_controllability_via_duplicate, joint_region
 from .report import SECTIONS, build_report, render_json, render_text
@@ -96,9 +98,23 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _load_input(args: argparse.Namespace) -> Digraph:
+    """The input graph; each self-loop ``--strip-self-loops`` drops is named in one stderr line.
+
+    The library warns of each one (a ``UserWarning``); here that warning
+    is printed as ``warning: <message>``, without the source location.
+    """
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", UserWarning)
+        g = load_graph_file(args.input, strip_self_loops=args.strip_self_loops)
+    for warning in caught:
+        print(f"warning: {warning.message}", file=sys.stderr)
+    return g
+
+
 def _cmd_analyze(args: argparse.Namespace) -> int:
     budget = resolve_budget(args.budget)
-    g = load_graph_file(args.input, strip_self_loops=args.strip_self_loops)
+    g = _load_input(args)
     picked = tuple(s for s in SECTIONS if getattr(args, s))
     doc = build_report(g, sections=picked or None, budget=budget)
     text = render_json(doc) if args.json else render_text(doc)
@@ -114,7 +130,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     subset_budget = resolve_budget(args.budget)
-    g = load_graph_file(args.input, strip_self_loops=args.strip_self_loops)
+    g = _load_input(args)
     budget = oracle.OracleBudget(max_subset_candidates=subset_budget)
     # the lc, ac and jc rows and the region come from the kernels analyze uses
     link, agent = g._kernels
@@ -145,7 +161,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_export_region(args: argparse.Namespace) -> int:
     budget = resolve_budget(args.budget)
-    g = load_graph_file(args.input, strip_self_loops=args.strip_self_loops)
+    g = _load_input(args)
     region = joint_region(g, budget=budget)
     members = set(region.members)
     with open(args.out, "w", encoding="utf-8", newline="") as handle:

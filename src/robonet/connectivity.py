@@ -12,11 +12,23 @@ one holder of a flow network (:class:`_Flow`).  Each graph carries its
 ``lc`` and ``ac`` kernels (:attr:`Digraph._kernels
 <robonet.digraph.Digraph._kernels>`): every analysis of the graph reads
 them, and masks its deletions, from the region's follower sets to the
-indices' deleted edges and followers, on their two networks.  Each
-witness reads the cheapest cut of one network per graph and cost pair.
+indices' deleted edges and followers, on their two networks.
 :func:`agent_controllability` and :func:`max_vertex_disjoint` read the
 graph's ``ac`` kernel; :func:`link_controllability` still builds one
 network per target, through :func:`max_edge_disjoint`.
+
+A read that goes through every surviving follower, such as the degree of
+the graph itself, goes in sink order (Hao & Orlin): each follower, once
+read, is merged into the source for the later ones (on a split network,
+its in-node alone).  The least of these reads is still the degree, and
+the merged followers close most of the later followers' brackets.  A
+merged read is not the follower's own cut, so each witness scans the
+followers again, without merging, for the smallest one whose cut costs
+the degree, and takes the cut from that follower's flow.  A kernel
+replays its witness once.  The mixed witness of a graph with ``lc <=
+ac`` is its link witness (see
+:func:`~robonet.joint.critical_agent_link_witness`).
+
 Each read stops at a proven bound: a degree at the cost no cut goes below
 (one element on a controllable graph; two for ``lc`` or ``ac`` of the
 graph itself when its dominator tree shows that no single link, or no
@@ -40,15 +52,16 @@ so a network's arc lists, masked capacities and flow structure are all
 built at its first flow, and a kernel whose reads run no flow builds no
 network.
 
-Cuts are recovered from residual reachability after a maximum flow.  The
-source-side residual set is the same for every maximum flow, so the
-returned cuts are canonical and all results are deterministic.
+Cuts are recovered from residual reachability after a maximum flow: the
+nodes its last, failing level search reaches.  The source-side residual
+set is the same for every maximum flow, so the returned cuts are
+canonical and all results are deterministic.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, partial
-from typing import Callable, Iterable
+from typing import Callable, Collection, Iterable, Sequence
 
 from .digraph import Digraph, Edge
 from .errors import (
@@ -111,9 +124,11 @@ class _Flow:
     ``to[i ^ 1]`` is the tail of arc ``i``.  Each node
     lists its arcs in arc order, which makes the residual structure (and
     hence every derived cut) deterministic.  The network holds no
-    reference to ``g``, and a flow pushes on the capacity list its caller
-    passes, which then holds the residual, so flows on one network from
-    several threads do not meet.
+    reference to ``g`` and no state of a flow: a flow pushes on the
+    capacity list its caller passes, which then holds the residual, from
+    the source nodes its caller names (node 0, and the entry nodes a read
+    in sink order merged into it), and returns its last level search, so
+    flows on one network from several threads do not meet.
     """
 
     def __init__(self, g: Digraph, edge_cost: int | None, vertex_cost: int | None) -> None:
@@ -148,31 +163,41 @@ class _Flow:
             adj[to[arc + 1]].append(arc)
             adj[to[arc]].append(arc + 1)
 
-    def max_flow(self, cap: list[int], source: int, sink: int, limit: int | None = None) -> int:
-        """Value of a maximum flow pushed on ``cap``, or stop as soon as it reaches ``limit``.
+    def max_flow(
+        self, cap: list[int], sources: Sequence[int], sink: int, limit: int | None = None
+    ) -> tuple[int, list[int]]:
+        """Value of a maximum flow pushed on ``cap``, or stop as soon as it reaches ``limit``; and the last levels.
 
-        A limited call returns some value ``>= limit`` when the maximum
-        flow is at least ``limit``, and the exact value otherwise.
+        The flow leaves every node of ``sources`` at once, as if a source
+        joined them by arcs no cut holds; they are node 0 and, in a read
+        in sink order, the nodes merged into it, so no arc is added.  A
+        limited call returns some value ``>= limit`` when the maximum flow
+        is at least ``limit``, and the exact value otherwise.  Under the
+        limit the flow ends with a level search that misses the sink, so
+        the levels it returns are set (``>= 0``) exactly on the residual
+        reach of the sources: the source side of the canonical cut.
         """
         total = 0
         while True:
-            level = self._levels(cap, source)
+            level = self._levels(cap, sources)
             if level[sink] < 0:
-                return total
+                return total, level
             it = [0] * self.node_count
-            while True:
-                pushed = self._augment(cap, source, sink, level, it)
-                if not pushed:
-                    break
-                total += pushed
-                if limit is not None and total >= limit:
-                    return total
+            for source in sources:
+                while True:
+                    pushed = self._augment(cap, source, sink, level, it)
+                    if not pushed:
+                        break
+                    total += pushed
+                    if limit is not None and total >= limit:
+                        return total, level
 
-    def _levels(self, cap: list[int], source: int) -> list[int]:
+    def _levels(self, cap: list[int], sources: Sequence[int]) -> list[int]:
         adj, to = self.adj, self.to
         level = [-1] * self.node_count
-        level[source] = 0
-        queue = [source]
+        for source in sources:
+            level[source] = 0
+        queue = list(sources)
         for v in queue:
             for arc in adj[v]:
                 if cap[arc] > 0 and level[to[arc]] < 0:
@@ -213,26 +238,15 @@ class _Flow:
             cap[arc ^ 1] += pushed
         return pushed
 
-    def source_side(self, cap: list[int], source: int) -> set[int]:
-        """Nodes reachable from the source in the residual capacities ``cap``."""
-        adj, to = self.adj, self.to
-        seen = {source}
-        stack = [source]
-        while stack:
-            v = stack.pop()
-            for arc in adj[v]:
-                head = to[arc]
-                if cap[arc] > 0 and head not in seen:
-                    seen.add(head)
-                    stack.append(head)
-        return seen
-
-    def crossing_tags(self, cap: list[int], side: set[int]) -> list[object]:
+    def crossing_tags(self, cap: list[int], level: list[int]) -> list[object]:
+        """The tags of the saturated arcs from the nodes ``level`` sets to the others."""
         adj, to, tag = self.adj, self.to, self.tag
         tags = []
-        for v in side:
+        for v, depth in enumerate(level):
+            if depth < 0:
+                continue
             for arc in adj[v]:
-                if arc % 2 == 0 and cap[arc] == 0 and to[arc] not in side and tag[arc] is not None:
+                if arc % 2 == 0 and cap[arc] == 0 and level[to[arc]] < 0 and tag[arc] is not None:
                     tags.append(tag[arc])
         return tags
 
@@ -259,7 +273,9 @@ class _DeletionDegrees:
     (:meth:`_bracket`) before it runs any flow.  A follower whose bracket
     cannot lower the least cost found so far is skipped, and one whose
     bracket closes costs that much; only the others run a flow, capped at
-    the least cost so far.  The read stops as soon as a proven bound
+    the least cost so far.  A read of every surviving follower goes in
+    sink order: each follower, once read, joins the source for the later
+    ones (:meth:`_min_flow`).  The read stops as soon as a proven bound
     settles its answer:
 
     - :attr:`base` starts at :meth:`_cap` and stops at a floor that no cut
@@ -287,6 +303,8 @@ class _DeletionDegrees:
     Each flow pushes on a copy of the capacities it reads, so one kernel
     can serve several threads.  Each deleted (followers, edges) pair keeps
     an interval ``(lo, hi)`` around its degree, shared by all its reads.
+    :meth:`cheapest` finds the witness cut after :attr:`base`, with one
+    flow per follower it cannot skip, and :attr:`_witness` keeps its replay.
     """
 
     def __init__(
@@ -337,16 +355,24 @@ class _DeletionDegrees:
         return arcs_at
 
     def _bracket(
-        self, followers: frozenset[int], edges: frozenset[Edge], target: int
+        self,
+        followers: frozenset[int],
+        edges: frozenset[Edge],
+        target: int,
+        merged: Collection[int] = (),
     ) -> tuple[int, int]:
         """Bounds ``lo <= cost <= hi`` on the target's cut cost, from its surviving in-edges alone.
 
         Read off ``g`` (:attr:`Digraph._pred`) with the followers and edges
-        deleted, on the network's costs.  ``hi`` is a cut: each in-edge is
-        cut at its cheapest element, the edge or its tail follower.  ``lo``
-        is a flow of disjoint paths of at most two edges: each in-edge from
-        a root, and through each follower tail the least of that cut and
-        the tail's surviving in-edges from the roots.
+        deleted, on the network's costs, with the ``merged`` followers'
+        entry nodes in the source (see :meth:`_min_flow`).  ``hi`` is a
+        cut: each in-edge is cut at its cheapest element, the edge or its
+        tail follower.  ``lo`` is a flow of disjoint paths of at most two
+        edges: each in-edge from a root or a merged follower, and through
+        each other follower tail the least of that cut and the tail's
+        surviving in-edges from the roots.  Without split followers a
+        merged follower is a root, so it feeds those tails too; with them
+        its one split arc could then carry two of the paths, so it does not.
         """
         pred = self._g._pred
         link, relay = self._link, self._relay
@@ -367,11 +393,19 @@ class _DeletionDegrees:
                 for root in feeds:
                     if (root, tail) in edges:
                         fed -= link
+            if fed < relay and merged:  # a merged tail or feed can only raise a short fed
+                if tail in merged:
+                    fed = relay
+                elif self._vertex_cost is None:
+                    for w in pred[tail][1]:
+                        if w in merged and not (edges and (w, tail) in edges):
+                            fed += link
             lo += relay if relay < fed else fed
         return lo, hi
 
     @cached_property
-    def _unmasked(self) -> tuple[int, int | None]:
+    def base(self) -> int:
+        """The degree of ``g`` itself, read in sink order (see :meth:`_min_flow`)."""
         g = self._g
         floor, lift = self._least, None
         if floor is None:
@@ -381,10 +415,9 @@ class _DeletionDegrees:
             # `verify` checks jc against a read independent of theirs
             if controllable and None in (self._edge_cost, self._vertex_cost):
                 lift = self._dominator_floor
-        value, winner, _ = self._min_flow(
-            frozenset(), frozenset(), g.followers, self._cap(len(g.followers)), floor, lift
-        )
-        return value, winner
+        nothing: frozenset = frozenset()
+        cap = self._cap(len(g.followers))
+        return self._min_flow(nothing, nothing, g.followers, cap, floor, lift, merge=True)[0]
 
     def _dominator_floor(self) -> int:
         """Two elements' cost when :meth:`_no_single_break` proves it, else one."""
@@ -422,15 +455,46 @@ class _DeletionDegrees:
         reached = g._reach(g.roots, followers, edges)
         return self._one if len(reached) == g.n - len(followers) else None
 
-    @property
-    def base(self) -> int:
-        """The degree of ``g`` itself."""
-        return self._unmasked[0]
-
     def cheapest(self) -> tuple[int, frozenset] | None:
-        """The smallest follower of least cut cost and its cut; None if none is under the cap."""
-        winner = self._unmasked[1]
-        return None if winner is None else (winner, self.cut(winner)[1])
+        """The smallest follower whose cut costs :attr:`base`, and that cut; None if none is under the cap.
+
+        The followers are tried in ascending order.  One whose lower
+        bracket is over the degree is skipped; any other runs one flow,
+        capped at the degree plus one, and the first whose flow stops at
+        the degree is the winner.  Its cut is read off that flow.
+        """
+        g = self._g
+        degree = self.base
+        if degree >= self._cap(len(g.followers)):
+            return None
+        nothing: frozenset = frozenset()
+        for v in g.followers:
+            if self._bracket(nothing, nothing, v)[0] > degree:
+                continue
+            net = self._built_net()
+            residual = net.cap[:]
+            value, level = net.max_flow(residual, (0,), net.entry[v], degree + 1)
+            if value == degree:
+                return v, self._crossing(value, residual, level)
+        raise AssertionError("no follower's cut costs the degree")
+
+    @cached_property
+    def _witness(self) -> tuple[frozenset[Edge], frozenset[int], tuple[int, ...]]:
+        """The replayed cheapest cut, or the breaking set that meets the cap: edges, followers, stranded.
+
+        That set is every follower, or every edge when followers cannot be
+        cut (all of them then feed the only follower).  It is kept, so a
+        report whose link and mixed witnesses are one cut replays it once.
+        """
+        g = self._g
+        found = self.cheapest()
+        if found is None:
+            cut = frozenset(g.edges if self._vertex_cost is None else g.followers)
+        else:
+            cut = found[1]
+        vertices = frozenset(element for element in cut if type(element) is int)
+        edges = cut - vertices
+        return edges, vertices, _replay(g, edges, vertices)
 
     def cut(self, target: int) -> tuple[int, frozenset]:
         """Cost and canonical edges and followers of the cheapest cut separating the target.
@@ -443,12 +507,20 @@ class _DeletionDegrees:
             return self._cap(len(g.followers)), frozenset(g.followers)
         net = self._built_net()
         residual = net.cap[:]
-        value = net.max_flow(residual, 0, net.entry[target])
-        cut = frozenset(net.crossing_tags(residual, net.source_side(residual, 0)))
+        value, level = net.max_flow(residual, (0,), net.entry[target])
+        return value, self._crossing(value, residual, level)
+
+    def _crossing(self, value: int, residual: list[int], level: list[int]) -> frozenset:
+        """The elements a maximum flow of this value saturates out of the source side of its last level search.
+
+        That side is the residual reach of the source, the same for every
+        maximum flow, so the cut is canonical.
+        """
+        cut = frozenset(self._built_net().crossing_tags(residual, level))
         assert value == sum(
             self._vertex_cost if type(element) is int else self._edge_cost for element in cut
         ), "max-flow/min-cut duality violated"
-        return value, cut
+        return cut
 
     def without(
         self, followers: frozenset[int] = frozenset(), edges: frozenset[Edge] = frozenset()
@@ -573,7 +645,9 @@ class _DeletionDegrees:
         else:
             targets = [v for v in self._g.followers if v not in followers]
         lift = partial(self._reach_floor, followers, edges) if floor < self._one else None
-        value, winner, exact = self._min_flow(followers, edges, targets, below, floor, lift)
+        value, winner, exact = self._min_flow(
+            followers, edges, targets, below, floor, lift, merge=not heads_only
+        )
         return value, heads_only and exact and winner is not None and winner == targets[-1]
 
     def _min_flow(
@@ -584,6 +658,7 @@ class _DeletionDegrees:
         best: int,
         floor: int,
         lift: Callable[[], int | None] | None = None,
+        merge: bool = False,
     ) -> tuple[int, int | None, bool]:
         """The least of ``best`` and the targets' cut costs, its first target, and if it is exact.
 
@@ -599,16 +674,28 @@ class _DeletionDegrees:
         less than ``best``.  ``lift``, called once before the first flow,
         proves a new floor (:meth:`_dominator_floor`, :meth:`_reach_floor`),
         or returns None when the degree is 0.
+
+        With ``merge``, for targets that are every surviving follower, the
+        read is in sink order (Hao & Orlin): each target, once read, joins
+        the source for the later ones, and their brackets and flows see it
+        there.  Each cost read so is at least the target's own, and the
+        least of them is still the degree: the first target on the sink
+        side of a cheapest cut comes after only followers on its source
+        side, so that cut still separates it.  A split follower joins with
+        its in-node alone, so its split arc stays cuttable and a cut
+        through it stays a cut.  The costs, and so the first target, are
+        then not each target's own.
         """
         winner = None
         masked = None
+        merged: set[int] = set()
         for v in targets:
             if best <= floor:
                 break
-            lo, hi = self._bracket(followers, edges, v)
+            lo, hi = self._bracket(followers, edges, v, merged)
             if lo >= best:
-                continue
-            if lo == hi:
+                pass
+            elif lo == hi:
                 best, winner = lo, v
             elif hi <= floor:
                 return hi, v, False
@@ -624,9 +711,12 @@ class _DeletionDegrees:
                         return hi, v, False
                 if masked is None:
                     masked, net = self._masked(followers, edges), self._built_net()
-                value = net.max_flow(masked[:], 0, net.entry[v], best)
+                sources = [0, *map(net.entry.__getitem__, merged)]
+                value = net.max_flow(masked[:], sources, net.entry[v], best)[0]
                 if value < best:
                     best, winner = value, v
+            if merge:
+                merged.add(v)
         return best, winner, True
 
 
@@ -703,20 +793,8 @@ def _replay(g: Digraph, edges: frozenset[Edge], vertices: frozenset[int]) -> tup
 
 
 def _cheapest_witness(kind: str, network: _DeletionDegrees) -> WitnessSet:
-    """The replayed cheapest cut of one network, or the breaking set that meets its cap.
-
-    That set is every follower, or every edge when followers cannot be
-    cut (all of them then feed the only follower).
-    """
-    g = network._g
-    found = network.cheapest()
-    if found is None:
-        cut = frozenset(g.edges if network._vertex_cost is None else g.followers)
-    else:
-        cut = found[1]
-    vertices = frozenset(element for element in cut if type(element) is int)
-    edges = cut - vertices
-    return WitnessSet(kind, edges, vertices, unreachable=_replay(g, edges, vertices))
+    """The replayed cheapest cut of one network (:attr:`_DeletionDegrees._witness`), as a witness of this kind."""
+    return WitnessSet(kind, *network._witness)
 
 
 def min_link_cut_witness(g: Digraph) -> WitnessSet:

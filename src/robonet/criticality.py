@@ -13,7 +13,8 @@ The per-element functions read every degree drop of the graph itself
 from its ``lc`` and ``ac`` kernels (:attr:`Digraph._kernels
 <robonet.digraph.Digraph._kernels>`), with the deleted edges or follower
 masked on one network per mode, so no graph or network is built per
-element, and the record builders are made of these functions.  One
+element.  The record builders read the same kernels directly, without
+checking each element and the graph's controllability again.  One
 deletion lowers a degree by at most one, so criticality is the bounded
 read "is the degree after the deletion at most one less?".  The indices
 take the exact read: deleting a root edge or all of a follower's
@@ -96,6 +97,11 @@ def is_link_critical(g: Digraph, edge: Edge) -> bool:
     return link_controllability(g.remove_edges({edge})) == link_controllability(g) - 1
 
 
+def _is_critical_agent(agent: _DeletionDegrees, v: int) -> bool:
+    """:func:`is_agent_critical` on the ``ac`` kernel of a controllable graph."""
+    return agent.at_most(agent.base - 1, followers=frozenset((v,)))
+
+
 def is_agent_critical(g: Digraph, v: int) -> bool:
     """True when the follower belongs to some minimum breaking agent set.
 
@@ -105,8 +111,7 @@ def is_agent_critical(g: Digraph, v: int) -> bool:
     v = _check_follower(g, v)
     if not g.is_controllable():
         return True
-    agent = g._kernels[1]
-    return agent.at_most(agent.base - 1, followers=frozenset((v,)))
+    return _is_critical_agent(g._kernels[1], v)
 
 
 def agent_controllability_index(g: Digraph, edge: Edge) -> int:
@@ -159,8 +164,12 @@ def agent_link_indices(g: Digraph, v: int) -> tuple[int, int]:
     """
     v = _check_follower(g, v)
     _require_controllable(g)
-    out = g.out_edges(v)
-    link = g._kernels[0]
+    return _link_indices(g, g._kernels[0], v)
+
+
+def _link_indices(g: Digraph, link: _DeletionDegrees, v: int) -> tuple[int, int]:
+    """:func:`agent_link_indices` with the criticality of the out-edges read on the ``lc`` kernel."""
+    out = g._out[v]
     uncritical = [e for e in out if not _is_critical_link(link, e)]
     return len(out) - len(uncritical), _uncritical_link_index(g, uncritical)
 
@@ -246,7 +255,7 @@ def edge_records(g: Digraph) -> list[EdgeIndexRecord]:
     """Per-edge criticality and indices; indices are None when undefined."""
     if not g.is_controllable():
         return [EdgeIndexRecord(edge, True, None, None) for edge in g.sorted_edges]
-    link = g._kernels[0]
+    link, agent = g._kernels
     records = []
     for edge in g.sorted_edges:
         critical = _is_critical_link(link, edge)
@@ -254,7 +263,7 @@ def edge_records(g: Digraph) -> list[EdgeIndexRecord]:
             EdgeIndexRecord(
                 edge=edge,
                 critical=critical,
-                agent_controllability_index=agent_controllability_index(g, edge),
+                agent_controllability_index=_drop(agent, frozenset((edge,))),
                 link_controllability_index=(
                     None if critical else link_controllability_index(g, edge)
                 ),
@@ -271,15 +280,17 @@ def agent_records(g: Digraph) -> list[AgentIndexRecord]:
     """
     if not g.is_controllable():
         return [AgentIndexRecord(v, True, None, None, None, None) for v in g.followers]
+    link, agent = g._kernels
     records = []
     for v in g.followers:
-        link_indices = agent_link_indices(g, v)
+        link_indices = _link_indices(g, link, v)
+        out = frozenset(g._out[v])
         records.append(
             AgentIndexRecord(
                 v,
-                is_agent_critical(g, v),
-                agent_criticality_index(g, v),
-                link_criticality_index(g, v),
+                _is_critical_agent(agent, v),
+                _drop(agent, out),
+                _drop(link, out),
                 *link_indices,
             )
         )

@@ -9,7 +9,8 @@ one.  That cut is the agent cut of the edge-duplicate transform (each link
 split through a vertex of its own), priced on the node-split flow network
 of the graph itself, so the duplicate graph is never built.  A mixed
 witness is the cheapest cut of one such network in which a link costs a
-little less than an agent.
+little less than an agent.  When ``lc <= ac`` that cut is the link
+witness, so only a graph with ``ac < lc`` reads the network.
 
 The joint region (all (r, s) pairs) is computed exactly.  Every pair with
 r + s <= jc is a member by the definition of the joint degree, so only the
@@ -31,8 +32,9 @@ otherwise every cut holds a link, which answers no.  A flow, capped at
 ``u + 1``, runs only where these leave the answer open, and the flow
 network of g is built at the first such flow.  The classification, the
 bound checks, the joint degree and the substitution routines read that
-kernel and g's second one, for ``ac``, and the mixed witness takes its
-floor ``jc`` from them.  A report tests each pair once: its
+kernel and g's second one, for ``ac``, and so does the mixed witness:
+it is the ``lc`` kernel's witness when ``lc <= ac``, and otherwise takes
+its floor ``ac`` from them.  A report tests each pair once: its
 classification reads off its region whether that is the triangle.  What
 one test proves about ``lc(g - A)`` serves every later test of A, and
 every "agent controllability index is 1" test masks one edge and runs at
@@ -233,14 +235,24 @@ def critical_agent_link_witness(g: Digraph) -> WitnessSet:
     cut is returned.  A cut of more than ``|F|`` elements costs more than
     the full follower set, which breaks with fewer and is returned
     instead, as in :func:`~robonet.connectivity.min_agent_cut_witness`.
-    Every cut holds at least ``jc`` elements, so no cut costs less than
-    ``K * jc``, with ``jc`` read on the graph's kernels, and the search
-    stops at the first follower whose cut costs that much.
+
+    Every cut holds at least ``jc`` elements.  When ``lc <= ac``, so
+    ``jc = lc``, a cut of ``l`` links and ``a >= 1`` agents costs
+    ``K(l + a) + a > K * jc``, while a cut of ``lc`` links costs
+    ``K * jc``: the cheapest cut is the smallest tight follower's
+    canonical link cut, the link witness of
+    :func:`~robonet.connectivity.min_link_cut_witness`, and it is read,
+    and replayed once, on the graph's ``lc`` kernel.  Otherwise the
+    network is read from the floor ``K * ac``, with ``ac`` read on the
+    graph's kernels.
     """
     if not g.followers or not g.is_controllable():
         raise UncontrollableError("degrees are zero; every element is already critical")
+    link, agent = g._kernels
+    if link.base <= agent.base:
+        return _cheapest_witness("mixed", link)
     link_cost = len(g.followers) + 1
-    least = link_cost * joint_controllability(g)
+    least = link_cost * agent.base
     return _cheapest_witness("mixed", _DeletionDegrees(g, link_cost, link_cost + 1, least))
 
 

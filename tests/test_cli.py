@@ -130,12 +130,17 @@ class TestAnalyze:
         assert cli.main(["analyze", str(path)]) == 2
         assert "error:" in capsys.readouterr().err
 
-    def test_self_loop_strip_flag(self, tmp_path):
+    def test_self_loop_strip_flag(self, tmp_path, capsys):
         path = tmp_path / "loopy.json"
         path.write_text('{"n": 2, "roots": [1], "edges": [[1, 2], [2, 2]]}')
         assert cli.main(["analyze", str(path), "--degrees"]) == 2
-        with pytest.warns(UserWarning, match="dropped self-loop 2->2"):
-            assert cli.main(["analyze", str(path), "--degrees", "--strip-self-loops"]) == 0
+        capsys.readouterr()
+        # one stable line per dropped loop; a raw UserWarning escaping here
+        # would fail the test under the suite's warning filter
+        assert cli.main(["analyze", str(path), "--degrees", "--strip-self-loops"]) == 0
+        assert capsys.readouterr().err == (
+            "warning: dropped self-loop 2->2: follower self-loops are implicit in the model\n"
+        )
 
     def test_budget_exhaustion_exits_3(self, tmp_path, capsys):
         path = tmp_path / "c5.json"

@@ -149,12 +149,38 @@ class TestDegrees:
             assert agent_controllability_vertex(g4, v) == max_vertex_disjoint(g4, v).value
 
 
+def _degree_graphs():
+    """The sweep, then family and seeded random graphs of 10-21 vertices.
+
+    A degree is read in sink order, each follower merged into the source
+    once read, and merging rarely matters on the sweep's 3-8 vertices;
+    on the larger graphs many followers are merged before the last read.
+    """
+    cases = [(f"seed {seed}", g) for seed, g in seeded_sweep(500)]
+    cases += [
+        ("kautz(2,3)", kautz_rooted(2, 3)),
+        ("kautz(3,2)", kautz_rooted(3, 2)),
+        ("circulant(10,{1,2,3})", circulant_rooted(10, (1, 2, 3))),
+        ("circulant(12,{1,2,3})", circulant_rooted(12, (1, 2, 3))),
+        ("double-loop 20", preset("double_loop", 20)),
+    ]
+    for n in range(10, 17):
+        for roots in (1, 2):
+            for seed in range(4):
+                cases.append((f"random({n}, {roots}, {seed})", random_digraph(n, 3 * n, roots, seed)))
+    return cases
+
+
 class TestDeletionKernels:
     def test_unmasked_kernels_give_the_degrees_on_the_seeded_sweep(self):
-        for seed, g in seeded_sweep(500):
+        # the jc network splits its followers as the ac one does, and
+        # reads min(lc, ac) on its own
+        for case, g in _degree_graphs():
             link, agent = g._kernels
-            assert link.base == link.without() == literal_lc(g), f"seed {seed}"
-            assert agent.base == agent.without() == literal_ac(g), f"seed {seed}"
+            lc, ac = literal_lc(g), literal_ac(g)
+            assert link.base == link.without() == lc, case
+            assert agent.base == agent.without() == ac, case
+            assert _DeletionDegrees(g, 1, 1).base == min(lc, ac), case
 
     def test_agent_kernel_masks_one_edge_on_the_seeded_sweep(self):
         from_root = 0
@@ -431,15 +457,17 @@ class TestSingleBreakCertificate:
         assert chain._dominators[2] == (None, 1, 5000)
 
 
-def _bracket_by_edges(g, target, followers, edges, edge_cost, vertex_cost):
+def _bracket_by_edges(g, target, followers, edges, edge_cost, vertex_cost, merged=frozenset()):
     """Reference for ``_bracket``, read off the graph's surviving in-edges of the target.
 
     ``hi`` cuts each in-edge at the cheaper of the edge and its tail
     follower; ``lo`` routes through each in-edge the least of that and
     the tail's root in-edges.  A link costs its arc's capacity in the
-    network.
+    network.  A merged tail's in-edge is a path from the source on its
+    own; without split followers a merged follower also feeds like a root.
     """
     link = _link_capacity(g, edge_cost, vertex_cost)
+    feeders = g.root_set | (merged if vertex_cost is None else frozenset())
 
     def alive(edge):
         return edge not in edges and edge[0] not in followers
@@ -450,7 +478,10 @@ def _bracket_by_edges(g, target, followers, edges, edge_cost, vertex_cost):
             lo, hi = lo + link, hi + link
             continue
         cost = link if vertex_cost is None else min(link, vertex_cost)
-        fed = sum(link for edge in filter(alive, g.in_edges(tail)) if edge[0] in g.root_set)
+        if tail in merged:
+            lo, hi = lo + cost, hi + cost
+            continue
+        fed = sum(link for edge in filter(alive, g.in_edges(tail)) if edge[0] in feeders)
         lo, hi = lo + min(cost, fed), hi + cost
     return lo, hi
 
@@ -469,18 +500,21 @@ class TestBrackets:
                 network = _DeletionDegrees(g, *costs)
                 for followers, edges in deletions:
                     masked = network._masked(followers, edges)
-                    for v in g.followers:
-                        if v in followers:
-                            continue
-                        case = (seed, costs, followers, edges, v)
-                        lo, hi = network._bracket(followers, edges, v)
-                        net = network._built_net()
-                        flow = net.max_flow(masked[:], 0, net.entry[v])
-                        assert lo <= flow <= hi, case
-                        assert (lo, hi) == _bracket_by_edges(g, v, followers, edges, *costs), case
-                        closed += lo == hi
-                        open_ += lo < hi
-        assert closed > 30_000 and open_ > 20_000  # both ends of the read's rules are met
+                    net = network._built_net()
+                    survivors = [v for v in g.followers if v not in followers]
+                    for i, v in enumerate(survivors):
+                        # alone, and with the followers before it merged (a read in sink order)
+                        for merged in (frozenset(), frozenset(survivors[:i])):
+                            case = (seed, costs, followers, edges, v, merged)
+                            lo, hi = network._bracket(followers, edges, v, merged)
+                            sources = [0, *(net.entry[w] for w in merged)]
+                            flow, _ = net.max_flow(masked[:], sources, net.entry[v])
+                            assert lo <= flow <= hi, case
+                            reference = _bracket_by_edges(g, v, followers, edges, *costs, merged)
+                            assert (lo, hi) == reference, case
+                            closed += lo == hi
+                            open_ += lo < hi
+        assert closed > 60_000 and open_ > 30_000  # both ends of the read's rules are met
 
     def test_an_upper_bracket_alone_is_not_taken_as_exact(self):
         # deleting follower 4 and the edge 1->3 leaves follower 3 one in-edge,
@@ -544,6 +578,47 @@ class TestCheapestCut:
                 cut = followers
             mixed = critical_agent_link_witness(g)
             assert (mixed.edges | mixed.vertices) == cut, seed
+
+
+def _residual_cut(net, residual):
+    """The tagged arcs out of the nodes a walk from the source reaches in the residual capacities."""
+    reach, stack = {0}, [0]
+    while stack:
+        v = stack.pop()
+        for arc in net.adj[v]:
+            if residual[arc] > 0 and net.to[arc] not in reach:
+                reach.add(net.to[arc])
+                stack.append(net.to[arc])
+    return frozenset(
+        net.tag[arc]
+        for v in reach
+        for arc in net.adj[v]
+        if arc % 2 == 0 and net.to[arc] not in reach and net.tag[arc] is not None
+    )
+
+
+class TestCutSides:
+    def test_cut_is_the_residual_reach_of_a_full_flow_on_the_seeded_sweep(self):
+        # the cut reads its source side off the flow's last level search;
+        # the reference walks the residual of a flow of its own
+        cuts = 0
+        for seed, g in seeded_sweep(500):
+            if not g.followers:
+                continue
+            k = len(g.followers) + 1
+            for costs in ((1, None), (None, 1), (1, 1), (k, k + 1)):
+                network = _DeletionDegrees(g, *costs)
+                for t in g.followers:
+                    value, cut = network.cut(t)
+                    if costs[0] is None and any(tail in g.root_set for tail, head in g.edges if head == t):
+                        assert (value, cut) == (len(g.followers), frozenset(g.followers)), (seed, t)
+                        continue
+                    net = network._built_net()
+                    residual = net.cap[:]
+                    assert net.max_flow(residual, (0,), net.entry[t])[0] == value, (seed, costs, t)
+                    assert cut == _residual_cut(net, residual), (seed, costs, t)
+                    cuts += 1
+        assert cuts > 5_000
 
 
 class TestWitnesses:

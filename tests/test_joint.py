@@ -357,6 +357,32 @@ class TestDeletionDegrees:
         # leaving one flow per witness cut; a floor of 1 runs 47 here
         assert len(flows) <= 3
 
+    def test_report_witnesses_take_their_cuts_from_the_flows_that_found_them(self, monkeypatch):
+        flows, built = [], []
+        flow, init = connectivity._Flow.max_flow, connectivity._Flow.__init__
+
+        def counting(self, cap, sources, sink, limit=None):
+            flows.append(sink)
+            return flow(self, cap, sources, sink, limit)
+
+        def building(self, g, edge_cost, vertex_cost):
+            built.append((edge_cost, vertex_cost))
+            init(self, g, edge_cost, vertex_cost)
+
+        monkeypatch.setattr(connectivity._Flow, "max_flow", counting)
+        monkeypatch.setattr(connectivity._Flow, "__init__", building)
+        doc = build_report(circulant_rooted(12, (1, 2, 3)), sections=("witnesses",))
+        assert len(doc["witnesses"]["mixed"]["edges"]) == 3
+        # lc <= ac, so the mixed witness is the link witness and builds no
+        # network; each witness cut is its winner's capped flow, not a
+        # second one (19 flows and 3 networks without these rules)
+        assert len(flows) <= 6 and len(built) <= 2, (flows, built)
+        flows.clear()
+        build_report(kautz_rooted(3, 2), sections=("degrees",))
+        # read in sink order, most followers' brackets close (19 flows
+        # with each follower read on its own)
+        assert len(flows) <= 10, flows
+
     def test_dominators_only_when_a_degree_needs_a_flow(self, monkeypatch):
         calls = []
         original = digraph.Digraph._dominators.func
@@ -535,6 +561,36 @@ class TestMixedWitness:
                 fewest = len(vertices) if fewest is None else min(fewest, len(vertices))
             assert len(w.vertices) == fewest, f"seed {seed}"
         assert checked >= 190
+
+
+    def test_only_graphs_with_ac_under_lc_read_the_mixed_network(self, monkeypatch):
+        # with lc <= ac a cut of l links and a >= 1 agents costs
+        # K(l + a) + a > K * lc, so the cheapest (K, K+1) cut is the link
+        # witness; only ac < lc needs the mixed network, and its kernel
+        built = []
+        init = _DeletionDegrees.__init__
+
+        def building(self, g, edge_cost, vertex_cost, least=None):
+            built.append((edge_cost, vertex_cost))
+            init(self, g, edge_cost, vertex_cost, least)
+
+        monkeypatch.setattr(_DeletionDegrees, "__init__", building)
+        under = over = 0
+        for seed, g in seeded_sweep(500):
+            if not g.followers or not g.is_controllable():
+                continue
+            link, agent = g._kernels
+            lc, ac = link.base, agent.base
+            built.clear()
+            witness = critical_agent_link_witness(g)
+            k = len(g.followers) + 1
+            assert ((k, k + 1) in built) == (ac < lc), seed
+            if ac < lc:
+                under += 1
+            else:
+                over += 1
+                assert (witness.edges, witness.vertices) == (min_link_cut_witness(g).edges, frozenset())
+        assert under >= 10 and over > 200, (under, over)
 
 
 class TestCutSubstitution:

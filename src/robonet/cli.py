@@ -16,7 +16,7 @@ import warnings
 from . import oracle
 from .budget import DEFAULT_SUBSET_BUDGET, ENV_VAR, resolve_budget
 from .errors import GraphValidationError, InstanceTooLargeError, RobonetError
-from .families import PRESET_KINDS, FamilySpec, build
+from .families import PRESET_KINDS, circulant_rooted, complete_rooted, kautz_rooted, preset
 from .digraph import Digraph
 from .graphio import dumps_json_graph, load_graph_file
 from .joint import joint_controllability_via_duplicate, joint_region
@@ -78,20 +78,17 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _family_spec(args: argparse.Namespace) -> FamilySpec:
-    offsets = tuple(int(x) for x in args.b.split(",") if x.strip()) if args.b else ()
-    return FamilySpec(
-        kind=args.kind.replace("-", "_"),
-        n=args.n,
-        d=args.d,
-        kappa=args.kappa,
-        b_set=offsets,
-        root=args.root,
-    )
-
-
 def _cmd_generate(args: argparse.Namespace) -> int:
-    g = build(_family_spec(args))
+    # --b is parsed for every kind, so a malformed set is an input error whatever the kind
+    offsets = tuple(int(x) for x in args.b.split(",") if x.strip())
+    if args.kind == "complete":
+        g = complete_rooted(args.n, args.root)
+    elif args.kind == "kautz":
+        g = kautz_rooted(args.d, args.kappa, args.root)
+    elif args.kind == "circulant":
+        g = circulant_rooted(args.n, offsets, args.root)
+    else:
+        g = preset(args.kind.replace("-", "_"), args.n, args.root)
     with open(args.out, "w", encoding="utf-8") as handle:
         handle.write(dumps_json_graph(g))
     print(f"{args.kind}: n={g.n} edges={len(g.edges)} -> {args.out}")

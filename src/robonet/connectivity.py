@@ -267,8 +267,9 @@ class _DeletionDegrees:
     """One flow network of one graph and cost pair, for its degrees and cuts.
 
     The network is a :class:`_Flow`: ``(1, None)`` gives ``lc``,
-    ``(None, 1)`` ``ac`` and ``(1, 1)`` ``jc``.  Deleting followers and
-    edges zeroes their arcs.  A read goes through the surviving followers
+    ``(None, 1)`` ``ac`` and ``(1, 1)`` ``jc``.  Deleting edges zeroes
+    their arcs, and deleting a follower the arcs into it (:meth:`_masked`).
+    A read goes through the surviving followers
     and brackets each one's cut cost from its surviving in-edges in ``g``
     (:meth:`_bracket`) before it runs any flow.  A follower whose bracket
     cannot lower the least cost found so far is skipped, and one whose
@@ -341,19 +342,6 @@ class _DeletionDegrees:
         first = self._built_net().first_edge
         return {edge: first + 2 * k for k, edge in enumerate(self._g.sorted_edges)}
 
-    @cached_property
-    def _arcs_at(self) -> dict[int, list[int]]:
-        """The arcs at each follower's nodes: its split arc, then its edges' arcs."""
-        net = self._built_net()
-        arcs_at: dict[int, list[int]] = {v: [] for v in net.entry}
-        for v, arc in zip(net.entry, range(0, net.first_edge, 2)):  # split arcs come first
-            arcs_at[v].append(arc)
-        for edge, arc in self._arc_of.items():
-            for v in edge:
-                if v in arcs_at:
-                    arcs_at[v].append(arc)
-        return arcs_at
-
     def _bracket(
         self,
         followers: frozenset[int],
@@ -417,7 +405,7 @@ class _DeletionDegrees:
                 lift = self._dominator_floor
         nothing: frozenset = frozenset()
         cap = self._cap(len(g.followers))
-        return self._min_flow(nothing, nothing, g.followers, cap, floor, lift, merge=True)[0]
+        return self._min_flow(nothing, nothing, g.followers, cap, floor, lift, merge=True)
 
     def _dominator_floor(self) -> int:
         """Two elements' cost when :meth:`_no_single_break` proves it, else one."""
@@ -447,13 +435,11 @@ class _DeletionDegrees:
     def _reach_floor(self, followers: frozenset[int], edges: frozenset[Edge]) -> int | None:
         """One element's cost when every surviving follower is still reached; None when one is not.
 
-        One walk of ``g`` with the deletion masked (:meth:`Digraph._reach`).
+        One walk of ``g`` with the deletion masked (:meth:`Digraph._stranded`).
         A stranded follower needs no cut, so the degree is 0; when every
         survivor is reached, each cut holds at least one element.
         """
-        g = self._g
-        reached = g._reach(g.roots, followers, edges)
-        return self._one if len(reached) == g.n - len(followers) else None
+        return None if self._g._stranded(followers, edges) else self._one
 
     def cheapest(self) -> tuple[int, frozenset] | None:
         """The smallest follower whose cut costs :attr:`base`, and that cut; None if none is under the cap.
@@ -539,10 +525,10 @@ class _DeletionDegrees:
         lo, hi = self._interval(key)
         if lo < hi:
             if followers:
-                hi = self._solve(followers, edges, hi, lo, heads_only=False)[0]
+                hi = self._solve(followers, edges, hi, lo, heads_only=False)
             else:
                 floor = max(lo, self._edge_floor(edges))
-                hi = self._solve(followers, edges, min(hi, self.base), floor, heads_only=True)[0]
+                hi = self._solve(followers, edges, min(hi, self.base), floor, heads_only=True)
             self._memo[key] = hi, hi
         return hi
 
@@ -572,19 +558,21 @@ class _DeletionDegrees:
         followers: frozenset[int] = frozenset(),
         edges: frozenset[Edge] = frozenset(),
     ) -> bool:
-        """Is ``without(followers, edges) <= bound``?"""
+        """Is ``without(followers, edges) <= bound``?
+
+        One :meth:`_solve` settles it: a value over ``bound`` raises the
+        deletion's lower end past it, any other lowers its upper end to it.
+        """
         if not followers and not edges:
             return self.base <= bound
         key = (followers, edges)
         lo, hi = self._interval(key)
         if lo <= bound < hi:
-            value, exact = self._solve(followers, edges, bound + 1, bound, bound < self.base)
+            value = self._solve(followers, edges, bound + 1, bound, bound < self.base)
             if value > bound:
                 lo = bound + 1
             else:
                 hi = value
-                if exact:
-                    lo = value
             self._memo[key] = lo, hi
         return hi <= bound
 
@@ -597,16 +585,22 @@ class _DeletionDegrees:
         return known
 
     def _masked(self, followers: frozenset[int], edges: frozenset[Edge]) -> list[int]:
-        """The capacities with the deleted followers' and edges' arcs zeroed."""
+        """The capacities with the deleted edges' arcs, and the arcs into each deleted follower, zeroed.
+
+        No flow enters a follower whose in-arcs are all zero, so it is cut
+        off whether or not it is split.
+        """
         capacities = self._built_net().cap
         if not followers and not edges:
             return capacities
         masked = capacities[:]
+        arc_of, pred = self._arc_of, self._g._pred
         for v in followers:
-            for arc in self._arcs_at[v]:
-                masked[arc] = 0
+            for tails in pred[v]:
+                for tail in tails:
+                    masked[arc_of[tail, v]] = 0
         for edge in edges:
-            masked[self._arc_of[edge]] = 0
+            masked[arc_of[edge]] = 0
         return masked
 
     def _solve(
@@ -616,7 +610,7 @@ class _DeletionDegrees:
         below: int,
         floor: int,
         heads_only: bool,
-    ) -> tuple[int, bool]:
+    ) -> int:
         """``min(below, degree)`` with the deletion masked, stopping at ``floor``.
 
         ``floor`` must be a proven lower bound on the degree, or the bound
@@ -629,10 +623,9 @@ class _DeletionDegrees:
         heads need a flow, and the degree is the least of theirs when it is
         under ``below``.  For an edge-only deletion with ``below`` an upper
         bound on the degree (:meth:`without`), that least value is the
-        degree itself, since deleting edges never raises it.  Returns the
-        value and whether :meth:`at_most` may take it as the exact degree:
-        with the head rule, a value under ``below`` found at the last head
-        is, unless that head's upper bracket alone gave it.
+        degree itself, since deleting edges never raises it.  A value under
+        ``below`` is at least the degree, and is the degree when ``floor`` is
+        a proven lower bound.
         """
         if heads_only:
             heads = {h for _, h in edges}
@@ -645,10 +638,7 @@ class _DeletionDegrees:
         else:
             targets = [v for v in self._g.followers if v not in followers]
         lift = partial(self._reach_floor, followers, edges) if floor < self._one else None
-        value, winner, exact = self._min_flow(
-            followers, edges, targets, below, floor, lift, merge=not heads_only
-        )
-        return value, heads_only and exact and winner is not None and winner == targets[-1]
+        return self._min_flow(followers, edges, targets, below, floor, lift, merge=not heads_only)
 
     def _min_flow(
         self,
@@ -659,21 +649,20 @@ class _DeletionDegrees:
         floor: int,
         lift: Callable[[], int | None] | None = None,
         merge: bool = False,
-    ) -> tuple[int, int | None, bool]:
-        """The least of ``best`` and the targets' cut costs, its first target, and if it is exact.
+    ) -> int:
+        """The least of ``best`` and the targets' cut costs, read with the followers and edges deleted.
 
-        The cut costs are read with the followers and edges deleted.  Each
-        target's :meth:`_bracket` comes first.  A target whose lower end is
-        at least the least cost so far cannot lower it and is skipped; one
-        whose ends meet costs that much.  One whose upper end is down to
-        ``floor`` ends the loop with that end, which is only an upper bound
-        on its cost (its exact cost when ``floor`` is a proven lower bound).
-        Any other target runs a flow capped at the least cost so far, on
-        capacities masked at the first such flow.  The loop stops once that
-        cost is down to ``floor``.  The target is None when no cut costs
-        less than ``best``.  ``lift``, called once before the first flow,
-        proves a new floor (:meth:`_dominator_floor`, :meth:`_reach_floor`),
-        or returns None when the degree is 0.
+        Each target's :meth:`_bracket` comes first.  A target whose lower
+        end is at least the least cost so far cannot lower it and is
+        skipped; one whose ends meet costs that much.  One whose upper end
+        is down to ``floor`` ends the loop with that end, which is only an
+        upper bound on its cost (its exact cost when ``floor`` is a proven
+        lower bound).  Any other target runs a flow capped at the least cost
+        so far, on capacities masked at the first such flow (:meth:`_masked`).
+        The loop stops once that cost is down to ``floor``.  ``lift``, called
+        once before the first flow, proves a new floor
+        (:meth:`_dominator_floor`, :meth:`_reach_floor`), or returns None
+        when the degree is 0.
 
         With ``merge``, for targets that are every surviving follower, the
         read is in sink order (Hao & Orlin): each target, once read, joins
@@ -683,10 +672,8 @@ class _DeletionDegrees:
         side of a cheapest cut comes after only followers on its source
         side, so that cut still separates it.  A split follower joins with
         its in-node alone, so its split arc stays cuttable and a cut
-        through it stays a cut.  The costs, and so the first target, are
-        then not each target's own.
+        through it stays a cut.  The costs are then not each target's own.
         """
-        winner = None
         masked = None
         merged: set[int] = set()
         for v in targets:
@@ -696,28 +683,26 @@ class _DeletionDegrees:
             if lo >= best:
                 pass
             elif lo == hi:
-                best, winner = lo, v
+                best = lo
             elif hi <= floor:
-                return hi, v, False
+                return hi
             else:
                 if lift is not None:
                     raised, lift = lift(), None
                     if raised is None:
-                        return 0, None, True
+                        return 0
                     floor = max(floor, raised)
                     if best <= floor:
                         break
                     if hi <= floor:
-                        return hi, v, False
+                        return hi
                 if masked is None:
                     masked, net = self._masked(followers, edges), self._built_net()
                 sources = [0, *map(net.entry.__getitem__, merged)]
-                value = net.max_flow(masked[:], sources, net.entry[v], best)[0]
-                if value < best:
-                    best, winner = value, v
+                best = min(best, net.max_flow(masked[:], sources, net.entry[v], best)[0])
             if merge:
                 merged.add(v)
-        return best, winner, True
+        return best
 
 
 def max_edge_disjoint(g: Digraph, target: int) -> FlowResult:
@@ -773,20 +758,14 @@ def agent_controllability(g: Digraph) -> int:
 def _replay(g: Digraph, edges: frozenset[Edge], vertices: frozenset[int]) -> tuple[int, ...]:
     """Verify a witness breaks the graph minimally; return the stranded followers.
 
-    The witness is a cut of ``g``, so each check is one masked walk with no
-    validation, and the first walk gives the stranded followers.
+    The witness is a cut of ``g``, so each check is one unchecked
+    :meth:`~robonet.digraph.Digraph._breaks`, and the first gives the
+    stranded followers.
     """
-    every = len(g.followers)  # deleting them all breaks by convention
-
-    def breaks(gone_edges: frozenset[Edge], gone_vertices: frozenset[int]) -> bool:
-        gone = len(gone_vertices)
-        return gone == every or len(g._reach(g.roots, gone_vertices, gone_edges)) + gone < g.n
-
-    reached = g._reach(g.roots, vertices, edges)
-    stranded = tuple(v for v in g.followers if v not in reached and v not in vertices)
-    assert stranded or len(vertices) == every, "witness does not break the graph"
+    stranded = g._breaks(vertices, edges)
+    assert stranded is not None, "witness does not break the graph"
     for element in [*sorted(edges), *sorted(vertices)]:
-        assert not breaks(edges - {element}, vertices - {element}), (
+        assert g._breaks(vertices - {element}, edges - {element}) is None, (
             f"witness is not minimal: dropping {element} still breaks"
         )
     return stranded

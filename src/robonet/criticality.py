@@ -7,7 +7,10 @@ critical iff removing it lowers the link controllability degree by one
 (a minimum breaking set of the reduced graph plus the edge is a minimum
 breaking set of the original, and conversely).  The same argument works
 for followers and the agent degree.  The exhaustive enumeration operation
-below serves as the independent cross-check for that shortcut.
+below serves as the independent cross-check for that shortcut: it tests
+each candidate set with one masked walk (:meth:`Digraph._breaks
+<robonet.digraph.Digraph._breaks>`), which also gives a breaking set's
+stranded followers.
 
 The per-element functions read every degree drop of the graph itself
 from its ``lc`` and ``ac`` kernels (:attr:`Digraph._kernels
@@ -42,21 +45,18 @@ from math import comb
 
 from .budget import DEFAULT_SUBSET_BUDGET
 from .connectivity import WitnessSet, _DeletionDegrees, link_controllability
-from .digraph import Digraph, Edge, removal_breaks_controllability, stranded_followers
+from .digraph import Digraph, Edge
 from .errors import (
     EdgeIsCriticalError,
     IndexOutOfRangeError,
     InstanceTooLargeError,
     RootQueriedError,
     UncontrollableError,
-    UnknownEdgeError,
 )
 
 
 def _check_edge(g: Digraph, edge: Edge) -> Edge:
-    edge = (int(edge[0]), int(edge[1]))
-    if edge not in g.edges:
-        raise UnknownEdgeError(f"edge {edge[0]}->{edge[1]} is not in the graph")
+    (edge,) = g._checked_edges((edge,))
     return edge
 
 
@@ -164,11 +164,12 @@ def agent_link_indices(g: Digraph, v: int) -> tuple[int, int]:
     """
     v = _check_follower(g, v)
     _require_controllable(g)
-    return _link_indices(g, g._kernels[0], v)
+    return _link_indices(g, v)
 
 
-def _link_indices(g: Digraph, link: _DeletionDegrees, v: int) -> tuple[int, int]:
-    """:func:`agent_link_indices` with the criticality of the out-edges read on the ``lc`` kernel."""
+def _link_indices(g: Digraph, v: int) -> tuple[int, int]:
+    """:func:`agent_link_indices`, the out-edges' criticality read on the graph's ``lc`` kernel."""
+    link = g._kernels[0]
     out = g._out[v]
     uncritical = [e for e in out if not _is_critical_link(link, e)]
     return len(out) - len(uncritical), _uncritical_link_index(g, uncritical)
@@ -216,11 +217,12 @@ def enumerate_critical_sets(
     for combo in combinations(pool, size):
         edges = frozenset(combo) if kind == "link" else frozenset()
         vertices = frozenset() if kind == "link" else frozenset(combo)
-        if not removal_breaks_controllability(g, edges, vertices):
+        stranded = g._breaks(vertices, edges)
+        if stranded is None:
             continue
         if cap is not None and len(found) >= cap:
             return found, True
-        found.append(WitnessSet(kind, edges, vertices, stranded_followers(g, edges, vertices)))
+        found.append(WitnessSet(kind, edges, vertices, stranded))
     return found, False
 
 
@@ -283,7 +285,7 @@ def agent_records(g: Digraph) -> list[AgentIndexRecord]:
     link, agent = g._kernels
     records = []
     for v in g.followers:
-        link_indices = _link_indices(g, link, v)
+        link_indices = _link_indices(g, v)
         out = frozenset(g._out[v])
         records.append(
             AgentIndexRecord(

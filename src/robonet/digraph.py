@@ -184,6 +184,23 @@ class Digraph:
             raise IndexOutOfRangeError(f"unknown vertex {min(unknown)}")
         return inside
 
+    def _checked_followers(self, loss: Iterable[int]) -> frozenset[int]:
+        """The vertices as a set, once each is known to be a follower."""
+        gone = self._checked_subset(loss)
+        doomed_roots = gone & self.root_set
+        if doomed_roots:
+            raise RootRemovalError(f"root {min(doomed_roots)} cannot fail")
+        return gone
+
+    def _checked_edges(self, loss: Iterable[Edge]) -> frozenset[Edge]:
+        """The edges as a set, once each is known to be in the graph."""
+        gone = frozenset(_normalize_edge(e) for e in loss)
+        unknown = gone - self.edges
+        if unknown:
+            tail, head = min(unknown)
+            raise UnknownEdgeError(f"edge {tail}->{head} is not in the graph")
+        return gone
+
     # ---- reachability ----------------------------------------------------
 
     def _reach(
@@ -210,6 +227,23 @@ class Digraph:
                     seen.add(head)
                     stack.append(head)
         return seen - gone_vertices if gone_vertices else seen
+
+    def _stranded(self, gone_vertices: frozenset[int], gone_edges: frozenset[Edge]) -> tuple[int, ...]:
+        """Surviving followers the roots no longer reach after the deletion: one unchecked walk."""
+        reached = self._reach(self.roots, gone_vertices, gone_edges)
+        return tuple(v for v in self.followers if v not in reached and v not in gone_vertices)
+
+    def _breaks(
+        self, gone_vertices: frozenset[int], gone_edges: frozenset[Edge] = frozenset()
+    ) -> tuple[int, ...] | None:
+        """The followers an unchecked deletion strands if it breaks the graph, else None.
+
+        Deleting every follower breaks by convention (see
+        :func:`removal_breaks_controllability`) and strands no one: ``()``.
+        """
+        if gone_vertices and len(gone_vertices) == len(self.followers):
+            return ()
+        return self._stranded(gone_vertices, gone_edges) or None
 
     @cached_property
     def _dominators(self) -> dict[int, tuple[int | None, int, int]]:
@@ -337,22 +371,10 @@ class Digraph:
     # ---- removal ---------------------------------------------------------
 
     def remove_edges(self, loss: Iterable[Edge]) -> "Digraph":
-        gone = frozenset(_normalize_edge(e) for e in loss)
-        unknown = gone - self.edges
-        if unknown:
-            tail, head = min(unknown)
-            raise UnknownEdgeError(f"edge {tail}->{head} is not in the graph")
-        return Digraph(self.vertices, self.roots, self.edges - gone)
+        return Digraph(self.vertices, self.roots, self.edges - self._checked_edges(loss))
 
     def remove_vertices(self, loss: Iterable[int]) -> "Digraph":
-        gone = frozenset(int(v) for v in loss)
-        unknown = gone - self.vertices
-        if unknown:
-            raise IndexOutOfRangeError(f"unknown vertex {min(unknown)}")
-        doomed_roots = gone & self.root_set
-        if doomed_roots:
-            raise RootRemovalError(f"root {min(doomed_roots)} cannot fail")
-        kept = self.vertices - gone
+        kept = self.vertices - self._checked_followers(loss)
         edges = frozenset(e for e in self.edges if e[0] in kept and e[1] in kept)
         return Digraph(kept, self.roots, edges)
 
@@ -470,12 +492,10 @@ def removal_breaks_controllability(
     vacuously controllable.  Without it the follower set of a graph whose
     followers are all directly root-connected would have no breaking set
     at all, and the agent controllability degree would lose its
-    ``|V| - |R|`` ceiling.
+    ``|V| - |R|`` ceiling.  Invalid elements raise as in :func:`stranded_followers`.
     """
-    vertex_set = frozenset(int(v) for v in vertices)
-    if g.followers and vertex_set >= frozenset(g.followers):
-        return True
-    return bool(stranded_followers(g, edges, vertex_set))
+    edge_set = g._checked_edges(edges)
+    return g._breaks(g._checked_followers(vertices), edge_set) is not None
 
 
 def stranded_followers(
@@ -490,17 +510,5 @@ def stranded_followers(
     elements and roots, from one masked walk over ``g`` that builds no
     graph.
     """
-    edge_set = frozenset(_normalize_edge(e) for e in edges)
-    unknown_edges = edge_set - g.edges
-    if unknown_edges:
-        tail, head = min(unknown_edges)
-        raise UnknownEdgeError(f"edge {tail}->{head} is not in the graph")
-    vertex_set = frozenset(int(v) for v in vertices)
-    unknown = vertex_set - g.vertices
-    if unknown:
-        raise IndexOutOfRangeError(f"unknown vertex {min(unknown)}")
-    doomed_roots = vertex_set & g.root_set
-    if doomed_roots:
-        raise RootRemovalError(f"root {min(doomed_roots)} cannot fail")
-    reached = g._reach(g.roots, vertex_set, edge_set)
-    return tuple(v for v in g.followers if v not in reached and v not in vertex_set)
+    edge_set = g._checked_edges(edges)
+    return g._stranded(g._checked_followers(vertices), edge_set)

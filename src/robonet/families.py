@@ -7,8 +7,6 @@ information-flow digraph.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .digraph import MAX_GENERATED_EDGES, MAX_GENERATED_VERTICES, Digraph, Edge, new_digraph
 from .errors import (
     IndexOutOfRangeError,
@@ -17,18 +15,6 @@ from .errors import (
 )
 
 PRESET_KINDS = ("simple_loop", "double_loop", "daisy_chain")
-
-
-@dataclass(frozen=True)
-class FamilySpec:
-    """Parsed generator request, mostly a CLI convenience."""
-
-    kind: str
-    n: int = 0
-    d: int = 0
-    kappa: int = 0
-    b_set: tuple[int, ...] = field(default_factory=tuple)
-    root: int = 1
 
 
 def _check_counts(family: str, n: int, edge_count: int) -> None:
@@ -136,14 +122,3 @@ def preset(kind: str, n: int, root: int = 1) -> Digraph:
     }[kind]
     return circulant_rooted(n, offsets, root)
 
-
-def build(spec: FamilySpec) -> Digraph:
-    if spec.kind == "complete":
-        return complete_rooted(spec.n, spec.root)
-    if spec.kind == "kautz":
-        return kautz_rooted(spec.d, spec.kappa, spec.root)
-    if spec.kind == "circulant":
-        return circulant_rooted(spec.n, spec.b_set, spec.root)
-    if spec.kind in PRESET_KINDS:
-        return preset(spec.kind, spec.n, spec.root)
-    raise InvalidConnectionSetError(f"unknown family kind {spec.kind!r}")

@@ -55,7 +55,7 @@ from typing import Callable, Iterable
 
 from .budget import DEFAULT_SUBSET_BUDGET
 from .connectivity import WitnessSet, _DeletionDegrees, _cheapest_witness
-from .digraph import Digraph, Edge, removal_breaks_controllability
+from .digraph import Digraph, Edge
 from .errors import (
     ConditionUnmetError,
     InstanceTooLargeError,
@@ -63,7 +63,6 @@ from .errors import (
     NotAnOutCutError,
     RobonetError,
     UncontrollableError,
-    UnknownEdgeError,
 )
 
 
@@ -127,7 +126,8 @@ def is_joint_rs_controllable(
     empty removal is quantified) is anchored to plain controllability so
     that an uncontrollable graph is never vacuously joint-controllable.
     Deleting the full follower set counts as a break, mirroring
-    :func:`~robonet.digraph.removal_breaks_controllability`.  Every
+    :func:`~robonet.digraph.removal_breaks_controllability`: the kernel
+    reads ``lc`` as 0 once no follower is left, with no flow.  Every
     follower subset is a bounded read on the graph's ``lc`` kernel, so
     its network and its memo of ``lc(g - A)`` serve every pair tested.
     """
@@ -144,8 +144,6 @@ def is_joint_rs_controllable(
         )
     degrees = g._kernels[0]
     for u, v in patterns:
-        if v == len(followers):
-            return False  # deleting every follower breaks by convention
         for combo in combinations(followers, v):
             if degrees.at_most(u, frozenset(combo)):
                 return False
@@ -269,11 +267,7 @@ def agent_set_from_cut(g: Digraph, cut: Iterable[Edge]) -> frozenset[int]:
     of a digraph whose root out-edges all have unit agent controllability
     index, removing the produced agents breaks controllability.
     """
-    cut_edges = frozenset((int(t), int(h)) for t, h in cut)
-    unknown = cut_edges - g.edges
-    if unknown:
-        tail, head = min(unknown)
-        raise UnknownEdgeError(f"edge {tail}->{head} is not in the graph")
+    cut_edges = g._checked_edges(cut)
     tails = {t for t, _ in cut_edges}
     heads = {h for _, h in cut_edges}
     closure = g._reach(set(g.roots) | tails, gone_edges=cut_edges)
@@ -308,7 +302,7 @@ def agent_substitution_witness(g: Digraph) -> tuple[frozenset[Edge], frozenset[i
         if value != link.base:
             continue
         agents = agent_set_from_cut(g, cut)
-        if len(agents) == len(cut) and removal_breaks_controllability(g, vertices=agents):
+        if len(agents) == len(cut) and g._breaks(agents) is not None:
             return cut, agents
     raise RobonetError("no canonical minimum cut yields a breaking substituted agent set")
 
@@ -333,7 +327,7 @@ def link_set_from_agent_set(g: Digraph, cq: Iterable[int]) -> frozenset[Edge]:
     agent = g._kernels[1]
     if len(agents) != agent.base:
         raise NotACriticalAgentSetError(f"expected a minimum breaking set of {agent.base} agents")
-    if not removal_breaks_controllability(g, vertices=agents):
+    if g._breaks(frozenset(agents)) is None:
         raise NotACriticalAgentSetError("removing the set does not break controllability")
     unit_index = _unit_index_test(agent)
     choices = {v: next((e for e in g.out_edges(v) if unit_index(e)), None) for v in agents}
@@ -432,8 +426,8 @@ def _link_critical(
     for scanned, combo in enumerate(combinations(followers, q), 1):
         if scanned > budget:
             return None  # existential not settled within budget
-        if q < len(followers) and len(g._reach(g.roots, frozenset(combo))) + q == g.n:
-            continue  # strands no follower
+        if g._breaks(frozenset(combo)) is None:
+            continue
         if all(any(unit_index(e) for e in g.out_edges(v)) for v in combo):
             return True
     return False

@@ -62,6 +62,14 @@ class TestGenerate:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_unknown_kind_exits_2_through_the_parser(self, tmp_path, capsys):
+        out = tmp_path / "bad.json"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["generate", "moebius", "--n", "5", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "invalid choice: 'moebius'" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestAnalyze:
     def test_degrees_line(self, g4_file, capsys):

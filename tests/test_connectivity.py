@@ -207,6 +207,31 @@ class TestDeletionKernels:
                     assert link.without(*masks) == literal_lc(reduced), (v, edge)
                     assert agent.without(*masks) == literal_ac(reduced), (v, edge)
 
+    def test_masks_zero_the_deleted_edges_and_the_arcs_into_deleted_followers(self):
+        # reference: the arcs into a deleted follower's entry node, read off
+        # the network's own arc list, and the deleted edges' arcs; every
+        # other arc, a deleted follower's split arc and out-arcs included,
+        # keeps its capacity
+        rng = random.Random(20)
+        into_deleted = 0
+        for seed, g in seeded_sweep(500):
+            if not g.followers:
+                continue
+            for costs in ((1, None), (None, 1), (1, 1)):
+                kernel = _DeletionDegrees(g, *costs)
+                net = kernel._built_net()
+                edge_arcs = dict(zip(g.sorted_edges, range(net.first_edge, len(net.to), 2)))
+                for _ in range(4):
+                    followers = frozenset(rng.sample(g.followers, rng.randint(0, len(g.followers))))
+                    edges = frozenset(rng.sample(g.sorted_edges, rng.randint(0, min(2, len(g.edges)))))
+                    entries = {net.entry[v] for v in followers}
+                    into = {arc for arc in range(0, len(net.to), 2) if net.to[arc] in entries}
+                    zeroed = into | {edge_arcs[edge] for edge in edges}
+                    expected = [0 if arc in zeroed else c for arc, c in enumerate(net.cap)]
+                    assert kernel._masked(followers, edges) == expected, (seed, costs, followers, edges)
+                    into_deleted += bool(into)
+        assert into_deleted > 2_000
+
 
 def _built_degrees(g, followers=frozenset(), edges=frozenset()):
     """``(lc, ac)`` of the graph built with the followers and edges deleted: the masked reads' reference."""

@@ -219,6 +219,24 @@ class TestEnumeration:
             for w in enumerate_critical_sets(g4, kind)[0]:
                 assert removal_breaks_controllability(g4, w.edges, w.vertices)
 
+    def test_one_walk_per_candidate(self, monkeypatch):
+        # each candidate set is one masked walk, which also gives a kept
+        # set's stranded followers: C(22, 2) link pairs, C(11, 2) agent pairs
+        g = kautz_rooted(2, 3)
+        assert g.is_controllable() and (g._kernels[0].base, g._kernels[1].base) == (2, 2)
+        walks = []
+        original = Digraph._reach
+
+        def counting(self, *args, **kwargs):
+            walks.append(self)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(Digraph, "_reach", counting)
+        for kind, candidates in (("link", 231), ("agent", 55)):
+            walks.clear()
+            sets, _ = enumerate_critical_sets(g, kind)
+            assert sets and len(walks) == candidates, kind
+
     def test_matches_the_literal_enumeration_on_the_seeded_sweep(self):
         # reference: a minimality filter on every breaking set, and the
         # stranded followers read off the reduced graph built from it

@@ -230,6 +230,14 @@ class TestBreakConvention:
             removal_breaks_controllability(path3, vertices={9})
         with pytest.raises(RootRemovalError):
             removal_breaks_controllability(path3, vertices={1})
+        # deleting every follower breaks by convention, but only once the
+        # deletion is valid: each of these names every follower of path3
+        with pytest.raises(RootRemovalError):
+            removal_breaks_controllability(path3, vertices={1, 2, 3})
+        with pytest.raises(IndexOutOfRangeError):
+            removal_breaks_controllability(path3, vertices={2, 3, 9})
+        with pytest.raises(UnknownEdgeError):
+            removal_breaks_controllability(path3, edges={(3, 2)}, vertices={2, 3})
 
 
 

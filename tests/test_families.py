@@ -8,8 +8,6 @@ from robonet.errors import (
     ParameterOverflowError,
 )
 from robonet.families import (
-    FamilySpec,
-    build,
     circulant_edges,
     circulant_rooted,
     complete_rooted,
@@ -117,20 +115,6 @@ class TestAlternateRoot:
         moved = kautz_rooted(2, 2, root=5)
         assert link_controllability(moved) == link_controllability(base)
         assert agent_controllability(moved) == agent_controllability(base)
-
-
-class TestBuild:
-    def test_dispatch(self):
-        assert build(FamilySpec(kind="complete", n=4)) == complete_rooted(4)
-        assert build(FamilySpec(kind="kautz", d=2, kappa=2)) == kautz_rooted(2, 2)
-        assert build(FamilySpec(kind="circulant", n=6, b_set=(2, 3, 5))) == circulant_rooted(
-            6, (2, 3, 5)
-        )
-        assert build(FamilySpec(kind="simple_loop", n=5)) == preset("simple_loop", 5)
-
-    def test_unknown_kind(self):
-        with pytest.raises(InvalidConnectionSetError):
-            build(FamilySpec(kind="moebius", n=5))
 
 
 def test_uncontrollable_circulant_is_still_a_valid_graph():

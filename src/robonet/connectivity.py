@@ -61,7 +61,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, partial
-from typing import Callable, Collection, Iterable, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Sequence
 
 from .digraph import Digraph, Edge
 from .errors import (
@@ -108,20 +108,21 @@ class WitnessSet:
 class _Flow:
     """The flow network of ``g`` whose cuts are sets of links and followers, and Dinic's algorithm.
 
-    Node 0 is the contracted root-set.  Each edge is an arc tagged with the
-    edge and costing ``edge_cost``; with ``edge_cost`` None it is untagged
-    and costs more than all followers together, so no minimum cut holds it.
-    Without a ``vertex_cost`` the followers are nodes ``1..|F|`` in
-    ascending order.  With one, each follower is split (Even & Tarjan) into
-    an in-node and the out-node after it, joined by an arc tagged with the
-    follower and costing ``vertex_cost``; these split arcs come first, in
-    follower order, and the edge arcs from ``first_edge`` on, in
-    ``g.sorted_edges`` order.  ``entry`` maps each follower to its in-node,
-    the sink when it is the target.
+    Node 0 is the contracted root-set.  Each edge is an arc costing
+    ``edge_cost``; with ``edge_cost`` None it costs more than all followers
+    together, so no minimum cut holds it.  Without a ``vertex_cost`` the
+    followers are nodes ``1..|F|`` in ascending order.  With one, each
+    follower is split (Even & Tarjan) into an in-node and the out-node
+    after it, joined by an arc costing ``vertex_cost``; these split arcs
+    come first, in follower order, and the edge arcs from ``first_edge``
+    on, in ``g.sorted_edges`` order.  So an arc's position names its
+    element: arc ``2k`` below ``first_edge`` is the ``k``-th follower, and
+    arc ``first_edge + 2k`` the ``k``-th edge (:attr:`arc_of`).  ``entry``
+    maps each follower to its in-node, the sink when it is the target.
 
-    The arcs are parallel lists ``to``, ``cap`` and ``tag``; arc ``i ^ 1``
-    is the reverse of arc ``i``, with capacity 0 and no tag, so
-    ``to[i ^ 1]`` is the tail of arc ``i``.  Each node
+    The arcs are parallel lists ``to`` and ``cap``; arc ``i ^ 1`` is the
+    reverse of arc ``i``, with capacity 0, so ``to[i ^ 1]`` is the tail of
+    arc ``i``.  Each node
     lists its arcs in arc order, which makes the residual structure (and
     hence every derived cut) deterministic.  The network holds no
     reference to ``g`` and no state of a flow: a flow pushes on the
@@ -138,7 +139,6 @@ class _Flow:
             leave = entry
             self.node_count = len(entry) + 1
             cap: list[int] = []
-            tag: list[object] = []
         else:
             entry = {v: 2 * i + 1 for i, v in enumerate(g.followers)}
             leave = {v: node + 1 for v, node in entry.items()}
@@ -146,22 +146,21 @@ class _Flow:
             for node in entry.values():
                 to += (node + 1, node)
             cap = [vertex_cost, 0] * len(entry)
-            tag = [element for v in entry for element in (v, None)]
         self.first_edge = len(to)
-        edges = g.sorted_edges
-        for tail, head in edges:
+        self.followers, self.edges = g.followers, g.sorted_edges
+        for tail, head in self.edges:
             to += (entry[head], leave.get(tail, 0))
-        cap += [_link_capacity(g, edge_cost, vertex_cost), 0] * len(edges)
-        if edge_cost is None:
-            tag += [None, None] * len(edges)
-        else:
-            for edge in edges:
-                tag += (edge, None)
-        self.to, self.cap, self.tag, self.entry = to, cap, tag, entry
+        cap += [_link_capacity(g, edge_cost, vertex_cost), 0] * len(self.edges)
+        self.to, self.cap, self.entry = to, cap, entry
         self.adj = adj = [[] for _ in range(self.node_count)]
         for arc in range(0, len(to), 2):
             adj[to[arc + 1]].append(arc)
             adj[to[arc]].append(arc + 1)
+
+    @cached_property
+    def arc_of(self) -> dict[Edge, int]:
+        """Each edge's arc, built at the first mask that deletes something."""
+        return {edge: self.first_edge + 2 * k for k, edge in enumerate(self.edges)}
 
     def max_flow(
         self, cap: list[int], sources: Sequence[int], sink: int, limit: int | None = None
@@ -239,16 +238,16 @@ class _Flow:
         return pushed
 
     def crossing_tags(self, cap: list[int], level: list[int]) -> list[object]:
-        """The tags of the saturated arcs from the nodes ``level`` sets to the others."""
-        adj, to, tag = self.adj, self.to, self.tag
-        tags = []
+        """The elements, by arc position, of the saturated arcs from the nodes ``level`` sets to the others."""
+        adj, to, first = self.adj, self.to, self.first_edge
+        elements = []
         for v, depth in enumerate(level):
             if depth < 0:
                 continue
             for arc in adj[v]:
-                if arc % 2 == 0 and cap[arc] == 0 and level[to[arc]] < 0 and tag[arc] is not None:
-                    tags.append(tag[arc])
-        return tags
+                if arc % 2 == 0 and cap[arc] == 0 and level[to[arc]] < 0:
+                    elements.append(self.followers[arc // 2] if arc < first else self.edges[(arc - first) // 2])
+        return elements
 
 
 def _check_target(g: Digraph, target: int) -> None:
@@ -289,11 +288,12 @@ class _DeletionDegrees:
       follower that costs at most ``bound``, or whose bracket's upper end
       is at most ``bound``; under :attr:`base` it tries only the followers
       a deletion exposes (the head rule, see :meth:`_solve`);
-    - :meth:`without`, the exact read, stops at the lower end of what the
-      deletion's earlier reads proved; for an edge-only deletion it tries
-      only the deleted edges' heads, under :attr:`base`, and that end is
-      raised to :attr:`base` less what the deleted edges can carry
-      (:meth:`_edge_floor`).
+    - :meth:`without`, the exact read, stops at the lower end of the
+      deletion's :meth:`_interval`.  An edge-only deletion's interval
+      runs from :attr:`base` less what the deleted edges can carry
+      (:meth:`_edge_floor`) to :attr:`base`, so its exact read tries only
+      the deleted edges' heads, and an :meth:`at_most` bound outside it
+      needs no read.
 
     A deletion read whose floor is under one element's cost walks the
     reduced graph once before its first flow (:meth:`_reach_floor`): a
@@ -304,8 +304,9 @@ class _DeletionDegrees:
     Each flow pushes on a copy of the capacities it reads, so one kernel
     can serve several threads.  Each deleted (followers, edges) pair keeps
     an interval ``(lo, hi)`` around its degree, shared by all its reads.
-    :meth:`cheapest` finds the witness cut after :attr:`base`, with one
-    flow per follower it cannot skip, and :attr:`_witness` keeps its replay.
+    :meth:`tight_cuts` scans the followers whose cuts cost :attr:`base`,
+    with one flow per follower it cannot skip; the witness cut
+    (:meth:`cheapest`) is its first, and :attr:`_witness` keeps its replay.
     """
 
     def __init__(
@@ -336,11 +337,6 @@ class _DeletionDegrees:
         if self._net is None:
             self._net = _Flow(self._g, self._edge_cost, self._vertex_cost)
         return self._net
-
-    @cached_property
-    def _arc_of(self) -> dict[Edge, int]:
-        first = self._built_net().first_edge
-        return {edge: first + 2 * k for k, edge in enumerate(self._g.sorted_edges)}
 
     def _bracket(
         self,
@@ -441,28 +437,31 @@ class _DeletionDegrees:
         """
         return None if self._g._stranded(followers, edges) else self._one
 
-    def cheapest(self) -> tuple[int, frozenset] | None:
-        """The smallest follower whose cut costs :attr:`base`, and that cut; None if none is under the cap.
+    def tight_cuts(self) -> Iterator[tuple[int, frozenset]]:
+        """Each follower whose cut costs :attr:`base`, in ascending order, and its cut.
 
-        The followers are tried in ascending order.  One whose lower
-        bracket is over the degree is skipped; any other runs one flow,
-        capped at the degree plus one, and the first whose flow stops at
-        the degree is the winner.  Its cut is read off that flow.
+        A follower whose lower bracket is over the degree is skipped; any
+        other runs one flow, capped at the degree plus one, and one whose
+        flow stops at the degree has its cut read off that flow.
         """
-        g = self._g
         degree = self.base
-        if degree >= self._cap(len(g.followers)):
-            return None
         nothing: frozenset = frozenset()
-        for v in g.followers:
+        for v in self._g.followers:
             if self._bracket(nothing, nothing, v)[0] > degree:
                 continue
             net = self._built_net()
             residual = net.cap[:]
             value, level = net.max_flow(residual, (0,), net.entry[v], degree + 1)
             if value == degree:
-                return v, self._crossing(value, residual, level)
-        raise AssertionError("no follower's cut costs the degree")
+                yield v, self._crossing(value, residual, level)
+
+    def cheapest(self) -> tuple[int, frozenset] | None:
+        """The first of :meth:`tight_cuts`; None if no cut is under the cap."""
+        if self.base >= self._cap(len(self._g.followers)):
+            return None
+        found = next(self.tight_cuts(), None)
+        assert found is not None, "no follower's cut costs the degree"
+        return found
 
     @cached_property
     def _witness(self) -> tuple[frozenset[Edge], frozenset[int], tuple[int, ...]]:
@@ -486,7 +485,8 @@ class _DeletionDegrees:
         """Cost and canonical edges and followers of the cheapest cut separating the target.
 
         A target no cut separates (a root edge when links cannot be cut)
-        gets the cap and the full follower set, without a flow.
+        gets the cap and the full follower set, without a flow; its other
+        followers, cheaper than one uncuttable edge, cut any other.
         """
         g = self._g
         if self._edge_cost is None and g._pred[target][0]:
@@ -500,11 +500,12 @@ class _DeletionDegrees:
         """The elements a maximum flow of this value saturates out of the source side of its last level search.
 
         That side is the residual reach of the source, the same for every
-        maximum flow, so the cut is canonical.
+        maximum flow, so the cut is canonical.  An edge that cannot be cut
+        counts as infinite, so one in the cut fails the duality check.
         """
         cut = frozenset(self._built_net().crossing_tags(residual, level))
         assert value == sum(
-            self._vertex_cost if type(element) is int else self._edge_cost for element in cut
+            self._vertex_cost if type(element) is int else self._edge_cost or float("inf") for element in cut
         ), "max-flow/min-cut duality violated"
         return cut
 
@@ -513,22 +514,16 @@ class _DeletionDegrees:
     ) -> int:
         """The degree of ``g.remove_vertices(followers).remove_edges(edges)``.
 
-        An edge-only deletion never raises the degree, so it is read under
-        the head rule (see :meth:`_solve`) below :attr:`base`, from the
-        floor of :meth:`_edge_floor`.  A deletion with followers reads every
-        survivor: deleting a follower can raise a degree (with roots 1 and
-        2 and edges 1->3, 1->4, 2->4, ``lc`` is 1, and 2 without 3).
+        One :meth:`_solve` from the deletion's :meth:`_interval`; an
+        edge-only deletion's is under :attr:`base`, so it takes the head
+        rule.  A deletion with followers reads every survivor: deleting a
+        follower can raise a degree (with roots 1 and 2 and edges 1->3,
+        1->4, 2->4, ``lc`` is 1, and 2 without 3).
         """
-        if not followers and not edges:
-            return self.base
         key = (followers, edges)
         lo, hi = self._interval(key)
         if lo < hi:
-            if followers:
-                hi = self._solve(followers, edges, hi, lo, heads_only=False)
-            else:
-                floor = max(lo, self._edge_floor(edges))
-                hi = self._solve(followers, edges, min(hi, self.base), floor, heads_only=True)
+            hi = self._solve(followers, edges, hi, lo, heads_only=not followers)
             self._memo[key] = hi, hi
         return hi
 
@@ -560,11 +555,10 @@ class _DeletionDegrees:
     ) -> bool:
         """Is ``without(followers, edges) <= bound``?
 
-        One :meth:`_solve` settles it: a value over ``bound`` raises the
-        deletion's lower end past it, any other lowers its upper end to it.
+        A bound outside the deletion's :meth:`_interval` needs no read.
+        Otherwise one :meth:`_solve` settles it: a value over ``bound``
+        raises the lower end past it, any other lowers the upper end to it.
         """
-        if not followers and not edges:
-            return self.base <= bound
         key = (followers, edges)
         lo, hi = self._interval(key)
         if lo <= bound < hi:
@@ -577,12 +571,20 @@ class _DeletionDegrees:
         return hi <= bound
 
     def _interval(self, key: tuple[frozenset[int], frozenset[Edge]]) -> tuple[int, int]:
-        """What is proven about a deletion's degree: ``lo <= degree <= hi``."""
+        """What is proven about a deletion's degree: ``lo <= degree <= hi``.
+
+        Deleting edges never raises the degree, so an edge-only deletion
+        (or none) starts in ``[_edge_floor, base]``, and one with followers
+        in ``[0, cap]``.
+        """
         known = self._memo.get(key)
-        if known is None:
-            survivors = len(self._g.followers) - len(key[0])
-            known = (0, self._cap(survivors) if survivors else 0)  # no survivor: the vacuous 0
-        return known
+        if known is not None:
+            return known
+        followers, edges = key
+        if not followers:
+            return max(0, self._edge_floor(edges)), self.base
+        survivors = len(self._g.followers) - len(followers)
+        return 0, (self._cap(survivors) if survivors else 0)  # no survivor: the vacuous 0
 
     def _masked(self, followers: frozenset[int], edges: frozenset[Edge]) -> list[int]:
         """The capacities with the deleted edges' arcs, and the arcs into each deleted follower, zeroed.
@@ -594,7 +596,7 @@ class _DeletionDegrees:
         if not followers and not edges:
             return capacities
         masked = capacities[:]
-        arc_of, pred = self._arc_of, self._g._pred
+        arc_of, pred = self._built_net().arc_of, self._g._pred
         for v in followers:
             for tails in pred[v]:
                 for tail in tails:

@@ -17,16 +17,16 @@ from its ``lc`` and ``ac`` kernels (:attr:`Digraph._kernels
 <robonet.digraph.Digraph._kernels>`), with the deleted edges or follower
 masked on one network per mode, so no graph or network is built per
 element.  The record builders read the same kernels directly, without
-checking each element and the graph's controllability again.  One
-deletion lowers a degree by at most one, so criticality is the bounded
-read "is the degree after the deletion at most one less?".  The indices
-take the exact read: deleting a root edge or all of a follower's
-out-edges can lower a degree by more.  Every index deletes edges only, so
-that read runs flows to the deleted edges' heads alone, and it starts
-from a floor: the degree less the deleted links (``lc``), or less their
-tails when all are followers (``ac``).  Where that floor is under 1, one
-walk of the reduced graph before the first flow either finds a stranded
-follower (the degree is 0) or raises it to 1.
+checking each element and the graph's controllability again.  A link is
+critical when its exact drop is 1, and a follower when ``ac`` after its
+deletion is at most one less (a bounded read: it lowers ``ac`` by at
+most one).  The indices take the exact read: deleting a root edge or all
+of a follower's out-edges can lower a degree by more.  Every index
+deletes edges only, so that read runs flows to the deleted edges' heads
+alone, and it starts from a floor: the degree less the deleted links
+(``lc``), or less their tails when all are followers (``ac``).  Where
+that floor is under 1, one walk of the reduced graph before the first
+flow either finds a stranded follower (the degree is 0) or raises it to 1.
 :func:`is_link_critical`, :func:`link_controllability_index` and the
 uncritical link index of :func:`agent_link_indices` keep the literal
 definitions: they build each reduced graph and solve its degree with
@@ -81,9 +81,13 @@ def _drop(kernel: _DeletionDegrees, edges: frozenset[Edge]) -> int:
     return kernel.base - kernel.without(edges=edges)
 
 
-def _is_critical_link(link: _DeletionDegrees, edge: Edge) -> bool:
-    """:func:`is_link_critical` on the ``lc`` kernel of a controllable graph."""
-    return link.at_most(link.base - 1, edges=frozenset((edge,)))
+def _unit_drop(kernel: _DeletionDegrees, edge: Edge) -> bool:
+    """Does deleting the edge lower the kernel's degree by exactly 1 (the exact read)?
+
+    On the ``lc`` kernel that is link criticality; on the ``ac`` kernel, a
+    unit agent controllability index (a root edge can lower ``ac`` by more).
+    """
+    return _drop(kernel, frozenset((edge,))) == 1
 
 
 def is_link_critical(g: Digraph, edge: Edge) -> bool:
@@ -171,7 +175,7 @@ def _link_indices(g: Digraph, v: int) -> tuple[int, int]:
     """:func:`agent_link_indices`, the out-edges' criticality read on the graph's ``lc`` kernel."""
     link = g._kernels[0]
     out = g._out[v]
-    uncritical = [e for e in out if not _is_critical_link(link, e)]
+    uncritical = [e for e in out if not _unit_drop(link, e)]
     return len(out) - len(uncritical), _uncritical_link_index(g, uncritical)
 
 
@@ -260,7 +264,7 @@ def edge_records(g: Digraph) -> list[EdgeIndexRecord]:
     link, agent = g._kernels
     records = []
     for edge in g.sorted_edges:
-        critical = _is_critical_link(link, edge)
+        critical = _unit_drop(link, edge)
         records.append(
             EdgeIndexRecord(
                 edge=edge,

@@ -36,9 +36,9 @@ kernel and g's second one, for ``ac``, and so does the mixed witness:
 it is the ``lc`` kernel's witness when ``lc <= ac``, and otherwise takes
 its floor ``ac`` from them.  A report tests each pair once: its
 classification reads off its region whether that is the triangle.  What
-one test proves about ``lc(g - A)`` serves every later test of A, and
-every "agent controllability index is 1" test masks one edge and runs at
-most one flow, to its head.
+one test proves about ``lc(g - A)`` serves every later test of A.  Every
+"agent controllability index is 1" test is the index's own exact read,
+which masks one edge and runs at most one flow, to its head.
 
 The subset budget bounds the follower subsets of each tested pair, so it
 applies to the pairs above the triangle only; a region over budget names
@@ -49,12 +49,14 @@ by enumeration.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations
 from math import comb
 from typing import Callable, Iterable
 
 from .budget import DEFAULT_SUBSET_BUDGET
 from .connectivity import WitnessSet, _DeletionDegrees, _cheapest_witness
+from .criticality import _unit_drop
 from .digraph import Digraph, Edge
 from .errors import (
     ConditionUnmetError,
@@ -288,19 +290,15 @@ def agent_substitution_witness(g: Digraph) -> tuple[frozenset[Edge], frozenset[i
 
     Not every minimum cut works: when the head picks of
     :func:`agent_set_from_cut` consume every vertex beyond the cut's
-    source side, no stranded survivor is left.  Scanning the canonical
-    per-follower cuts in ascending target order finds a cut whose agent
+    source side, no stranded survivor is left.  Scanning the ``lc``
+    kernel's tight cuts in ascending target order finds a cut whose agent
     set is full-sized and breaking; for graphs whose root out-edges all
     have unit agent controllability index no failing instance is known.
     Returns ``(cut_edges, agents)``.
     """
     if not g.followers or not g.is_controllable():
         raise UncontrollableError("degrees are zero; every element is already critical")
-    link = g._kernels[0]
-    for target in g.followers:
-        value, cut = link.cut(target)
-        if value != link.base:
-            continue
+    for _, cut in g._kernels[0].tight_cuts():
         agents = agent_set_from_cut(g, cut)
         if len(agents) == len(cut) and g._breaks(agents) is not None:
             return cut, agents
@@ -329,7 +327,7 @@ def link_set_from_agent_set(g: Digraph, cq: Iterable[int]) -> frozenset[Edge]:
         raise NotACriticalAgentSetError(f"expected a minimum breaking set of {agent.base} agents")
     if g._breaks(frozenset(agents)) is None:
         raise NotACriticalAgentSetError("removing the set does not break controllability")
-    unit_index = _unit_index_test(agent)
+    unit_index = partial(_unit_drop, agent)
     choices = {v: next((e for e in g.out_edges(v) if unit_index(e)), None) for v in agents}
     uncovered = [v for v, edge in choices.items() if edge is None]
     if uncovered:
@@ -377,7 +375,7 @@ def classify(
     if not g.is_controllable():
         raise UncontrollableError("classification is defined for controllable graphs")
     agent = g._kernels[1]
-    unit_index = _unit_index_test(agent)
+    unit_index = partial(_unit_drop, agent)
     root_out = g.out_cut(g.roots).sorted_members
     agent_critical = all(unit_index(e) for e in root_out)
     link_critical = _link_critical(g, agent.base, unit_index, budget)
@@ -392,25 +390,6 @@ def classify(
         link_critical=link_critical,
         jointly_critical=jointly,
     )
-
-
-def _unit_index_test(agent: _DeletionDegrees) -> Callable[[Edge], bool]:
-    """The "agent controllability index is 1" test on the ``ac`` kernel of a graph.
-
-    Asks whether :func:`~robonet.criticality.agent_controllability_index`
-    is 1, ``ac(g) - ac(g - e) == 1``, as two bounded reads instead of its
-    exact one: ``ac(g - e) <= ac(g) - 1`` and not ``<= ac(g) - 2``.  Both
-    are needed, since an edge from a root can lower the capped ``ac`` by
-    more than 1.
-    """
-
-    def unit_index(edge: Edge) -> bool:
-        gone = frozenset((edge,))
-        return agent.at_most(agent.base - 1, edges=gone) and not agent.at_most(
-            agent.base - 2, edges=gone
-        )
-
-    return unit_index
 
 
 def _link_critical(

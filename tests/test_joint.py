@@ -1,3 +1,4 @@
+import functools
 import gc
 import sys
 import threading
@@ -7,7 +8,7 @@ from itertools import combinations, product
 import pytest
 from hypothesis import given, settings
 
-from robonet import connectivity, digraph, joint
+from robonet import connectivity, criticality, digraph, joint
 from robonet.budget import DEFAULT_SUBSET_BUDGET
 from robonet.connectivity import (
     _DeletionDegrees,
@@ -341,6 +342,46 @@ class TestDeletionDegrees:
         # exact degree reads in place of bounded ones run 356 flows here, and
         # bounded ones without the in-edge brackets 142; complete graphs run none
         assert len(flows) <= 40
+
+    def test_classify_reads_each_unit_index_once(self, monkeypatch):
+        solved, flows = [], []
+        solve, flow = connectivity._DeletionDegrees._solve, connectivity._Flow.max_flow
+
+        def solving(self, followers, edges, below, floor, heads_only):
+            solved.append(edges)
+            return solve(self, followers, edges, below, floor, heads_only)
+
+        def counting(self, cap, sources, sink, limit=None):
+            flows.append(sink)
+            return flow(self, cap, sources, sink, limit)
+
+        monkeypatch.setattr(connectivity._DeletionDegrees, "_solve", solving)
+        monkeypatch.setattr(connectivity._Flow, "max_flow", counting)
+        for n, most in zip(range(9, 13), (22, 25, 28, 31)):
+            solved.clear()
+            classify(complete_rooted(n))
+            # two bounded reads per unit-index question made 30, 34, 38 and 42
+            assert len(solved) <= most, (n, len(solved))
+        flows.clear()
+        classify(kautz_rooted(3, 2))
+        assert len(flows) <= 10, flows  # 13 with two bounded reads
+
+    def test_a_bound_under_an_edge_deletions_floor_needs_no_read(self, monkeypatch):
+        solved = []
+        original = connectivity._DeletionDegrees._solve
+
+        def solving(self, followers, edges, below, floor, heads_only):
+            solved.append(edges)
+            return original(self, followers, edges, below, floor, heads_only)
+
+        g = kautz_rooted(3, 2)
+        agent = _DeletionDegrees(g, None, 1)
+        base = agent.base
+        monkeypatch.setattr(connectivity._DeletionDegrees, "_solve", solving)
+        inner = [e for e in g.sorted_edges if e[0] not in g.root_set]
+        # deleting an edge from a follower lowers ac by at most one: its tail stands in for it
+        assert inner and not any(agent.at_most(base - 2, edges=frozenset({e})) for e in inner)
+        assert solved == []
 
     def test_witnesses_stop_at_the_dominator_floor(self, monkeypatch):
         flows = []
@@ -730,6 +771,27 @@ class TestClassification:
         # both certificates are exercised in both directions
         assert {(True, True), (True, False), (False, True), (False, False)} <= seen
 
+    def test_unit_index_read_is_the_index_on_the_sweep_and_the_families(self, g4):
+        # classify's unit-index question is the exact drop on an ac kernel;
+        # the public index reads its own graph's kernel, so neither side
+        # reads what the other proved
+        families = [g4, kautz_rooted(2, 3), kautz_rooted(3, 2), preset("double_loop", 20)]
+        families += [preset("daisy_chain", 7), circulant_rooted(12, (1, 2, 3))]
+        families += [complete_rooted(n) for n in range(3, 9)]
+        deep_root_drops = 0
+        for case, g in seeded_sweep(500) + list(enumerate(families, 1_000)):
+            if not g.is_controllable():
+                continue
+            agent = _DeletionDegrees(g, None, 1)
+            twin = digraph.Digraph(g.vertices, g.roots, g.edges)
+            for edge in g.sorted_edges:
+                index = agent_controllability_index(twin, edge)
+                assert criticality._unit_drop(agent, edge) == (index == 1), (case, edge)
+                deep_root_drops += edge[0] in g.root_set and index >= 2
+        # root edges that lower the capped ac by 2 or more, where "at most
+        # one lower" alone would answer yes
+        assert deep_root_drops > 100
+
     def test_link_critical_matches_the_literal_definition_on_the_seeded_sweep(self):
         # reference: every breaking set of ac followers checked for
         # minimality through the public removal test, as first written
@@ -755,7 +817,7 @@ class TestClassification:
             if not g.is_controllable():
                 continue
             agent = _DeletionDegrees(g, None, 1)
-            unit_index = joint._unit_index_test(agent)
+            unit_index = functools.partial(criticality._unit_drop, agent)
             for budget in (1, 3, 10, DEFAULT_SUBSET_BUDGET):
                 expected = literal(g, agent.base, unit_index, budget)
                 assert joint._link_critical(g, agent.base, unit_index, budget) == expected, (seed, budget)

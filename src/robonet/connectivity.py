@@ -29,28 +29,29 @@ replays its witness once.  The mixed witness of a graph with ``lc <=
 ac`` is its link witness (see
 :func:`~robonet.joint.critical_agent_link_witness`).
 
-Each read stops at a proven bound: a degree at the cost no cut goes below
-(one element on a controllable graph; two for ``lc`` or ``ac`` of the
-graph itself when its dominator tree shows that no single link, or no
-single follower, breaks it), a yes/no question "is the degree after this
-deletion at most ``b``?" at the first follower that answers it, and, for
-``b`` under the degree of the graph, only the followers the deletion
-exposes are tried (the head rule).  Deleting edges never raises a degree,
-so the exact degree after an edge-only deletion is read by the head rule
-too, from a floor of the graph's degree less what the deleted edges can
-carry: their cost in links, or, when links cannot be cut and no tail is a
-root, their tails.  Deleting a follower can raise a degree, so a deletion
-with followers still reads every survivor.  Bounds come before flows:
-each follower's cut cost is first bracketed from its surviving in-edges
-in the graph itself (a cut of each in-edge at its cheapest element above
-it, a packing of paths of at most two edges below it), and a flow runs
-only when that bracket leaves the answer open.  A deletion read whose
-floor is under one element's cost first walks the reduced graph once: a
-stranded follower makes the degree 0, and otherwise the floor rises to
-that cost.  The brackets and the walk read the graph, not the network,
-so a network's arc lists, masked capacities and flow structure are all
-built at its first flow, and a kernel whose reads run no flow builds no
-network.
+The degree of an uncontrollable graph is 0 with no read: a stranded
+follower needs no cut.  Every other read stops at a proven bound: a
+degree at the cost no cut goes below (one element; two for ``lc`` or
+``ac`` of the graph itself when its dominator tree shows that no single
+link, or no single follower, breaks it), a yes/no question "is the degree
+after this deletion at most ``b``?" at the first follower that answers
+it, and, for ``b`` under the degree of the graph, only the followers the
+deletion exposes are tried (the head rule).  Deleting edges never raises
+a degree, so the exact degree after an edge-only deletion is read by the
+head rule too, from a floor of the graph's degree less what the deleted
+edges can carry: their cost in links, or, when links cannot be cut and no
+tail is a root, their tails.  Deleting a follower can raise a degree, so
+a deletion with followers reads every survivor unless its bound is at
+most the degree of the graph.  Bounds come before flows: each follower's
+cut cost is first bracketed from its surviving in-edges in the graph
+itself (a cut of each in-edge at its cheapest element above it, a packing
+of paths of at most two edges below it), and a flow runs only when that
+bracket leaves the answer open.  A deletion read whose floor is under one
+element's cost first walks the reduced graph once: a stranded follower
+makes the degree 0, and otherwise the floor rises to that cost.  The
+brackets and the walk read the graph, not the network, so a network's arc
+lists, masked capacities and flow structure are all built at its first
+flow, and a kernel whose reads run no flow builds no network.
 
 Cuts are recovered from residual reachability after a maximum flow: the
 nodes its last, failing level search reaches.  The source-side residual
@@ -60,8 +61,8 @@ canonical and all results are deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial
-from typing import Callable, Collection, Iterable, Iterator, Sequence
+from functools import cached_property
+from typing import Collection, Iterable, Iterator, Sequence
 
 from .digraph import Digraph, Edge
 from .errors import (
@@ -278,16 +279,17 @@ class _DeletionDegrees:
     ones (:meth:`_min_flow`).  The read stops as soon as a proven bound
     settles its answer:
 
-    - :attr:`base` starts at :meth:`_cap` and stops at a floor that no cut
-      of ``g`` goes below: ``least`` when given, else one element's cost
-      when ``g`` is controllable (0 when it is not).  In the ``lc`` and
-      ``ac`` networks, the first follower that would run a flow first
-      doubles that floor when :meth:`_no_single_break` proves it, so the
-      dominator tree is built only for a read its brackets leave open;
+    - :attr:`base` is 0 without a read when ``g`` is uncontrollable.
+      Otherwise it starts at :meth:`_cap` and stops at one element's cost,
+      which no cut of ``g`` goes below.  In the ``lc`` and ``ac`` networks,
+      the first follower that would run a flow first doubles that floor
+      when :meth:`_no_single_break` proves it, so the dominator tree is
+      built only for a read its brackets leave open;
     - :meth:`at_most` starts at ``bound + 1`` and stops at the first
       follower that costs at most ``bound``, or whose bracket's upper end
       is at most ``bound``; under :attr:`base` it tries only the followers
-      a deletion exposes (the head rule, see :meth:`_solve`);
+      a deletion exposes (the head rule, see :meth:`_solve`), and over it
+      reads every survivor in sink order;
     - :meth:`without`, the exact read, stops at the lower end of the
       deletion's :meth:`_interval`.  An edge-only deletion's interval
       runs from :attr:`base` less what the deleted edges can carry
@@ -296,9 +298,11 @@ class _DeletionDegrees:
       needs no read.
 
     A deletion read whose floor is under one element's cost walks the
-    reduced graph once before its first flow (:meth:`_reach_floor`): a
-    stranded follower makes the degree 0, and otherwise the floor rises to
-    that cost.  The brackets and the walk read ``g`` itself, so the network
+    reduced graph once before its first flow (:meth:`Digraph._stranded`):
+    a stranded follower makes the degree 0, and otherwise the floor rises
+    to that cost.  Each read takes only its deletion, its bound and its
+    proven floor; :meth:`_min_flow` derives its targets and floor lift
+    from them.  The brackets and the walk read ``g`` itself, so the network
     (:meth:`_built_net`), its arc maps and the masked capacities are built
     at the first flow, and a kernel whose reads need no flow builds none.
     Each flow pushes on a copy of the capacities it reads, so one kernel
@@ -309,17 +313,10 @@ class _DeletionDegrees:
     (:meth:`cheapest`) is its first, and :attr:`_witness` keeps its replay.
     """
 
-    def __init__(
-        self,
-        g: Digraph,
-        edge_cost: int | None,
-        vertex_cost: int | None,
-        least: int | None = None,
-    ) -> None:
+    def __init__(self, g: Digraph, edge_cost: int | None, vertex_cost: int | None) -> None:
         self._g = g
         self._edge_cost = edge_cost
         self._vertex_cost = vertex_cost
-        self._least = least
         # an edge arc's capacity (see _Flow), the cost of an in-edge from
         # a follower at its cheapest element, and the cheapest element's cost
         self._link = _link_capacity(g, edge_cost, vertex_cost)
@@ -389,23 +386,16 @@ class _DeletionDegrees:
 
     @cached_property
     def base(self) -> int:
-        """The degree of ``g`` itself, read in sink order (see :meth:`_min_flow`)."""
-        g = self._g
-        floor, lift = self._least, None
-        if floor is None:
-            controllable = g.is_controllable()
-            floor = self._one if controllable else 0  # a cut holds an element
-            # lc and ac only: the all-unit network keeps the floor 1, so that
-            # `verify` checks jc against a read independent of theirs
-            if controllable and None in (self._edge_cost, self._vertex_cost):
-                lift = self._dominator_floor
-        nothing: frozenset = frozenset()
-        cap = self._cap(len(g.followers))
-        return self._min_flow(nothing, nothing, g.followers, cap, floor, lift, merge=True)
+        """The degree of ``g`` itself, read in sink order (see :meth:`_min_flow`).
 
-    def _dominator_floor(self) -> int:
-        """Two elements' cost when :meth:`_no_single_break` proves it, else one."""
-        return 2 * self._one if self._no_single_break() else self._one
+        It is 0 with no read when ``g`` is uncontrollable, since a stranded
+        follower needs no cut; on a controllable ``g`` every cut holds an
+        element, so the read stops at one element's cost.
+        """
+        g = self._g
+        if not g.is_controllable():
+            return 0
+        return self._min_flow(frozenset(), frozenset(), None, self._cap(len(g.followers)), self._one)
 
     def _no_single_break(self) -> bool:
         """Whether no one link (``lc``) or one follower (``ac``) breaks the controllable ``g``.
@@ -427,15 +417,6 @@ class _DeletionDegrees:
             if tail in g.root_set or not first <= dominators[tail][1] < end:
                 spared[head] += 1
         return min(spared.values()) > 1
-
-    def _reach_floor(self, followers: frozenset[int], edges: frozenset[Edge]) -> int | None:
-        """One element's cost when every surviving follower is still reached; None when one is not.
-
-        One walk of ``g`` with the deletion masked (:meth:`Digraph._stranded`).
-        A stranded follower needs no cut, so the degree is 0; when every
-        survivor is reached, each cut holds at least one element.
-        """
-        return None if self._g._stranded(followers, edges) else self._one
 
     def tight_cuts(self) -> Iterator[tuple[int, frozenset]]:
         """Each follower whose cut costs :attr:`base`, in ascending order, and its cut.
@@ -515,15 +496,16 @@ class _DeletionDegrees:
         """The degree of ``g.remove_vertices(followers).remove_edges(edges)``.
 
         One :meth:`_solve` from the deletion's :meth:`_interval`; an
-        edge-only deletion's is under :attr:`base`, so it takes the head
-        rule.  A deletion with followers reads every survivor: deleting a
-        follower can raise a degree (with roots 1 and 2 and edges 1->3,
-        1->4, 2->4, ``lc`` is 1, and 2 without 3).
+        edge-only deletion's is up to :attr:`base`, so it takes the head
+        rule.  A deletion with followers takes it only when its upper end
+        is at most :attr:`base`, and otherwise reads every survivor:
+        deleting a follower can raise a degree (with roots 1 and 2 and
+        edges 1->3, 1->4, 2->4, ``lc`` is 1, and 2 without 3).
         """
         key = (followers, edges)
         lo, hi = self._interval(key)
         if lo < hi:
-            hi = self._solve(followers, edges, hi, lo, heads_only=not followers)
+            hi = self._solve(followers, edges, hi, lo)
             self._memo[key] = hi, hi
         return hi
 
@@ -556,13 +538,14 @@ class _DeletionDegrees:
         """Is ``without(followers, edges) <= bound``?
 
         A bound outside the deletion's :meth:`_interval` needs no read.
-        Otherwise one :meth:`_solve` settles it: a value over ``bound``
-        raises the lower end past it, any other lowers the upper end to it.
+        Otherwise one :meth:`_solve` settles it, by the head rule when
+        ``bound`` is under :attr:`base`: a value over ``bound`` raises the
+        lower end past it, any other lowers the upper end to it.
         """
         key = (followers, edges)
         lo, hi = self._interval(key)
         if lo <= bound < hi:
-            value = self._solve(followers, edges, bound + 1, bound, bound < self.base)
+            value = self._solve(followers, edges, bound + 1, bound)
             if value > bound:
                 lo = bound + 1
             else:
@@ -605,31 +588,24 @@ class _DeletionDegrees:
             masked[arc_of[edge]] = 0
         return masked
 
-    def _solve(
-        self,
-        followers: frozenset[int],
-        edges: frozenset[Edge],
-        below: int,
-        floor: int,
-        heads_only: bool,
-    ) -> int:
+    def _solve(self, followers: frozenset[int], edges: frozenset[Edge], below: int, floor: int) -> int:
         """``min(below, degree)`` with the deletion masked, stopping at ``floor``.
 
         ``floor`` must be a proven lower bound on the degree, or the bound
-        of an :meth:`at_most` question.  Under one element's cost it is
-        raised by :meth:`_reach_floor` before the first flow.  The head
-        rule, for ``heads_only`` (``below`` at most :attr:`base`): a cut
-        cheaper than :attr:`base` after the deletion is not a cut of ``g``,
-        so a deleted edge or an out-edge of a deleted follower crosses it,
-        and the follower at its head is separated by it too.  So only those
-        heads need a flow, and the degree is the least of theirs when it is
-        under ``below``.  For an edge-only deletion with ``below`` an upper
-        bound on the degree (:meth:`without`), that least value is the
-        degree itself, since deleting edges never raises it.  A value under
-        ``below`` is at least the degree, and is the degree when ``floor`` is
-        a proven lower bound.
+        of an :meth:`at_most` question.  The head rule, for ``below`` at
+        most :attr:`base`: a cut cheaper than :attr:`base` after the
+        deletion is not a cut of ``g``, so a deleted edge or an out-edge of
+        a deleted follower crosses it, and the follower at its head is
+        separated by it too.  So only those heads need a flow, and the
+        degree is the least of theirs when it is under ``below``.  For an
+        edge-only deletion with ``below`` an upper bound on the degree
+        (:meth:`without`), that least value is the degree itself, since
+        deleting edges never raises it.  A ``below`` over :attr:`base`
+        reads every survivor.  A value under ``below`` is at least the
+        degree, and is the degree when ``floor`` is a proven lower bound.
         """
-        if heads_only:
+        targets = None
+        if below <= self.base:
             heads = {h for _, h in edges}
             if followers:
                 succ = self._g._succ
@@ -637,20 +613,15 @@ class _DeletionDegrees:
                     heads.update(succ[v])
                 heads -= followers
             targets = sorted(heads)
-        else:
-            targets = [v for v in self._g.followers if v not in followers]
-        lift = partial(self._reach_floor, followers, edges) if floor < self._one else None
-        return self._min_flow(followers, edges, targets, below, floor, lift, merge=not heads_only)
+        return self._min_flow(followers, edges, targets, below, floor)
 
     def _min_flow(
         self,
         followers: frozenset[int],
         edges: frozenset[Edge],
-        targets: Iterable[int],
+        targets: Iterable[int] | None,
         best: int,
         floor: int,
-        lift: Callable[[], int | None] | None = None,
-        merge: bool = False,
     ) -> int:
         """The least of ``best`` and the targets' cut costs, read with the followers and edges deleted.
 
@@ -661,21 +632,30 @@ class _DeletionDegrees:
         upper bound on its cost (its exact cost when ``floor`` is a proven
         lower bound).  Any other target runs a flow capped at the least cost
         so far, on capacities masked at the first such flow (:meth:`_masked`).
-        The loop stops once that cost is down to ``floor``.  ``lift``, called
-        once before the first flow, proves a new floor
-        (:meth:`_dominator_floor`, :meth:`_reach_floor`), or returns None
-        when the degree is 0.
+        The loop stops once that cost is down to ``floor``.
 
-        With ``merge``, for targets that are every surviving follower, the
-        read is in sink order (Hao & Orlin): each target, once read, joins
-        the source for the later ones, and their brackets and flows see it
-        there.  Each cost read so is at least the target's own, and the
-        least of them is still the degree: the first target on the sink
-        side of a cheapest cut comes after only followers on its source
-        side, so that cut still separates it.  A split follower joins with
-        its in-node alone, so its split arc stays cuttable and a cut
-        through it stays a cut.  The costs are then not each target's own.
+        Before the first flow the floor is lifted once.  A deletion whose
+        floor is under one element's cost walks the reduced graph
+        (:meth:`Digraph._stranded`): a stranded survivor needs no cut, so
+        the degree is 0, and otherwise every cut holds an element.  The
+        graph itself on the ``lc`` or ``ac`` network takes two elements'
+        cost when :meth:`_no_single_break` proves it; the all-unit network
+        keeps its floor, so that ``verify`` checks ``jc`` against a read
+        independent of theirs.
+
+        Targets None are every surviving follower, read in sink order (Hao
+        & Orlin): each target, once read, joins the source for the later
+        ones, and their brackets and flows see it there.  Each cost read so
+        is at least the target's own, and the least of them is still the
+        degree: the first target on the sink side of a cheapest cut comes
+        after only followers on its source side, so that cut still
+        separates it.  A split follower joins with its in-node alone, so
+        its split arc stays cuttable and a cut through it stays a cut.  The
+        costs are then not each target's own.
         """
+        merge = targets is None
+        if merge:
+            targets = [v for v in self._g.followers if v not in followers]
         masked = None
         merged: set[int] = set()
         for v in targets:
@@ -689,16 +669,18 @@ class _DeletionDegrees:
             elif hi <= floor:
                 return hi
             else:
-                if lift is not None:
-                    raised, lift = lift(), None
-                    if raised is None:
-                        return 0
-                    floor = max(floor, raised)
+                if masked is None:
+                    if followers or edges:
+                        if floor < self._one:
+                            if self._g._stranded(followers, edges):
+                                return 0
+                            floor = self._one
+                    elif None in (self._edge_cost, self._vertex_cost) and self._no_single_break():
+                        floor = 2 * self._one
                     if best <= floor:
                         break
                     if hi <= floor:
                         return hi
-                if masked is None:
                     masked, net = self._masked(followers, edges), self._built_net()
                 sources = [0, *map(net.entry.__getitem__, merged)]
                 best = min(best, net.max_flow(masked[:], sources, net.entry[v], best)[0])
@@ -773,11 +755,6 @@ def _replay(g: Digraph, edges: frozenset[Edge], vertices: frozenset[int]) -> tup
     return stranded
 
 
-def _cheapest_witness(kind: str, network: _DeletionDegrees) -> WitnessSet:
-    """The replayed cheapest cut of one network (:attr:`_DeletionDegrees._witness`), as a witness of this kind."""
-    return WitnessSet(kind, *network._witness)
-
-
 def min_link_cut_witness(g: Digraph) -> WitnessSet:
     """One minimal breaking edge set of size ``lc(g)``, the cheapest cut of the graph's ``lc`` kernel.
 
@@ -786,7 +763,7 @@ def min_link_cut_witness(g: Digraph) -> WitnessSet:
     """
     if not g.followers or not g.is_controllable():
         raise UncontrollableError("degrees are zero; every link is already critical")
-    return _cheapest_witness("link", g._kernels[0])
+    return WitnessSet("link", *g._kernels[0]._witness)
 
 
 def min_agent_cut_witness(g: Digraph) -> WitnessSet:
@@ -799,4 +776,4 @@ def min_agent_cut_witness(g: Digraph) -> WitnessSet:
     """
     if not g.followers or not g.is_controllable():
         raise UncontrollableError("degrees are zero; every agent is already critical")
-    return _cheapest_witness("agent", g._kernels[1])
+    return WitnessSet("agent", *g._kernels[1]._witness)

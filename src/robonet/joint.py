@@ -33,12 +33,13 @@ otherwise every cut holds a link, which answers no.  A flow, capped at
 network of g is built at the first such flow.  The classification, the
 bound checks, the joint degree and the substitution routines read that
 kernel and g's second one, for ``ac``, and so does the mixed witness:
-it is the ``lc`` kernel's witness when ``lc <= ac``, and otherwise takes
-its floor ``ac`` from them.  A report tests each pair once: its
-classification reads off its region whether that is the triangle.  What
-one test proves about ``lc(g - A)`` serves every later test of A.  Every
-"agent controllability index is 1" test is the index's own exact read,
-which masks one edge and runs at most one flow, to its head.
+it is the ``lc`` kernel's witness when ``lc <= ac``, and otherwise the
+witness of its own network, which is built only then.  A report tests
+each pair once: its classification reads off its region whether that is
+the triangle.  What one test proves about ``lc(g - A)`` serves every
+later test of A.  Every "agent controllability index is 1" test is the
+index's own exact read, which masks one edge and runs at most one flow,
+to its head.
 
 The subset budget bounds the follower subsets of each tested pair, so it
 applies to the pairs above the triangle only; a region over budget names
@@ -55,7 +56,7 @@ from math import comb
 from typing import Callable, Iterable
 
 from .budget import DEFAULT_SUBSET_BUDGET
-from .connectivity import WitnessSet, _DeletionDegrees, _cheapest_witness
+from .connectivity import WitnessSet, _DeletionDegrees
 from .criticality import _unit_drop
 from .digraph import Digraph, Edge
 from .errors import (
@@ -242,18 +243,19 @@ def critical_agent_link_witness(g: Digraph) -> WitnessSet:
     ``K * jc``: the cheapest cut is the smallest tight follower's
     canonical link cut, the link witness of
     :func:`~robonet.connectivity.min_link_cut_witness`, and it is read,
-    and replayed once, on the graph's ``lc`` kernel.  Otherwise the
-    network is read from the floor ``K * ac``, with ``ac`` read on the
-    graph's kernels.
+    and replayed once, on the graph's ``lc`` kernel.  Otherwise
+    ``ac < lc``, and the network is read from the floor of one link,
+    ``K``.  The floor ``K * ac`` that ``ac`` proves would stop no read:
+    a cut of ``l`` links and ``a >= 1`` agents costs ``K(l + a) + a >
+    K * ac``, and one of links alone holds ``lc > ac`` of them.
     """
     if not g.followers or not g.is_controllable():
         raise UncontrollableError("degrees are zero; every element is already critical")
-    link, agent = g._kernels
-    if link.base <= agent.base:
-        return _cheapest_witness("mixed", link)
-    link_cost = len(g.followers) + 1
-    least = link_cost * agent.base
-    return _cheapest_witness("mixed", _DeletionDegrees(g, link_cost, link_cost + 1, least))
+    kernel, agent = g._kernels
+    if kernel.base > agent.base:
+        link_cost = len(g.followers) + 1
+        kernel = _DeletionDegrees(g, link_cost, link_cost + 1)
+    return WitnessSet("mixed", *kernel._witness)
 
 
 # ---------------------------------------------------------------------------
@@ -498,49 +500,40 @@ def check_bounds(
         )
     )
 
+    def region_row(name: str, applicable: bool, holds: Callable[[int], bool], detail: str) -> BoundCheck:
+        """A row that ``holds`` for every region pair's ``r + s``; undecided without a region."""
+        if region is None:
+            return BoundCheck(name, applicable, None, detail + " (region unavailable)")
+        verdict = all(holds(r + s) for r, s in region.members) if applicable else None
+        return BoundCheck(name, applicable, verdict, detail)
+
     in_either_class = classification is not None and (
         classification.agent_critical or classification.link_critical is True
     )
-    have_region = region is not None
     rows.append(
-        BoundCheck(
-            name="region_sum_vs_max_degree",
-            applicable=in_either_class,
-            holds=(
-                all(r + s <= max(lcv, acv) for r, s in region.members)
-                if in_either_class and have_region
-                else None
-            ),
-            detail=f"every region pair satisfies r+s <= max(lc,ac)={max(lcv, acv)}"
-            + ("" if have_region else " (region unavailable)"),
+        region_row(
+            "region_sum_vs_max_degree",
+            in_either_class,
+            lambda t: t <= max(lcv, acv),
+            f"every region pair satisfies r+s <= max(lc,ac)={max(lcv, acv)}",
         )
     )
     agent_side = single_root and classification is not None and classification.agent_critical
     rows.append(
-        BoundCheck(
-            name="agent_critical_edge_bound",
-            applicable=agent_side,
-            holds=(
-                all(e >= (n - 1) * (r + s) for r, s in region.members)
-                if agent_side and have_region
-                else None
-            ),
-            detail=f"|E|={e} >= (n-1)*(r+s) for every region pair"
-            + ("" if have_region else " (region unavailable)"),
+        region_row(
+            "agent_critical_edge_bound",
+            agent_side,
+            lambda t: e >= (n - 1) * t,
+            f"|E|={e} >= (n-1)*(r+s) for every region pair",
         )
     )
     link_side = single_root and classification is not None and classification.link_critical is True
     rows.append(
-        BoundCheck(
-            name="link_critical_edge_bound",
-            applicable=link_side,
-            holds=(
-                all(e >= n + r + s - 2 for r, s in region.members)
-                if link_side and have_region
-                else None
-            ),
-            detail=f"|E|={e} >= n+(r+s)-2 for every region pair"
-            + ("" if have_region else " (region unavailable)"),
+        region_row(
+            "link_critical_edge_bound",
+            link_side,
+            lambda t: e >= n + t - 2,
+            f"|E|={e} >= n+(r+s)-2 for every region pair",
         )
     )
     return rows

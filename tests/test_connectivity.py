@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from robonet.connectivity import (
     _DeletionDegrees,
     _Flow,
-    _cheapest_witness,
     _link_capacity,
     _replay,
     agent_controllability,
@@ -312,15 +311,43 @@ class TestBoundedReads:
         # and follower 3's one in-edge comes through follower 2 alone
         assert len(flows) == 0
 
-    def test_mixed_witness_is_the_same_with_the_jc_floor_on_the_seeded_sweep(self):
-        # the witness stops at the floor K * jc; the reference reads the
-        # same network from the floor of one link, K
-        for seed, g in seeded_sweep(500):
+    def test_uncontrollable_degrees_are_zero_without_a_flow(self, monkeypatch):
+        # a stranded follower needs no cut, so neither degree reads anything
+        flows = []
+        original = _Flow.max_flow
+
+        def counting(self, cap, source, sink, limit=None):
+            flows.append(sink)
+            return original(self, cap, source, sink, limit)
+
+        monkeypatch.setattr(_Flow, "max_flow", counting)
+        uncontrollable = [(seed, g) for seed, g in seeded_sweep(500) if not g.is_controllable()]
+        for seed, g in uncontrollable:
+            assert tuple(kernel.base for kernel in g._kernels) == (0, 0), seed
+            assert flows == [], seed
+        assert len(uncontrollable) >= 200
+
+    def test_mixed_cuts_cost_more_than_k_ac_when_ac_is_under_lc(self):
+        # with ac < lc, a (K, K+1) cut of l links and a agents costs
+        # K(l + a) + a: more than K * ac when a >= 1, since l + a >= ac, and
+        # when a = 0, since l >= lc > ac; so a floor of K * ac stops no read
+        population = [g for _, g in seeded_sweep(500)]
+        for seed in range(6000):
+            n = 10 + seed % 3
+            population.append(random_digraph(n, 3 * n + seed % (n + 1), 1 + seed % 2, seed))
+        checked = 0
+        for g in population:
             if not g.followers or not g.is_controllable():
                 continue
+            lc, ac = (kernel.base for kernel in g._kernels)
+            if ac >= lc:
+                continue
             k = len(g.followers) + 1
-            unfloored = _cheapest_witness("mixed", _DeletionDegrees(g, k, k + 1))
-            assert critical_agent_link_witness(g) == unfloored, seed
+            assert k * ac < _DeletionDegrees(g, k, k + 1).base < k * (ac + 1), g
+            witness = critical_agent_link_witness(g)
+            assert witness.size == ac and witness.vertices, g
+            checked += 1
+        assert checked >= 30, checked
 
     def test_double_loop_degrees_run_no_flow(self, monkeypatch):
         # every follower of double-loop 200 has two in-edges and is dominated
@@ -393,7 +420,7 @@ class TestEdgeReads:
                         bare = _DeletionDegrees(g, *modes[mode])
                         below = bare.base
                         flows.clear()
-                        bare._solve(frozenset(), edges, below, 0, heads_only=True)
+                        bare._solve(frozenset(), edges, below, 0)
                         if flows:
                             seen.add("floor settles")
                 if any(tail in g.root_set for tail, _ in edges) and bases[1] - expected[1] >= 2:

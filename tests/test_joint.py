@@ -209,9 +209,9 @@ class TestRegion:
         solved = []
         original = connectivity._DeletionDegrees._solve
 
-        def counting(self, followers, edges, below, floor, heads_only):
+        def counting(self, followers, *args):
             solved.append(followers)
-            return original(self, followers, edges, below, floor, heads_only)
+            return original(self, followers, *args)
 
         monkeypatch.setattr(connectivity._DeletionDegrees, "_solve", counting)
         region = joint_region(complete_rooted(10))
@@ -347,9 +347,9 @@ class TestDeletionDegrees:
         solved, flows = [], []
         solve, flow = connectivity._DeletionDegrees._solve, connectivity._Flow.max_flow
 
-        def solving(self, followers, edges, below, floor, heads_only):
+        def solving(self, followers, edges, *args):
             solved.append(edges)
-            return solve(self, followers, edges, below, floor, heads_only)
+            return solve(self, followers, edges, *args)
 
         def counting(self, cap, sources, sink, limit=None):
             flows.append(sink)
@@ -370,9 +370,9 @@ class TestDeletionDegrees:
         solved = []
         original = connectivity._DeletionDegrees._solve
 
-        def solving(self, followers, edges, below, floor, heads_only):
+        def solving(self, followers, edges, *args):
             solved.append(edges)
-            return original(self, followers, edges, below, floor, heads_only)
+            return original(self, followers, edges, *args)
 
         g = kautz_rooted(3, 2)
         agent = _DeletionDegrees(g, None, 1)
@@ -611,9 +611,9 @@ class TestMixedWitness:
         built = []
         init = _DeletionDegrees.__init__
 
-        def building(self, g, edge_cost, vertex_cost, least=None):
-            built.append((edge_cost, vertex_cost))
-            init(self, g, edge_cost, vertex_cost, least)
+        def building(self, g, *args):
+            built.append(args)
+            init(self, g, *args)
 
         monkeypatch.setattr(_DeletionDegrees, "__init__", building)
         under = over = 0

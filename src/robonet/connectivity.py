@@ -53,10 +53,13 @@ brackets and the walk read the graph, not the network, so a network's arc
 lists, masked capacities and flow structure are all built at its first
 flow, and a kernel whose reads run no flow builds no network.
 
-Cuts are recovered from residual reachability after a maximum flow: the
-nodes its last, failing level search reaches.  The source-side residual
-set is the same for every maximum flow, so the returned cuts are
-canonical and all results are deterministic.
+Every flow is found by shortest augmenting paths (Edmonds & Karp), one
+breadth-first search per path, which suits these small networks and
+small cut values.  Cuts are recovered from residual reachability after a
+maximum flow: the nodes its last search, the one that misses the sink,
+reaches.  The source-side residual set is the same for every maximum
+flow, so the returned cuts are canonical and all results are
+deterministic.
 """
 from __future__ import annotations
 
@@ -107,7 +110,7 @@ class WitnessSet:
 
 
 class _Flow:
-    """The flow network of ``g`` whose cuts are sets of links and followers, and Dinic's algorithm.
+    """The flow network of ``g`` whose cuts are sets of links and followers, and its maximum flow.
 
     Node 0 is the contracted root-set.  Each edge is an arc costing
     ``edge_cost``; with ``edge_cost`` None it costs more than all followers
@@ -129,8 +132,8 @@ class _Flow:
     reference to ``g`` and no state of a flow: a flow pushes on the
     capacity list its caller passes, which then holds the residual, from
     the source nodes its caller names (node 0, and the entry nodes a read
-    in sink order merged into it), and returns its last level search, so
-    flows on one network from several threads do not meet.
+    in sink order merged into it), and returns its last search's marks,
+    so flows on one network from several threads do not meet.
     """
 
     def __init__(self, g: Digraph, edge_cost: int | None, vertex_cost: int | None) -> None:
@@ -165,88 +168,60 @@ class _Flow:
 
     def max_flow(
         self, cap: list[int], sources: Sequence[int], sink: int, limit: int | None = None
-    ) -> tuple[int, list[int]]:
-        """Value of a maximum flow pushed on ``cap``, or stop as soon as it reaches ``limit``; and the last levels.
+    ) -> tuple[int, list[int | None]]:
+        """Value of a maximum flow pushed on ``cap``, or stop as soon as it reaches ``limit``; and the last search's marks.
 
-        The flow leaves every node of ``sources`` at once, as if a source
-        joined them by arcs no cut holds; they are node 0 and, in a read
-        in sink order, the nodes merged into it, so no arc is added.  A
+        Shortest augmenting paths (Edmonds & Karp): each round is one
+        breadth-first search from every node of ``sources`` at once, as if
+        a source joined them by arcs no cut holds; they are node 0 and, in
+        a read in sink order, the nodes merged into it, so no arc is added.
+        The search marks each node it reaches with the arc that first
+        reached it (-1 at a source, None where it did not reach) and stops
+        at the sink; the round then pushes that path's bottleneck.  A
         limited call returns some value ``>= limit`` when the maximum flow
         is at least ``limit``, and the exact value otherwise.  Under the
-        limit the flow ends with a level search that misses the sink, so
-        the levels it returns are set (``>= 0``) exactly on the residual
-        reach of the sources: the source side of the canonical cut.
+        limit the flow ends with a search that misses the sink, so its
+        marks are set exactly on the residual reach of the sources: the
+        source side of the canonical cut.
         """
+        adj, to = self.adj, self.to
         total = 0
         while True:
-            level = self._levels(cap, sources)
-            if level[sink] < 0:
-                return total, level
-            it = [0] * self.node_count
+            via: list[int | None] = [None] * self.node_count
             for source in sources:
-                while True:
-                    pushed = self._augment(cap, source, sink, level, it)
-                    if not pushed:
-                        break
-                    total += pushed
-                    if limit is not None and total >= limit:
-                        return total, level
-
-    def _levels(self, cap: list[int], sources: Sequence[int]) -> list[int]:
-        adj, to = self.adj, self.to
-        level = [-1] * self.node_count
-        for source in sources:
-            level[source] = 0
-        queue = list(sources)
-        for v in queue:
-            for arc in adj[v]:
-                if cap[arc] > 0 and level[to[arc]] < 0:
-                    level[to[arc]] = level[v] + 1
-                    queue.append(to[arc])
-        return level
-
-    def _augment(self, cap: list[int], source: int, sink: int, level: list[int], it: list[int]) -> int:
-        """Push the bottleneck of one level-increasing source-sink path; 0 if none is left.
-
-        An explicit arc stack replaces recursion, so path length is not
-        bounded by the interpreter's recursion limit.
-        """
-        adj, to = self.adj, self.to
-        path: list[int] = []
-        v = source
-        while v != sink:
-            arcs = adj[v]
-            next_level = level[v] + 1
-            i = it[v]
-            while i < len(arcs):
-                arc = arcs[i]
-                if cap[arc] > 0 and level[to[arc]] == next_level:
+                via[source] = -1
+            queue = list(sources)
+            for v in queue:
+                for arc in adj[v]:
+                    if cap[arc] > 0 and via[to[arc]] is None:
+                        via[to[arc]] = arc
+                        queue.append(to[arc])
+                if via[sink] is not None:
                     break
-                i += 1
-            it[v] = i
-            if i < len(arcs):
-                path.append(arc)
-                v = to[arc]
-            elif path:
-                v = to[path.pop() ^ 1]  # dead end: retreat and skip the arc
-                it[v] += 1
             else:
-                return 0
-        pushed = min(map(cap.__getitem__, path))
-        for arc in path:
-            cap[arc] -= pushed
-            cap[arc ^ 1] += pushed
-        return pushed
+                return total, via
+            path = []
+            v = sink
+            while via[v] >= 0:
+                path.append(via[v])
+                v = to[via[v] ^ 1]
+            pushed = min(map(cap.__getitem__, path))
+            for arc in path:
+                cap[arc] -= pushed
+                cap[arc ^ 1] += pushed
+            total += pushed
+            if limit is not None and total >= limit:
+                return total, via
 
-    def crossing_tags(self, cap: list[int], level: list[int]) -> list[object]:
-        """The elements, by arc position, of the saturated arcs from the nodes ``level`` sets to the others."""
+    def cut_elements(self, cap: list[int], marks: list[int | None]) -> list[object]:
+        """The followers and edges, by arc position, of the saturated arcs from the marked nodes to the others."""
         adj, to, first = self.adj, self.to, self.first_edge
         elements = []
-        for v, depth in enumerate(level):
-            if depth < 0:
+        for v, mark in enumerate(marks):
+            if mark is None:
                 continue
             for arc in adj[v]:
-                if arc % 2 == 0 and cap[arc] == 0 and level[to[arc]] < 0:
+                if arc % 2 == 0 and cap[arc] == 0 and marks[to[arc]] is None:
                     elements.append(self.followers[arc // 2] if arc < first else self.edges[(arc - first) // 2])
         return elements
 
@@ -430,11 +405,9 @@ class _DeletionDegrees:
         for v in self._g.followers:
             if self._bracket(nothing, nothing, v)[0] > degree:
                 continue
-            net = self._built_net()
-            residual = net.cap[:]
-            value, level = net.max_flow(residual, (0,), net.entry[v], degree + 1)
+            value, cut = self._crossing(v, degree + 1)
             if value == degree:
-                yield v, self._crossing(value, residual, level)
+                yield v, cut
 
     def cheapest(self) -> tuple[int, frozenset] | None:
         """The first of :meth:`tight_cuts`; None if no cut is under the cap."""
@@ -472,23 +445,28 @@ class _DeletionDegrees:
         g = self._g
         if self._edge_cost is None and g._pred[target][0]:
             return self._cap(len(g.followers)), frozenset(g.followers)
+        return self._crossing(target)
+
+    def _crossing(self, target: int, limit: int | None = None) -> tuple[int, frozenset | None]:
+        """A flow to the target, and the elements it saturates out of its last search's marks; None at ``limit``.
+
+        A flow under ``limit`` ends on a search that misses the sink, so
+        its marks are the residual reach of the source, the same for every
+        maximum flow, and the cut is canonical.  An edge that cannot be cut
+        counts as infinite, so one in the cut fails the duality check.  A
+        flow that reaches ``limit`` may stop on a search that reached the
+        sink, so it gets no cut.
+        """
         net = self._built_net()
         residual = net.cap[:]
-        value, level = net.max_flow(residual, (0,), net.entry[target])
-        return value, self._crossing(value, residual, level)
-
-    def _crossing(self, value: int, residual: list[int], level: list[int]) -> frozenset:
-        """The elements a maximum flow of this value saturates out of the source side of its last level search.
-
-        That side is the residual reach of the source, the same for every
-        maximum flow, so the cut is canonical.  An edge that cannot be cut
-        counts as infinite, so one in the cut fails the duality check.
-        """
-        cut = frozenset(self._built_net().crossing_tags(residual, level))
+        value, marks = net.max_flow(residual, (0,), net.entry[target], limit)
+        if limit is not None and value >= limit:
+            return value, None
+        cut = frozenset(net.cut_elements(residual, marks))
         assert value == sum(
             self._vertex_cost if type(element) is int else self._edge_cost or float("inf") for element in cut
         ), "max-flow/min-cut duality violated"
-        return cut
+        return value, cut
 
     def without(
         self, followers: frozenset[int] = frozenset(), edges: frozenset[Edge] = frozenset()

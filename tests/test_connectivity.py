@@ -632,6 +632,18 @@ class TestCheapestCut:
             assert (mixed.edges | mixed.vertices) == cut, seed
 
 
+def _residual_reach(net, residual, sources):
+    """The nodes a walk from the sources reaches in the residual capacities."""
+    reach, stack = set(sources), list(sources)
+    while stack:
+        v = stack.pop()
+        for arc in net.adj[v]:
+            if residual[arc] > 0 and net.to[arc] not in reach:
+                reach.add(net.to[arc])
+                stack.append(net.to[arc])
+    return reach
+
+
 def _residual_cut(g, net, residual):
     """The elements of the arcs out of the nodes a walk from the source reaches in the residual capacities.
 
@@ -642,22 +654,29 @@ def _residual_cut(g, net, residual):
     """
     element_of = dict(zip(range(0, net.first_edge, 2), g.followers))
     element_of.update(zip(range(net.first_edge, len(net.to), 2), g.sorted_edges))
-    reach, stack = {0}, [0]
-    while stack:
-        v = stack.pop()
-        for arc in net.adj[v]:
-            if residual[arc] > 0 and net.to[arc] not in reach:
-                reach.add(net.to[arc])
-                stack.append(net.to[arc])
+    reach = _residual_reach(net, residual, (0,))
     return frozenset(
         element_of[arc] for v in reach for arc in net.adj[v] if arc % 2 == 0 and net.to[arc] not in reach
     )
 
 
+def _flows_by_source(g, costs):
+    """Each network flow a read can run on ``g`` with no deletion: ``(net, sources, sink)``.
+
+    Each follower is the sink once with node 0 alone as the source, and
+    once with the in-nodes of the followers before it merged into the
+    source (a read in sink order), when there are any.
+    """
+    net = _Flow(g, *costs)
+    for i, v in enumerate(g.followers):
+        for merged in ((), g.followers[:i]) if i else ((),):
+            yield net, [0, *(net.entry[w] for w in merged)], net.entry[v]
+
+
 class TestCutSides:
     def test_cut_is_the_residual_reach_of_a_full_flow_on_the_seeded_sweep(self):
-        # the cut reads its source side off the flow's last level search;
-        # the reference walks the residual of a flow of its own
+        # the cut reads its source side off the marks of the flow's last
+        # search; the reference walks the residual of a flow of its own
         cuts = 0
         for seed, g in seeded_sweep(500):
             if not g.followers:
@@ -676,6 +695,41 @@ class TestCutSides:
                     assert cut == _residual_cut(g, net, residual), (seed, costs, t)
                     cuts += 1
         assert cuts > 5_000
+
+    def test_marks_are_the_residual_reach_of_every_source_on_the_seeded_sweep(self):
+        # with merged followers in the source too, as a read in sink order runs it
+        merged = 0
+        for seed, g in seeded_sweep(500):
+            k = len(g.followers) + 1
+            for costs in ((1, None), (None, 1), (1, 1), (k, k + 1)):
+                for net, sources, sink in _flows_by_source(g, costs):
+                    residual = net.cap[:]
+                    _, marks = net.max_flow(residual, sources, sink)
+                    marked = {v for v, mark in enumerate(marks) if mark is not None}
+                    assert marked == _residual_reach(net, residual, sources), (seed, costs, sources, sink)
+                    merged += len(sources) > 1
+        assert merged > 5_000
+
+
+class TestLimitedFlow:
+    def test_a_limited_flow_is_exact_only_under_its_limit_on_the_seeded_sweep(self):
+        # a read caps each flow at the least cost so far: it needs the exact
+        # value under that cap and only "at least the cap" otherwise
+        stopped = 0
+        for seed, g in seeded_sweep(500):
+            k = len(g.followers) + 1
+            for costs in ((1, None), (None, 1), (1, 1), (k, k + 1)):
+                for net, sources, sink in _flows_by_source(g, costs):
+                    value = net.max_flow(net.cap[:], sources, sink)[0]
+                    for limit in range(1, value + 2):
+                        limited = net.max_flow(net.cap[:], sources, sink, limit)[0]
+                        case = (seed, costs, sources, sink, limit)
+                        if limit > value:
+                            assert limited == value, case
+                        else:
+                            assert limit <= limited <= value, case
+                            stopped += limited < value
+        assert stopped > 10_000  # limited flows that stop before the maximum are met
 
 
 class TestWitnesses:

@@ -47,11 +47,15 @@ cut cost is first bracketed from its surviving in-edges in the graph
 itself (a cut of each in-edge at its cheapest element above it, a packing
 of paths of at most two edges below it), and a flow runs only when that
 bracket leaves the answer open.  A deletion read whose floor is under one
-element's cost first walks the reduced graph once: a stranded follower
-makes the degree 0, and otherwise the floor rises to that cost.  The
-brackets and the walk read the graph, not the network, so a network's arc
-lists, masked capacities and flow structure are all built at its first
-flow, and a kernel whose reads run no flow builds no network.
+element's cost first asks whether the deletion strands a follower: a
+stranded follower makes the degree 0, and otherwise the floor rises to
+that cost.  A single deletion of a controllable graph (one follower, one
+edge, or every out-edge of one follower) is answered by the graph's
+dominator tree, built once per graph; any other deletion walks the
+reduced graph once.  The brackets, the tree and the walk read the graph,
+not the network, so a network's arc lists, masked capacities and flow
+structure are all built at its first flow, and a kernel whose reads run
+no flow builds no network.
 
 Every flow is found by shortest augmenting paths (Edmonds & Karp), one
 breadth-first search per path, which suits these small networks and
@@ -272,12 +276,14 @@ class _DeletionDegrees:
       the deleted edges' heads, and an :meth:`at_most` bound outside it
       needs no read.
 
-    A deletion read whose floor is under one element's cost walks the
-    reduced graph once before its first flow (:meth:`Digraph._stranded`):
-    a stranded follower makes the degree 0, and otherwise the floor rises
-    to that cost.  Each read takes only its deletion, its bound and its
-    proven floor; :meth:`_min_flow` derives its targets and floor lift
-    from them.  The brackets and the walk read ``g`` itself, so the network
+    A deletion read whose floor is under one element's cost asks before
+    its first flow whether the deletion strands a follower
+    (:meth:`Digraph._strands`: the dominator tree answers a single
+    deletion, one walk of the reduced graph any other): if so the degree
+    is 0, and otherwise the floor rises to that cost.  Each read takes
+    only its deletion, its bound and its proven floor; :meth:`_min_flow`
+    derives its targets and floor lift from them.  The brackets, the tree
+    and the walk read ``g`` itself, so the network
     (:meth:`_built_net`), its arc maps and the masked capacities are built
     at the first flow, and a kernel whose reads need no flow builds none.
     Each flow pushes on a copy of the capacities it reads, so one kernel
@@ -376,22 +382,16 @@ class _DeletionDegrees:
         """Whether no one link (``lc``) or one follower (``ac``) breaks the controllable ``g``.
 
         If so, no cut costs less than two elements.  Read off the
-        dominator tree of ``g`` (:attr:`Digraph._dominators`): one
+        dominator tree of ``g`` (:attr:`Digraph._single_cuts`): one
         follower breaks ``g`` exactly when it is the only follower or
-        dominates another, and one link exactly when no other in-edge of
-        its head comes from a root or from a tail that the head does not
-        dominate (every root path to such a tail runs through the head).
+        dominates another, and one link exactly when it is its head's only
+        way in.
         """
         g = self._g
-        dominators = g._dominators
+        followers, edges = g._single_cuts
         if self._edge_cost is None:
-            return len(g.followers) > 1 and all(dominators[v][0] is None for v in g.followers)
-        spared = dict.fromkeys(g.followers, 0)
-        for tail, head in g.edges:
-            _, first, end = dominators[head]
-            if tail in g.root_set or not first <= dominators[tail][1] < end:
-                spared[head] += 1
-        return min(spared.values()) > 1
+            return len(g.followers) > 1 and not followers
+        return not edges
 
     def tight_cuts(self) -> Iterator[tuple[int, frozenset]]:
         """Each follower whose cut costs :attr:`base`, in ascending order, and its cut.
@@ -613,8 +613,9 @@ class _DeletionDegrees:
         The loop stops once that cost is down to ``floor``.
 
         Before the first flow the floor is lifted once.  A deletion whose
-        floor is under one element's cost walks the reduced graph
-        (:meth:`Digraph._stranded`): a stranded survivor needs no cut, so
+        floor is under one element's cost asks :meth:`Digraph._strands`,
+        which reads a single deletion off the dominator tree and walks the
+        reduced graph for any other: a stranded survivor needs no cut, so
         the degree is 0, and otherwise every cut holds an element.  The
         graph itself on the ``lc`` or ``ac`` network takes two elements'
         cost when :meth:`_no_single_break` proves it; the all-unit network
@@ -650,7 +651,7 @@ class _DeletionDegrees:
                 if masked is None:
                     if followers or edges:
                         if floor < self._one:
-                            if self._g._stranded(followers, edges):
+                            if self._g._strands(followers, edges):
                                 return 0
                             floor = self._one
                     elif None in (self._edge_cost, self._vertex_cost) and self._no_single_break():

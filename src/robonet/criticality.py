@@ -25,8 +25,10 @@ of a follower's out-edges can lower a degree by more.  Every index
 deletes edges only, so that read runs flows to the deleted edges' heads
 alone, and it starts from a floor: the degree less the deleted links
 (``lc``), or less their tails when all are followers (``ac``).  Where
-that floor is under 1, one walk of the reduced graph before the first
-flow either finds a stranded follower (the degree is 0) or raises it to 1.
+that floor is under 1, the graph's dominator tree tells before the first
+flow whether the deletion strands a follower (the degree is 0) or not
+(the floor rises to 1): each index deletes one edge or every out-edge of
+one follower, and the tree answers both without a walk.
 :func:`is_link_critical`, :func:`link_controllability_index` and the
 uncritical link index of :func:`agent_link_indices` keep the literal
 definitions: they build each reduced graph and solve its degree with

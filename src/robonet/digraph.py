@@ -75,7 +75,9 @@ class Digraph:
     value is well formed: roots are nonempty and have no incoming edges,
     edge endpoints exist, and there are no self-loops.  The edges are
     checked in one unsorted pass; only a graph with a fault sorts them, to
-    report the first faulty edge in ascending order.
+    report the first faulty edge in ascending order.  :func:`new_digraph`
+    makes the same checks in its own loop and builds a graph without a
+    fault without this second pass.
     """
 
     vertices: frozenset[int]
@@ -115,6 +117,13 @@ class Digraph:
             f"edge {tail}->{head} enters root {head}; roots never receive edges"
         )
 
+    @classmethod
+    def _validated(cls, vertices: frozenset[int], roots: tuple[int, ...], edges: frozenset[Edge]) -> Digraph:
+        """The graph of parts already normalised and validated, as :func:`new_digraph` leaves them."""
+        g = object.__new__(cls)
+        vars(g).update(vertices=vertices, roots=roots, edges=edges)
+        return g
+
     # ---- derived views ---------------------------------------------------
 
     @property
@@ -135,22 +144,24 @@ class Digraph:
 
     @cached_property
     def _succ(self) -> Mapping[int, tuple[int, ...]]:
-        """Each vertex's out-neighbours, ascending."""
-        adj: dict[int, list[int]] = {v: [] for v in self.vertices}
-        for tail, head in self.edges:
-            adj[tail].append(head)
-        for heads in adj.values():
-            heads.sort()
-        return {v: tuple(heads) for v, heads in adj.items()}
+        """Each vertex's out-neighbours, ascending: :attr:`sorted_edges` lists them in order."""
+        heads: dict[int, list[int]] = {v: [] for v in self.vertices}
+        for tail, head in self.sorted_edges:
+            heads[tail].append(head)
+        return {v: tuple(vs) for v, vs in heads.items()}
 
     @cached_property
     def _pred(self) -> Mapping[int, tuple[tuple[int, ...], tuple[int, ...]]]:
-        """Each vertex's in-neighbours, split into the roots and the followers."""
-        tails: dict[int, tuple[list[int], list[int]]] = {v: ([], []) for v in self.vertices}
+        """Each vertex's in-neighbours, split into the roots and the followers, each ascending."""
+        tails: dict[int, list[int]] = {v: [] for v in self.vertices}
+        for tail, head in self.sorted_edges:
+            tails[head].append(tail)
         root_set = self.root_set
-        for tail, head in self.edges:
-            tails[head][tail not in root_set].append(tail)
-        return {v: (tuple(roots), tuple(followers)) for v, (roots, followers) in tails.items()}
+        return {
+            v: ((), tuple(vs)) if root_set.isdisjoint(vs)
+            else (tuple([t for t in vs if t in root_set]), tuple([t for t in vs if t not in root_set]))
+            for v, vs in tails.items()
+        }
 
     @cached_property
     def _out(self) -> Mapping[int, tuple[Edge, ...]]:
@@ -163,9 +174,11 @@ class Digraph:
         return self._out[v]
 
     def in_edges(self, v: int) -> tuple[Edge, ...]:
+        """The edges into ``v``, ascending."""
         if v not in self.vertices:
             raise IndexOutOfRangeError(f"unknown vertex {v}")
-        return tuple(e for e in self.sorted_edges if e[1] == v)
+        roots, followers = self._pred[v]
+        return tuple([(tail, v) for tail in sorted(roots + followers)])
 
     def out_cut(self, x: Iterable[int]) -> Cut:
         inside = self._checked_subset(x)
@@ -325,6 +338,52 @@ class Digraph:
         }
 
     @cached_property
+    def _single_cuts(self) -> tuple[frozenset[int], frozenset[Edge]]:
+        """Of a controllable graph: the followers, and the edges, whose deletion alone strands a follower.
+
+        Read off :attr:`_dominators` (Italiano, Laura & Santaroni's
+        reading of it).  Deleting a follower ``v``, or every out-edge of
+        ``v``, strands exactly the other followers ``v`` dominates, so the
+        followers are those whose dominator subtree holds another.  An
+        in-edge of a follower ``h`` from a root, or from a tail ``h`` does
+        not dominate, is a way in: a root path reaches that tail without
+        passing ``h``.  Deleting one edge strands a follower only if it
+        strands the edge's head, since a root path to any follower the
+        edge serves runs through that head, and it strands the head
+        exactly when the edge is the head's only way in.  So the edges are
+        the followers' sole ways in.
+        """
+        dominators, pred = self._dominators, self._pred
+        dominating = frozenset(v for v, (_, first, end) in dominators.items() if end - first > 1)
+        sole = []
+        for head, (_, first, end) in dominators.items():
+            roots, tails = pred[head]
+            ways = [tail for tail in tails if not first <= dominators[tail][1] < end]
+            if len(roots) + len(ways) == 1:
+                sole.append((roots[0] if roots else ways[0], head))
+        return dominating, frozenset(sole)
+
+    def _strands(self, gone_vertices: frozenset[int], gone_edges: frozenset[Edge]) -> bool:
+        """``bool(self._stranded(gone_vertices, gone_edges))``, for edges of this graph.
+
+        On a controllable graph, the deletion of one follower, of one
+        edge, or of every out-edge of one follower is read off
+        :attr:`_single_cuts` without a walk; any other deletion, and every
+        deletion from an uncontrollable graph, walks.
+        """
+        if self._controllable:
+            if not gone_edges and len(gone_vertices) == 1:
+                return not gone_vertices.isdisjoint(self._single_cuts[0])
+            if not gone_vertices and len(gone_edges) == 1:
+                return not gone_edges.isdisjoint(self._single_cuts[1])
+            tails = {tail for tail, _ in gone_edges}
+            if not gone_vertices and len(tails) == 1:
+                (tail,) = tails
+                if tail not in self.root_set and len(gone_edges) == len(self._succ[tail]):
+                    return tail in self._single_cuts[0]
+        return bool(self._stranded(gone_vertices, gone_edges))
+
+    @cached_property
     def _kernels(self) -> tuple[_DeletionDegrees, _DeletionDegrees]:
         """The ``lc`` and the ``ac`` kernel of this graph, in that order, built at the first read.
 
@@ -392,7 +451,11 @@ def new_digraph(
     self-loops instead of rejecting them, with a ``UserWarning`` for each
     (used by file ingestion).
     A vertex count above :data:`MAX_GENERATED_VERTICES` is rejected
-    before anything is allocated for it.
+    before anything is allocated for it.  Each edge is checked once, in
+    one loop: an endpoint outside ``1..n`` raises there, in input order,
+    and a graph with no other fault is built without the constructor's
+    second scan; any other fault is left to the constructor, which
+    reports the least faulty edge.
     """
     n = int(n)
     if n < 1:
@@ -405,20 +468,29 @@ def new_digraph(
     for r in root_list:
         if not 1 <= r <= n:
             raise IndexOutOfRangeError(f"root {r} outside 1..{n}")
+    root_set = frozenset(root_list)
+    faulty = not root_set
     edge_list = []
     for tail, head in edges:
         tail, head = int(tail), int(head)
         if not (1 <= tail <= n and 1 <= head <= n):
             raise IndexOutOfRangeError(f"edge {tail}->{head} outside 1..{n}")
-        if tail == head and strip_self_loops:
-            warnings.warn(
-                f"dropped self-loop {tail}->{head}: follower self-loops are "
-                "implicit in the model",
-                stacklevel=2,
-            )
-            continue
+        if tail == head:
+            if strip_self_loops:
+                warnings.warn(
+                    f"dropped self-loop {tail}->{head}: follower self-loops are "
+                    "implicit in the model",
+                    stacklevel=2,
+                )
+                continue
+            faulty = True
+        elif head in root_set:
+            faulty = True
         edge_list.append((tail, head))
-    return Digraph(frozenset(range(1, n + 1)), tuple(root_list), frozenset(edge_list))
+    vertices = frozenset(range(1, n + 1))
+    if faulty:  # the checking constructor raises the error for the least faulty edge
+        return Digraph(vertices, tuple(root_list), frozenset(edge_list))
+    return Digraph._validated(vertices, tuple(sorted(root_set)), frozenset(edge_list))
 
 
 @dataclass(frozen=True, eq=True)

@@ -341,10 +341,10 @@ class TestRecords:
         # each exact drop reads the deleted edges' heads from the floor the
         # deletion proves, and most heads' in-edge brackets settle there;
         # reading every surviving follower ran 40, 298, 1,814, 1,187 and 410
-        # flows on these graphs.  Where that floor is under one link, one
-        # walk of the reduced graph raises it to 1 or shows a stranded
-        # follower, so Kautz(2,3) and double-loop 20 run none (14 and 32
-        # from the floor base - |E| alone)
+        # flows on these graphs.  Where that floor is under one link, the
+        # dominator tree raises it to 1 or shows a stranded follower, so
+        # Kautz(2,3) and double-loop 20 run none (14 and 32 from the floor
+        # base - |E| alone)
         flows = []
         original = _Flow.max_flow
 
@@ -364,6 +364,30 @@ class TestRecords:
             flows.clear()
             build_report(g, ("indices",))
             assert len(flows) <= bound, (case, len(flows))
+
+    def test_index_reads_walk_once_per_graph(self, monkeypatch):
+        # every index of double-loop 2,000 is a single deletion (one edge,
+        # or one follower's out-edges) whose floor the dominator tree
+        # lifts, built once; the one walk is the controllability check
+        # (the reads walked the reduced graph once per follower, 2,000 walks)
+        walks, trees = [], []
+        original_reach, original_tree = Digraph._reach, Digraph._dominators.func
+
+        def counting_reach(self, *args, **kwargs):
+            walks.append(self.n)
+            return original_reach(self, *args, **kwargs)
+
+        def counting_tree(self):
+            trees.append(self.n)
+            return original_tree(self)
+
+        monkeypatch.setattr(Digraph, "_reach", counting_reach)
+        monkeypatch.setattr(Digraph, "_dominators", functools.cached_property(counting_tree))
+        Digraph._dominators.__set_name__(Digraph, "_dominators")
+        g = preset("double_loop", 2000)
+        doc = build_report(g, ("indices",))
+        assert len(doc["indices"]["edges"]) == len(g.edges) == 3998
+        assert len(walks) <= 1 and len(trees) <= 1, (len(walks), len(trees))
 
 
 def _reference_records(g):

@@ -19,6 +19,8 @@ from robonet.errors import (
     SelfLoopError,
     UnknownEdgeError,
 )
+from robonet.families import PRESET_KINDS, circulant_rooted, complete_rooted, kautz_rooted, preset
+from robonet.oracle import random_digraph
 
 from conftest import digraphs, seeded_sweep
 
@@ -256,6 +258,76 @@ class TestDominators:
                 assert idom == max(strict, key=lambda v: tree[v][1], default=None), (seed, u)
                 deep += len(strict) > 1
         assert deep > 50  # 73 followers with two or more strict dominators
+
+    def test_single_deletions_read_off_the_tree_match_the_walk(self, monkeypatch):
+        # every follower, every edge and every follower's out-edge set, on
+        # controllable graphs: the tree's answer against the masked walk
+        graphs = [g for _, g in seeded_sweep(500)]
+        for seed in range(120):
+            n = 10 + seed % 31
+            graphs.append(random_digraph(n, n * (3 + seed % 4), 1 + seed % 3, seed))
+        graphs += [preset(kind, n) for kind in PRESET_KINDS for n in (5, 12, 30)]
+        graphs += [circulant_rooted(6, (2, 3, 5)), circulant_rooted(12, (1, 2, 3)), complete_rooted(6)]
+        graphs += [kautz_rooted(2, 2), kautz_rooted(2, 3), kautz_rooted(3, 2)]
+        cases = []
+        for g in graphs:
+            if not g.followers or not g.is_controllable():
+                continue
+            shapes = {
+                "follower": [(frozenset({v}), frozenset()) for v in g.followers],
+                "edge": [(frozenset(), frozenset({edge})) for edge in g.sorted_edges],
+                "out-edges": [(frozenset(), frozenset(g.out_edges(v))) for v in g.followers if g.out_edges(v)],
+            }
+            for shape, deletions in shapes.items():
+                cases += [(g, shape, deletion, bool(g._stranded(*deletion))) for deletion in deletions]
+
+        def no_walk(self, *args):
+            raise AssertionError("a single deletion of a controllable graph walked")
+
+        monkeypatch.setattr(Digraph, "_stranded", no_walk)
+        seen = set()
+        for g, shape, deletion, expected in cases:
+            assert g._strands(*deletion) == expected, (g, deletion)
+            seen.add((shape, expected, len(g.roots) > 1))
+        assert len({id(g) for g, *_ in cases}) > 350
+        assert seen == {(shape, answer, many) for shape in ("follower", "edge", "out-edges")
+                        for answer in (False, True) for many in (False, True)}
+
+    def test_other_deletions_walk(self, monkeypatch):
+        g = new_digraph(5, [1], [(1, 2), (1, 3), (2, 3), (2, 4), (2, 5), (3, 4), (3, 5), (4, 5)])
+        walked = []
+        original = Digraph._stranded
+
+        def counting(self, *args):
+            walked.append(args)
+            return original(self, *args)
+
+        monkeypatch.setattr(Digraph, "_stranded", counting)
+        # single deletions: one edge, every out-edge of a follower, one follower
+        assert g._strands(frozenset(), frozenset({(1, 2)}))
+        assert not g._strands(frozenset(), frozenset({(2, 3)}))
+        assert not g._strands(frozenset(), frozenset(g.out_edges(2)))
+        assert not g._strands(frozenset({3}), frozenset())
+        assert walked == []
+        # two followers, edges of two tails, a part of one follower's
+        # out-edges, a root's out-edges, and a deletion from an uncontrollable graph
+        assert g._strands(frozenset({2, 3}), frozenset())
+        assert not g._strands(frozenset(), frozenset({(2, 4), (3, 5)}))
+        assert not g._strands(frozenset(), frozenset({(2, 4), (2, 5)}))
+        assert g._strands(frozenset(), frozenset(g.out_edges(1)))
+        assert new_digraph(3, [1], [(1, 2)])._strands(frozenset({2}), frozenset())
+        assert len(walked) == 5
+
+
+class TestInEdges:
+    def test_match_the_scan_of_sorted_edges_on_the_seeded_sweep(self):
+        for seed, g in seeded_sweep(500):
+            for v in sorted(g.vertices):
+                assert g.in_edges(v) == tuple(e for e in g.sorted_edges if e[1] == v), (seed, v)
+
+    def test_unknown_vertex(self, path3):
+        with pytest.raises(IndexOutOfRangeError):
+            path3.in_edges(4)
 
 @settings(max_examples=80)
 @given(digraphs())

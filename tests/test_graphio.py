@@ -1,7 +1,15 @@
 import pytest
 
-from robonet.digraph import new_digraph
-from robonet.errors import GraphFormatError, RootInEdgeHeadError, SelfLoopError
+from robonet import cli
+from robonet.digraph import Digraph, new_digraph
+from robonet.errors import (
+    EmptyRootSetError,
+    GraphFormatError,
+    GraphTooLargeError,
+    IndexOutOfRangeError,
+    RootInEdgeHeadError,
+    SelfLoopError,
+)
 from robonet.graphio import (
     dumps_json_graph,
     graph_to_dot,
@@ -147,3 +155,75 @@ def test_random_round_trips():
         g = random_digraph(n, (seed * 3) % (cap + 1), roots, seed)
         assert parse_json_graph(dumps_json_graph(g)) == g
         assert parse_dot_graph(graph_to_dot(g)) == g
+
+# each faulty graph file, the error it raises and its message; the checks run
+# in a fixed order (entry shapes, vertex count, roots, the first edge outside
+# 1..n in file order, the empty root set, then the least self-loop or root
+# in-edge), so a file with several faults always reports the same one
+_FAULTS = [
+    ('{"n": 0, "roots": [1], "edges": []}', IndexOutOfRangeError, "vertex count must be positive, got 0"),
+    ('{"n": 100001, "roots": [1], "edges": []}', GraphTooLargeError, "vertex count 100001 exceeds the limit of 100000"),
+    ('{"n": 3, "roots": [4], "edges": [[1, 2]]}', IndexOutOfRangeError, "root 4 outside 1..3"),
+    ('{"n": 3, "roots": [0], "edges": []}', IndexOutOfRangeError, "root 0 outside 1..3"),
+    ('{"n": 3, "roots": [], "edges": [[1, 2]]}', EmptyRootSetError, "the root-set must not be empty"),
+    ('{"n": 3, "roots": [1], "edges": [[1, 4]]}', IndexOutOfRangeError, "edge 1->4 outside 1..3"),
+    ('{"n": 3, "roots": [1], "edges": [[0, 2]]}', IndexOutOfRangeError, "edge 0->2 outside 1..3"),
+    ('{"n": 3, "roots": [1], "edges": [[1, 2], [5, 9], [9, 5]]}', IndexOutOfRangeError, "edge 5->9 outside 1..3"),
+    # the first out-of-range edge in file order, even after a lesser fault
+    ('{"n": 3, "roots": [1], "edges": [[2, 2], [3, 1], [1, 7]]}', IndexOutOfRangeError, "edge 1->7 outside 1..3"),
+    ('{"n": 3, "roots": [], "edges": [[2, 2], [1, 7]]}', IndexOutOfRangeError, "edge 1->7 outside 1..3"),
+    # a malformed entry is reported before any out-of-range one
+    ('{"n": 3, "roots": [1], "edges": [[1, 9], [1]]}', GraphFormatError, '"edges" entry [1] is not a [tail, head] pair'),
+    ('{"n": 3, "roots": [1], "edges": [[9, 9], [1, "2"]]}', GraphFormatError, "\"edges\" entry [1, '2'] is not a [tail, head] pair"),
+    ('{"n": 3, "roots": [], "edges": [[2, 2]]}', EmptyRootSetError, "the root-set must not be empty"),
+    ('{"n": 3, "roots": [1], "edges": [[1, 2], [2, 2]]}', SelfLoopError,
+     "self-loop 2->2: follower self-loops are implicit in the model and must be omitted"),
+    ('{"n": 3, "roots": [1], "edges": [[1, 2], [2, 1]]}', RootInEdgeHeadError, "edge 2->1 enters root 1; roots never receive edges"),
+    ('{"n": 3, "roots": [1, 2], "edges": [[1, 2]]}', RootInEdgeHeadError, "edge 1->2 enters root 2; roots never receive edges"),
+    # the least faulty edge wins between self-loops and root in-edges
+    ('{"n": 4, "roots": [1], "edges": [[3, 3], [4, 1], [2, 1], [1, 2]]}', RootInEdgeHeadError,
+     "edge 2->1 enters root 1; roots never receive edges"),
+    ('{"n": 4, "roots": [1], "edges": [[3, 1], [4, 4], [2, 2]]}', SelfLoopError,
+     "self-loop 2->2: follower self-loops are implicit in the model and must be omitted"),
+    ('{"n": 3, "roots": [3, 1, 3], "edges": [[2, 3], [1, 2], [1, 3]]}', RootInEdgeHeadError,
+     "edge 1->3 enters root 3; roots never receive edges"),
+]
+
+
+class TestValidationErrors:
+    @pytest.mark.parametrize("text,error,message", _FAULTS)
+    def test_parse_raises_the_first_fault(self, text, error, message):
+        with pytest.raises(error) as caught:
+            parse_json_graph(text)
+        assert type(caught.value) is error and str(caught.value) == message
+
+    @pytest.mark.parametrize("text,error,message", _FAULTS)
+    def test_cli_exits_2_with_the_message(self, text, error, message, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        assert cli.main(["analyze", str(path), "--degrees"]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+    def test_stripped_self_loops_warn_before_the_fault(self, tmp_path, capsys):
+        text = '{"n": 4, "roots": [1], "edges": [[3, 3], [2, 1], [2, 2], [1, 9]]}'
+        with pytest.warns(UserWarning) as warned:
+            with pytest.raises(IndexOutOfRangeError, match=r"^edge 1->9 outside 1\.\.4$"):
+                parse_json_graph(text, strip_self_loops=True)
+        assert [str(w.message) for w in warned] == [
+            f"dropped self-loop {v}->{v}: follower self-loops are implicit in the model" for v in (3, 2)
+        ]
+        path = tmp_path / "bad.json"
+        path.write_text(text.replace("[1, 9]", "[1, 3]"))
+        assert cli.main(["analyze", str(path), "--degrees", "--strip-self-loops"]) == 2
+        # a file that fails prints its error alone, without the warnings
+        assert capsys.readouterr().err == "error: edge 2->1 enters root 1; roots never receive edges\n"
+
+    def test_a_valid_file_equals_the_checked_graph(self):
+        # the file path builds the same value as the checking constructor
+        text = '{"n": 4, "roots": [2, 1, 2], "edges": [[2, 4], [1, 3], [true, 4], [1, 3], [3, 4]]}'
+        g = parse_json_graph(text)
+        checked = Digraph(frozenset({1, 2, 3, 4}), (1, 2), frozenset({(1, 3), (1, 4), (2, 4), (3, 4)}))
+        assert g == checked and g.roots == (1, 2)
+        assert all(type(x) is int for edge in g.edges for x in edge)
+        assert g._succ == checked._succ and g._pred == checked._pred

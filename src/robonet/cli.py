@@ -100,13 +100,16 @@ def _load_input(args: argparse.Namespace) -> Digraph:
 
     The library warns of each one (a ``UserWarning``); here that warning
     is printed as ``warning: <message>``, without the source location.
+    The warnings are printed even when the file then fails to load, so
+    they come before its ``error:`` line.
     """
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", UserWarning)
-        g = load_graph_file(args.input, strip_self_loops=args.strip_self_loops)
-    for warning in caught:
-        print(f"warning: {warning.message}", file=sys.stderr)
-    return g
+        try:
+            return load_graph_file(args.input, strip_self_loops=args.strip_self_loops)
+        finally:
+            for warning in caught:
+                print(f"warning: {warning.message}", file=sys.stderr)
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:

@@ -287,8 +287,8 @@ class _DeletionDegrees:
     (:meth:`_built_net`), its arc maps and the masked capacities are built
     at the first flow, and a kernel whose reads need no flow builds none.
     Each flow pushes on a copy of the capacities it reads, so one kernel
-    can serve several threads.  Each deleted (followers, edges) pair keeps
-    an interval ``(lo, hi)`` around its degree, shared by all its reads.
+    can serve several threads.  A read keeps nothing, so its answer
+    depends only on its deletion, its bound and ``g``.
     :meth:`tight_cuts` scans the followers whose cuts cost :attr:`base`,
     with one flow per follower it cannot skip; the witness cut
     (:meth:`cheapest`) is its first, and :attr:`_witness` keeps its replay.
@@ -303,7 +303,6 @@ class _DeletionDegrees:
         self._link = _link_capacity(g, edge_cost, vertex_cost)
         self._relay = self._link if vertex_cost is None else min(self._link, vertex_cost)
         self._one = min(c for c in (edge_cost, vertex_cost) if c is not None)
-        self._memo: dict[tuple[frozenset[int], frozenset[Edge]], tuple[int, int]] = {}
         self._net: _Flow | None = None
 
     def _cap(self, survivors: int) -> int:
@@ -480,12 +479,8 @@ class _DeletionDegrees:
         deleting a follower can raise a degree (with roots 1 and 2 and
         edges 1->3, 1->4, 2->4, ``lc`` is 1, and 2 without 3).
         """
-        key = (followers, edges)
-        lo, hi = self._interval(key)
-        if lo < hi:
-            hi = self._solve(followers, edges, hi, lo)
-            self._memo[key] = hi, hi
-        return hi
+        lo, hi = self._interval(followers, edges)
+        return self._solve(followers, edges, hi, lo) if lo < hi else hi
 
     def _edge_floor(self, edges: frozenset[Edge]) -> int:
         """A degree no deletion of just these edges goes below.
@@ -516,32 +511,22 @@ class _DeletionDegrees:
         """Is ``without(followers, edges) <= bound``?
 
         A bound outside the deletion's :meth:`_interval` needs no read.
-        Otherwise one :meth:`_solve` settles it, by the head rule when
-        ``bound`` is under :attr:`base`: a value over ``bound`` raises the
-        lower end past it, any other lowers the upper end to it.
+        Otherwise one :meth:`_solve`, capped at ``bound + 1`` and stopping
+        at ``bound``, settles it, by the head rule when ``bound`` is under
+        :attr:`base`.
         """
-        key = (followers, edges)
-        lo, hi = self._interval(key)
+        lo, hi = self._interval(followers, edges)
         if lo <= bound < hi:
-            value = self._solve(followers, edges, bound + 1, bound)
-            if value > bound:
-                lo = bound + 1
-            else:
-                hi = value
-            self._memo[key] = lo, hi
+            return self._solve(followers, edges, bound + 1, bound) <= bound
         return hi <= bound
 
-    def _interval(self, key: tuple[frozenset[int], frozenset[Edge]]) -> tuple[int, int]:
-        """What is proven about a deletion's degree: ``lo <= degree <= hi``.
+    def _interval(self, followers: frozenset[int], edges: frozenset[Edge]) -> tuple[int, int]:
+        """What is proven about a deletion's degree before any read: ``lo <= degree <= hi``.
 
         Deleting edges never raises the degree, so an edge-only deletion
-        (or none) starts in ``[_edge_floor, base]``, and one with followers
+        (or none) lies in ``[_edge_floor, base]``, and one with followers
         in ``[0, cap]``.
         """
-        known = self._memo.get(key)
-        if known is not None:
-            return known
-        followers, edges = key
         if not followers:
             return max(0, self._edge_floor(edges)), self.base
         survivors = len(self._g.followers) - len(followers)

@@ -283,8 +283,8 @@ def edge_records(g: Digraph) -> list[EdgeIndexRecord]:
 def agent_records(g: Digraph) -> list[AgentIndexRecord]:
     """Per-follower criticality and the four importance indices.
 
-    A link whose criticality :func:`edge_records` read is answered from
-    the memo of the graph's ``lc`` kernel.
+    Each out-edge's link criticality is read again on the graph's ``lc``
+    kernel, which keeps no answers; most such reads close on brackets.
     """
     if not g.is_controllable():
         return [AgentIndexRecord(v, True, None, None, None, None) for v in g.followers]

@@ -36,10 +36,10 @@ kernel and g's second one, for ``ac``, and so does the mixed witness:
 it is the ``lc`` kernel's witness when ``lc <= ac``, and otherwise the
 witness of its own network, which is built only then.  A report tests
 each pair once: its classification reads off its region whether that is
-the triangle.  What one test proves about ``lc(g - A)`` serves every
-later test of A.  Every "agent controllability index is 1" test is the
-index's own exact read, which masks one edge and runs at most one flow,
-to its head.
+the triangle.  The region, and a classification without one, test each
+(u, v) removal pattern once per call: neighbouring pairs share patterns.
+Every "agent controllability index is 1" test is the index's own exact
+read, which masks one edge and runs at most one flow, to its head.
 
 The subset budget bounds the follower subsets of each tested pair, so it
 applies to the pairs above the triangle only; a region over budget names
@@ -50,7 +50,7 @@ by enumeration.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from itertools import combinations
 from math import comb
 from typing import Callable, Iterable
@@ -103,18 +103,8 @@ def _maximal_patterns(r: int, s: int, edge_count: int, follower_count: int) -> l
     The tested domain is u <= min(r, |E|), v <= min(s, F), u + v < r + s;
     smaller patterns are implied by removal monotonicity.
     """
-    v_cap = min(s, follower_count)
-    u_for = {}
-    for v in range(v_cap + 1):
-        u = min(r, edge_count, r + s - 1 - v)
-        if u < 0:
-            continue
-        u_for[v] = u
-    patterns = []
-    for v in sorted(u_for):
-        if v == max(u_for) or u_for[v] > u_for[v + 1]:
-            patterns.append((u_for[v], v))
-    return patterns
+    u_for = [min(r, edge_count, r + s - 1 - v) for v in range(min(s, follower_count, r + s - 1) + 1)]
+    return [(u, v) for v, u in enumerate(u_for) if v + 1 == len(u_for) or u > u_for[v + 1]]
 
 
 def is_joint_rs_controllable(
@@ -132,10 +122,22 @@ def is_joint_rs_controllable(
     :func:`~robonet.digraph.removal_breaks_controllability`: the kernel
     reads ``lc`` as 0 once no follower is left, with no flow.  Every
     follower subset is a bounded read on the graph's ``lc`` kernel, so
-    its network and its memo of ``lc(g - A)`` serve every pair tested.
+    its network serves every pair tested.
     """
     if r < 0 or s < 0:
         raise ValueError("r and s must be non-negative")
+    return _rs_controllable(g, r, s, budget, {})
+
+
+def _rs_controllable(
+    g: Digraph, r: int, s: int, budget: int, broken: dict[tuple[int, int], bool]
+) -> bool:
+    """:func:`is_joint_rs_controllable`, keeping in ``broken`` whether each (u, v) pattern breaks g.
+
+    A pattern breaks g when ``lc(g - A) <= u`` for some v followers A.  A
+    caller testing several pairs passes one dict, since neighbouring
+    pairs share patterns: (r, s - 1) belongs to (r, s) and (r + 1, s - 1).
+    """
     followers = g.followers
     if r + s == 0 or not followers:
         return g.is_controllable()
@@ -147,9 +149,10 @@ def is_joint_rs_controllable(
         )
     degrees = g._kernels[0]
     for u, v in patterns:
-        for combo in combinations(followers, v):
-            if degrees.at_most(u, frozenset(combo)):
-                return False
+        if (u, v) not in broken:
+            broken[u, v] = any(degrees.at_most(u, frozenset(combo)) for combo in combinations(followers, v))
+        if broken[u, v]:
+            return False
     return True
 
 
@@ -196,6 +199,7 @@ def joint_region(g: Digraph, budget: int = DEFAULT_SUBSET_BUDGET) -> JointRegion
     acv = agent.base
     degree = min(lcv, acv)
     members: dict[tuple[int, int], bool] = {}
+    broken: dict[tuple[int, int], bool] = {}
     for diag in range(lcv + acv + 1):
         for r in range(max(0, diag - acv), min(lcv, diag) + 1):
             s = diag - r
@@ -203,7 +207,7 @@ def joint_region(g: Digraph, budget: int = DEFAULT_SUBSET_BUDGET) -> JointRegion
                 members[(r, s)] = True
                 continue
             dominated = (r > 0 and not members[(r - 1, s)]) or (s > 0 and not members[(r, s - 1)])
-            members[(r, s)] = not dominated and is_joint_rs_controllable(g, r, s, budget)
+            members[(r, s)] = not dominated and _rs_controllable(g, r, s, budget, broken)
     inside = sorted(pair for pair, ok in members.items() if ok)
     member_set = set(inside)
     frontier = tuple(
@@ -404,12 +408,13 @@ def _link_critical(
     followers = g.followers
     if not followers:
         return False
+    complies = cache(lambda v: any(map(unit_index, g.out_edges(v))))  # a unit-index out-edge, read once
     for scanned, combo in enumerate(combinations(followers, q), 1):
         if scanned > budget:
             return None  # existential not settled within budget
         if g._breaks(frozenset(combo)) is None:
             continue
-        if all(any(unit_index(e) for e in g.out_edges(v)) for v in combo):
+        if all(map(complies, combo)):
             return True
     return False
 
@@ -426,9 +431,10 @@ def _region_is_exact(g: Digraph, budget: int) -> bool | None:
     degree = link.base
     if degree != agent.base:
         return False
+    broken: dict[tuple[int, int], bool] = {}
     try:
         for r in range(1, degree + 1):
-            if is_joint_rs_controllable(g, r, degree + 1 - r, budget):
+            if _rs_controllable(g, r, degree + 1 - r, budget, broken):
                 return False
     except InstanceTooLargeError:
         return None

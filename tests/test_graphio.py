@@ -216,8 +216,10 @@ class TestValidationErrors:
         path = tmp_path / "bad.json"
         path.write_text(text.replace("[1, 9]", "[1, 3]"))
         assert cli.main(["analyze", str(path), "--degrees", "--strip-self-loops"]) == 2
-        # a file that fails prints its error alone, without the warnings
-        assert capsys.readouterr().err == "error: edge 2->1 enters root 1; roots never receive edges\n"
+        # a file that fails still prints the self-loops it dropped, before its error
+        assert capsys.readouterr().err == "".join(
+            f"warning: dropped self-loop {v}->{v}: follower self-loops are implicit in the model\n" for v in (3, 2)
+        ) + "error: edge 2->1 enters root 1; roots never receive edges\n"
 
     def test_a_valid_file_equals_the_checked_graph(self):
         # the file path builds the same value as the checking constructor

@@ -366,6 +366,41 @@ class TestDeletionDegrees:
         classify(kautz_rooted(3, 2))
         assert len(flows) <= 10, flows  # 13 with two bounded reads
 
+    def test_region_asks_no_bounded_read_twice(self, monkeypatch):
+        # neighbouring cells share a removal pattern: (r, s - 1) belongs to
+        # both (r, s) and (r + 1, s - 1); the region tests each pattern once,
+        # so no read repeats (testing each cell's patterns anew made 539
+        # reads here, 220 of them repeats)
+        g = random_digraph(14, 56, 2, 7)
+        link = g._kernels[0]
+        reads = []
+        original = _DeletionDegrees.at_most
+
+        def recording(self, bound, followers=frozenset(), edges=frozenset()):
+            if self is link:
+                reads.append((bound, followers, edges))
+            return original(self, bound, followers, edges)
+
+        monkeypatch.setattr(_DeletionDegrees, "at_most", recording)
+        joint_region(g)
+        assert reads and len(reads) == len(set(reads)), (len(reads), len(set(reads)))
+
+    def test_classify_asks_no_unit_index_twice(self, monkeypatch):
+        # each follower's compliance (a unit-index out-edge) is read once,
+        # however many minimum breaking agent sets hold it
+        asked = []
+        original = joint._unit_drop
+
+        def recording(kernel, edge):
+            asked.append(edge)
+            return original(kernel, edge)
+
+        monkeypatch.setattr(joint, "_unit_drop", recording)
+        for seed in (53, 31):
+            asked.clear()
+            classify(random_digraph(8, 40, 1, seed))
+            assert asked and len(asked) == len(set(asked)), (seed, len(asked), len(set(asked)))
+
     def test_a_bound_under_an_edge_deletions_floor_needs_no_read(self, monkeypatch):
         solved = []
         original = connectivity._DeletionDegrees._solve
@@ -826,13 +861,13 @@ class TestClassification:
 
     def test_report_tests_each_region_cell_once(self, monkeypatch):
         tested = []
-        original = joint.is_joint_rs_controllable
+        original = joint._rs_controllable
 
         def recording(g, r, s, *args):
             tested.append((r, s))
             return original(g, r, s, *args)
 
-        monkeypatch.setattr(joint, "is_joint_rs_controllable", recording)
+        monkeypatch.setattr(joint, "_rs_controllable", recording)
         for g in (complete_rooted(10), kautz_rooted(3, 2)):
             tested.clear()
             doc = build_report(g, ("classify", "region"))

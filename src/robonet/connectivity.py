@@ -229,6 +229,19 @@ class _Flow:
                     elements.append(self.followers[arc // 2] if arc < first else self.edges[(arc - first) // 2])
         return elements
 
+    def reaching(self, cap: list[int], sink: int) -> list[bool]:
+        """Which nodes reach the sink through arcs with capacity left in ``cap``: a search backwards from it."""
+        adj, to = self.adj, self.to
+        reach = [False] * self.node_count
+        reach[sink] = True
+        queue = [sink]
+        for v in queue:
+            for arc in adj[v]:
+                if cap[arc ^ 1] > 0 and not reach[to[arc]]:
+                    reach[to[arc]] = True
+                    queue.append(to[arc])
+        return reach
+
 
 def _check_target(g: Digraph, target: int) -> None:
     if target not in g.vertices:
@@ -292,6 +305,8 @@ class _DeletionDegrees:
     :meth:`tight_cuts` scans the followers whose cuts cost :attr:`base`,
     with one flow per follower it cannot skip; the witness cut
     (:meth:`cheapest`) is its first, and :attr:`_witness` keeps its replay.
+    :meth:`uncritical_tails` reads which in-edges of one follower lie in
+    no such cut, with at most one flow.
     """
 
     def __init__(self, g: Digraph, edge_cost: int | None, vertex_cost: int | None) -> None:
@@ -407,6 +422,36 @@ class _DeletionDegrees:
             value, cut = self._crossing(v, degree + 1)
             if value == degree:
                 yield v, cut
+
+    def uncritical_tails(self, target: int) -> tuple[int, ...]:
+        """The tails of the target's in-edges that lie in no cheapest cut of the controllable ``g``, on the ``lc`` network.
+
+        These are its uncritical links; the others are critical, since an
+        edge's deletion lowers ``lc`` only through a cut that separates its
+        head too (the head rule).  An in-degree equal to the degree (the
+        upper end of the target's bracket) makes every in-edge critical and
+        a lower bracket over it none, with no flow.  Any other target runs
+        one flow, capped at the degree plus one; at the cap no in-edge is
+        critical.  A flow that stops at the degree is maximum, and an arc
+        into the sink lies in some minimum cut exactly when its tail does
+        not reach the sink in the residual (Picard & Queyranne): one search
+        backwards from the sink (:meth:`_Flow.reaching`) answers every
+        in-edge.  The roots, the source, never reach it.
+        """
+        assert (self._edge_cost, self._vertex_cost) == (1, None), "critical links are read on the lc network"
+        degree = self.base
+        roots, tails = self._g._pred[target]
+        if len(roots) + len(tails) == degree:
+            return ()
+        if self._bracket(frozenset(), frozenset(), target)[0] > degree:
+            return roots + tails
+        net = self._built_net()
+        residual = net.cap[:]
+        sink = net.entry[target]
+        if net.max_flow(residual, (0,), sink, degree + 1)[0] > degree:
+            return roots + tails
+        reach = net.reaching(residual, sink)
+        return tuple([tail for tail in tails if reach[net.entry[tail]]])
 
     def cheapest(self) -> tuple[int, frozenset] | None:
         """The first of :meth:`tight_cuts`; None if no cut is under the cap."""

@@ -17,11 +17,17 @@ from its ``lc`` and ``ac`` kernels (:attr:`Digraph._kernels
 <robonet.digraph.Digraph._kernels>`), with the deleted edges or follower
 masked on one network per mode, so no graph or network is built per
 element.  The record builders read the same kernels directly, without
-checking each element and the graph's controllability again.  A link is
-critical when its exact drop is 1, and a follower when ``ac`` after its
-deletion is at most one less (a bounded read: it lowers ``ac`` by at
-most one).  The indices take the exact read: deleting a root edge or all
-of a follower's out-edges can lower a degree by more.  Every index
+checking each element and the graph's controllability again.  The
+critical links are read once per head on the ``lc`` kernel
+(:meth:`~robonet.connectivity._DeletionDegrees.uncritical_tails`): a link
+lowers ``lc`` only through a cheapest cut of its head, which the head's
+in-edge bracket settles for all its in-edges at once, or else one flow
+and a search of its residual.  A report reads every head once for its
+edge records and hands their flags to its agent records.  A follower is
+critical when ``ac`` after its deletion is at most one less (a bounded
+read: it lowers ``ac`` by at most one).  The indices take the exact
+read: deleting a root edge or all of a follower's out-edges can lower a
+degree by more.  Every index
 deletes edges only, so that read runs flows to the deleted edges' heads
 alone, and it starts from a floor: the degree less the deleted links
 (``lc``), or less their tails when all are followers (``ac``).  Where
@@ -44,6 +50,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
+from typing import Collection, Iterable
 
 from .budget import DEFAULT_SUBSET_BUDGET
 from .connectivity import WitnessSet, _DeletionDegrees, link_controllability
@@ -86,10 +93,17 @@ def _drop(kernel: _DeletionDegrees, edges: frozenset[Edge]) -> int:
 def _unit_drop(kernel: _DeletionDegrees, edge: Edge) -> bool:
     """Does deleting the edge lower the kernel's degree by exactly 1 (the exact read)?
 
-    On the ``lc`` kernel that is link criticality; on the ``ac`` kernel, a
-    unit agent controllability index (a root edge can lower ``ac`` by more).
+    Asked on the ``ac`` kernel, where it is a unit agent controllability
+    index (a root edge can lower ``ac`` by more).  On the ``lc`` kernel it
+    is link criticality, which the records read per head instead
+    (:func:`_uncritical_links`).
     """
     return _drop(kernel, frozenset((edge,))) == 1
+
+
+def _uncritical_links(link: _DeletionDegrees, heads: Iterable[int]) -> set[Edge]:
+    """The links into the heads of a controllable graph that are not critical, each head read once on its ``lc`` kernel."""
+    return {(tail, head) for head in heads for tail in link.uncritical_tails(head)}
 
 
 def is_link_critical(g: Digraph, edge: Edge) -> bool:
@@ -170,14 +184,13 @@ def agent_link_indices(g: Digraph, v: int) -> tuple[int, int]:
     """
     v = _check_follower(g, v)
     _require_controllable(g)
-    return _link_indices(g, v)
+    return _link_indices(g, v, _uncritical_links(g._kernels[0], g._succ[v]))
 
 
-def _link_indices(g: Digraph, v: int) -> tuple[int, int]:
-    """:func:`agent_link_indices`, the out-edges' criticality read on the graph's ``lc`` kernel."""
-    link = g._kernels[0]
+def _link_indices(g: Digraph, v: int, uncritical_links: Collection[Edge]) -> tuple[int, int]:
+    """:func:`agent_link_indices`, with ``uncritical_links`` holding the uncritical ones among the follower's out-edges."""
     out = g._out[v]
-    uncritical = [e for e in out if not _unit_drop(link, e)]
+    uncritical = [e for e in out if e in uncritical_links]
     return len(out) - len(uncritical), _uncritical_link_index(g, uncritical)
 
 
@@ -264,9 +277,10 @@ def edge_records(g: Digraph) -> list[EdgeIndexRecord]:
     if not g.is_controllable():
         return [EdgeIndexRecord(edge, True, None, None) for edge in g.sorted_edges]
     link, agent = g._kernels
+    uncritical = _uncritical_links(link, g.followers)
     records = []
     for edge in g.sorted_edges:
-        critical = _unit_drop(link, edge)
+        critical = edge not in uncritical
         records.append(
             EdgeIndexRecord(
                 edge=edge,
@@ -280,18 +294,22 @@ def edge_records(g: Digraph) -> list[EdgeIndexRecord]:
     return records
 
 
-def agent_records(g: Digraph) -> list[AgentIndexRecord]:
+def agent_records(g: Digraph, _uncritical: Collection[Edge] | None = None) -> list[AgentIndexRecord]:
     """Per-follower criticality and the four importance indices.
 
-    Each out-edge's link criticality is read again on the graph's ``lc``
-    kernel, which keeps no answers; most such reads close on brackets.
+    ``_uncritical``, the uncritical links of :func:`edge_records` (a
+    report passes them), answers each out-edge's link criticality.
+    Without it, the heads of the followers' out-edges are read once each
+    on the graph's ``lc`` kernel.
     """
     if not g.is_controllable():
         return [AgentIndexRecord(v, True, None, None, None, None) for v in g.followers]
     link, agent = g._kernels
+    if _uncritical is None:
+        _uncritical = _uncritical_links(link, {head for v in g.followers for head in g._succ[v]})
     records = []
     for v in g.followers:
-        link_indices = _link_indices(g, v)
+        link_indices = _link_indices(g, v, _uncritical)
         out = frozenset(g._out[v])
         records.append(
             AgentIndexRecord(

@@ -70,7 +70,7 @@ def build_report(
 
     if "indices" in wanted:
         edges = edge_records(g)
-        agents = agent_records(g)
+        agents = agent_records(g, {r.edge for r in edges if not r.critical})
         doc["indices"] = {
             "edges": [
                 {

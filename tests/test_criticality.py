@@ -6,7 +6,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings
 
-from robonet import criticality
+from robonet import connectivity, criticality
 from robonet.criticality import (
     AgentIndexRecord,
     EdgeIndexRecord,
@@ -32,6 +32,7 @@ from robonet.errors import (
 )
 from robonet.connectivity import WitnessSet, _Flow, link_controllability
 from robonet.families import circulant_rooted, complete_rooted, kautz_rooted, preset
+from robonet.oracle import random_digraph
 from robonet.report import build_report
 
 from conftest import digraphs, literal_ac, literal_lc, seeded_sweep
@@ -74,6 +75,80 @@ class TestLinkCriticality:
     def test_unknown_edge(self, path3):
         with pytest.raises(UnknownEdgeError):
             is_link_critical(path3, (3, 1))
+
+
+def _critical_link_graphs():
+    """The sweep, then family graphs and seeded random graphs of 8-16 vertices and 2n-4n edges."""
+    cases = seeded_sweep(500)
+    cases += [
+        ("g4", circulant_rooted(6, (2, 3, 5))),
+        ("kautz(2,3)", kautz_rooted(2, 3)),
+        ("kautz(3,2)", kautz_rooted(3, 2)),
+        ("circulant(10,{1,2,3})", circulant_rooted(10, (1, 2, 3))),
+        ("circulant(12,{1,2,3})", circulant_rooted(12, (1, 2, 3))),
+        ("double-loop 20", preset("double_loop", 20)),
+        ("daisy chain 5", preset("daisy_chain", 5)),
+    ]
+    cases += [(f"complete {n}", complete_rooted(n)) for n in range(5, 9)]
+    for n in range(8, 17):
+        for m in (2 * n, 3 * n, 4 * n):
+            for roots in (1, 2):
+                cases.append((f"random({n}, {m}, {roots})", random_digraph(n, m, roots, n * m + roots)))
+    return cases
+
+
+def _critical_link_mismatches(cases, literal=True):
+    """Edges whose per-head critical flag differs from the exact single-edge drop (and the literal test)."""
+    mismatches = []
+    for case, g in cases:
+        if not g.is_controllable():
+            continue
+        link = g._kernels[0]
+        uncritical = criticality._uncritical_links(link, g.followers)
+        for edge in g.sorted_edges:
+            flags = {edge not in uncritical, criticality._unit_drop(link, edge)}
+            if literal:
+                flags.add(is_link_critical(g, edge))
+            if len(flags) > 1:
+                mismatches.append((case, edge))
+    return mismatches
+
+
+class TestCriticalLinksPerHead:
+    def test_flags_match_the_single_edge_drops_and_the_literal_test(self, monkeypatch):
+        # each head is settled by its in-degree, its bracket, or one flow
+        # and a backwards search of the residual; count the sweep graphs
+        # that reach the search (46 when it was written, with 84 heads)
+        searched = set()
+        original = _Flow.reaching
+
+        def counting(self, cap, sink):
+            searched.add(id(self))
+            return original(self, cap, sink)
+
+        monkeypatch.setattr(_Flow, "reaching", counting)
+        cases = _critical_link_graphs()
+        assert _critical_link_mismatches(cases) == []
+        sweep = {id(g._kernels[0]._net) for _, g in cases[:500]}
+        assert len(searched & sweep) >= 40, len(searched & sweep)
+
+    def test_the_source_side_cut_misses_critical_links(self, monkeypatch):
+        # a planted fault: only the in-edges of the source-side canonical
+        # cut (the tails the source reaches in the residual) count, which
+        # misses an in-edge that lies only in other minimum cuts
+        def unreached_by_the_source(self, cap, sink):
+            reached = [False] * self.node_count
+            reached[0] = True
+            queue = [0]
+            for v in queue:
+                for arc in self.adj[v]:
+                    if cap[arc] > 0 and not reached[self.to[arc]]:
+                        reached[self.to[arc]] = True
+                        queue.append(self.to[arc])
+            return [not r for r in reached]
+
+        monkeypatch.setattr(_Flow, "reaching", unreached_by_the_source)
+        assert _critical_link_mismatches(seeded_sweep(500), literal=False)
 
 
 class TestAgentCriticality:
@@ -366,6 +441,51 @@ class TestRecords:
             flows.clear()
             build_report(g, ("indices",))
             assert len(flows) <= bound, (case, len(flows))
+
+    def test_index_records_make_one_read_per_edge_and_three_per_follower(self, monkeypatch):
+        # one ac drop per edge; per follower its ac criticality and its two
+        # out-edge drops.  Link criticality is read once per head and, with
+        # every in-degree here equal to lc, runs no flow; the agent records
+        # take the edge records' flags (the read per out-edge again made
+        # 57, 97, 169, 129 and 154 solves)
+        solves, flows, inside = [], [], []
+        solve, flow, tails = (
+            connectivity._DeletionDegrees._solve,
+            _Flow.max_flow,
+            connectivity._DeletionDegrees.uncritical_tails,
+        )
+
+        def solving(self, *args):
+            solves.append(args)
+            return solve(self, *args)
+
+        def flowing(self, *args):
+            flows.append(bool(inside))
+            return flow(self, *args)
+
+        def reading(self, target):
+            self.base  # the degree's own read comes first, outside
+            inside.append(target)
+            try:
+                return tails(self, target)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(connectivity._DeletionDegrees, "_solve", solving)
+        monkeypatch.setattr(_Flow, "max_flow", flowing)
+        monkeypatch.setattr(connectivity._DeletionDegrees, "uncritical_tails", reading)
+        most = {
+            "g4": (circulant_rooted(6, (2, 3, 5)), 17),
+            "kautz(2,3)": (kautz_rooted(2, 3), 0),
+            "double-loop 20": (preset("double_loop", 20), 0),
+            "circulant(12,{1,2,3})": (circulant_rooted(12, (1, 2, 3)), 27),
+            "complete 8": (complete_rooted(8), 0),
+        }
+        for case, (g, bound) in most.items():
+            solves.clear(), flows.clear()
+            build_report(g, ("indices",))
+            assert len(solves) <= len(g.edges) + 3 * len(g.followers), (case, len(solves))
+            assert len(flows) <= bound and not any(flows), (case, flows)
 
     def test_index_reads_walk_once_per_graph(self, monkeypatch):
         # every index of double-loop 2,000 is a single deletion (one edge,

@@ -69,7 +69,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Collection, Iterable, Iterator, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Sequence
 
 from .digraph import Digraph, Edge
 from .errors import (
@@ -306,7 +306,8 @@ class _DeletionDegrees:
     with one flow per follower it cannot skip; the witness cut
     (:meth:`cheapest`) is its first, and :attr:`_witness` keeps its replay.
     :meth:`uncritical_tails` reads which in-edges of one follower lie in
-    no such cut, with at most one flow.
+    no such cut, with at most one flow, and :meth:`tight_cut_within`
+    whether one holds only given followers, at most one flow per follower.
     """
 
     def __init__(self, g: Digraph, edge_cost: int | None, vertex_cost: int | None) -> None:
@@ -422,6 +423,31 @@ class _DeletionDegrees:
             value, cut = self._crossing(v, degree + 1)
             if value == degree:
                 yield v, cut
+
+    def tight_cut_within(self, allowed: Callable[[int], bool]) -> bool:
+        """Does some follower have a cut of :attr:`base` followers, all ``allowed``, under the cap?
+
+        On the ``ac`` network, a follower with a lower bracket over the
+        degree (one a root feeds) is skipped, one with the degree as in-degree
+        and only allowed tails says yes, and any other runs a flow capped at
+        the degree plus one in which a follower not allowed costs that cap.
+        """
+        assert (self._edge_cost, self._vertex_cost) == (None, 1), "agent cuts are read on the ac network"
+        degree, followers = self.base, self._g.followers
+        priced = None
+        for v in followers:
+            if self._bracket(frozenset(), frozenset(), v)[0] > degree:
+                continue
+            tails = self._g._pred[v][1]
+            if len(tails) == degree and all(map(allowed, tails)):
+                return True
+            net = self._built_net()
+            if priced is None:
+                priced = net.cap[:]
+                priced[: net.first_edge : 2] = [1 if allowed(u) else degree + 1 for u in followers]
+            if net.max_flow(priced[:], (0,), net.entry[v], degree + 1)[0] == degree:
+                return True
+        return False
 
     def uncritical_tails(self, target: int) -> tuple[int, ...]:
         """The tails of the target's in-edges that lie in no cheapest cut of the controllable ``g``, on the ``lc`` network.

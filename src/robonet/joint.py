@@ -45,7 +45,8 @@ The subset budget bounds the follower subsets of each tested pair, so it
 applies to the pairs above the triangle only; a region over budget names
 the first tested pair that needs more subsets than the budget allows.
 :func:`is_joint_rs_controllable` itself tests any pair, triangle or not,
-by enumeration.
+by enumeration.  The link-critical class enumerates nothing: it is one
+read of cheapest cuts on the ``ac`` kernel, so no budget bounds it.
 """
 from __future__ import annotations
 
@@ -358,12 +359,12 @@ class Classification:
     the certificates imply: the joint region is exactly the triangle
     r + s <= jc, so the joint degree alone characterizes survivable
     failures.  Complete digraphs show the semantic class is strictly
-    larger than the conjunction of the two certificates.  ``None`` marks
-    an answer that was not decidable within the enumeration budget.
+    larger than the conjunction of the two certificates.  A ``None``
+    ``jointly_critical`` was not decidable within the enumeration budget.
     """
 
     agent_critical: bool
-    link_critical: bool | None
+    link_critical: bool
     jointly_critical: bool | None
 
 
@@ -384,7 +385,7 @@ def classify(
     unit_index = partial(_unit_drop, agent)
     root_out = g.out_cut(g.roots).sorted_members
     agent_critical = all(unit_index(e) for e in root_out)
-    link_critical = _link_critical(g, agent.base, unit_index, budget)
+    link_critical = _link_critical(g, agent, unit_index)
     if agent_critical and link_critical:
         jointly: bool | None = True
     elif _region is not None:
@@ -398,25 +399,18 @@ def classify(
     )
 
 
-def _link_critical(
-    g: Digraph, q: int, unit_index: Callable[[Edge], bool], budget: int
-) -> bool | None:
+def _link_critical(g: Digraph, agent: _DeletionDegrees, unit_index: Callable[[Edge], bool]) -> bool:
     """Does some minimum breaking agent set have a unit-index out-edge per member?
 
-    ``q`` is ``ac(g)``, so every breaking set of ``q`` followers is minimal.
+    Under the cap, such a set of ``ac`` followers is a cheapest cut of a
+    follower it strands (:meth:`_DeletionDegrees.tight_cut_within`); at
+    the cap it is every follower.
     """
     followers = g.followers
-    if not followers:
-        return False
     complies = cache(lambda v: any(map(unit_index, g.out_edges(v))))  # a unit-index out-edge, read once
-    for scanned, combo in enumerate(combinations(followers, q), 1):
-        if scanned > budget:
-            return None  # existential not settled within budget
-        if g._breaks(frozenset(combo)) is None:
-            continue
-        if all(map(complies, combo)):
-            return True
-    return False
+    if agent.base < len(followers):
+        return agent.tight_cut_within(complies)
+    return bool(followers) and all(map(complies, followers))  # with no follower, no set breaks g
 
 
 def _region_is_exact(g: Digraph, budget: int) -> bool | None:
@@ -514,7 +508,7 @@ def check_bounds(
         return BoundCheck(name, applicable, verdict, detail)
 
     in_either_class = classification is not None and (
-        classification.agent_critical or classification.link_critical is True
+        classification.agent_critical or classification.link_critical
     )
     rows.append(
         region_row(
@@ -533,7 +527,7 @@ def check_bounds(
             f"|E|={e} >= (n-1)*(r+s) for every region pair",
         )
     )
-    link_side = single_root and classification is not None and classification.link_critical is True
+    link_side = single_root and classification is not None and classification.link_critical
     rows.append(
         region_row(
             "link_critical_edge_bound",

@@ -1,11 +1,12 @@
 import os
+from itertools import combinations
 
 import pytest
 from hypothesis import strategies as st
 
 import robonet
 from robonet.connectivity import max_edge_disjoint, max_vertex_disjoint
-from robonet.digraph import new_digraph
+from robonet.digraph import new_digraph, removal_breaks_controllability
 from robonet.families import circulant_rooted, complete_rooted, preset
 from robonet.oracle import random_digraph
 
@@ -104,3 +105,21 @@ def literal_ac(g) -> int:
     if not g.followers or not g.is_controllable():
         return 0
     return min(max_vertex_disjoint(g, v).value for v in g.followers)
+
+
+def literal_link_critical(g, unit_index) -> bool:
+    """The link-critical class by its definition: some minimal breaking set of ``ac`` followers, each with an out-edge ``unit_index`` accepts.
+
+    The reference for :func:`robonet.joint._link_critical`: it tries every
+    set of :func:`literal_ac` followers in id order, and checks that a set
+    breaks, and that no member can be spared, through the public removal
+    test, so it shares no cut, bracket or walk with the kernel's read.
+    """
+    for combo in combinations(g.followers, literal_ac(g)):
+        if not removal_breaks_controllability(g, vertices=combo):
+            continue
+        if any(removal_breaks_controllability(g, vertices=combo[:i] + combo[i + 1 :]) for i in range(len(combo))):
+            continue
+        if all(any(unit_index(e) for e in g.out_edges(v)) for v in combo):
+            return True
+    return False

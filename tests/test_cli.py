@@ -83,6 +83,16 @@ class TestAnalyze:
         assert cli.main(["analyze", str(path), "--classify"]) == 0
         assert "jointly_critical=yes" in capsys.readouterr().out
 
+    def test_link_critical_ignores_the_budget(self, g4_file, tmp_path, capsys):
+        # the class is one cut read on the ac kernel; an enumeration of
+        # follower sets left it undefined on both graphs at a budget of 1
+        kautz = tmp_path / "kautz.json"
+        kautz.write_text(dumps_json_graph(kautz_rooted(3, 2)))
+        cases = [(str(kautz), "link_critical=yes jointly_critical=yes"), (g4_file, "link_critical=no jointly_critical=no")]
+        for path, classes in cases:
+            assert cli.main(["analyze", path, "--classify", "--budget", "1"]) == 0
+            assert classes in capsys.readouterr().out
+
     def test_region_section(self, g4_file, capsys):
         assert cli.main(["analyze", g4_file, "--region"]) == 0
         out = capsys.readouterr().out

@@ -1,5 +1,6 @@
 import functools
 import gc
+import random
 import sys
 import threading
 import weakref
@@ -44,7 +45,7 @@ from robonet.joint import (
 from robonet.oracle import oracle_jc, oracle_region, random_digraph
 from robonet.report import SECTIONS, build_report
 
-from conftest import digraphs, literal_ac, literal_lc, seeded_sweep
+from conftest import digraphs, literal_ac, literal_lc, literal_link_critical, seeded_sweep
 
 
 # ledger counterexample: agent-critical, but the canonical minimum cut of
@@ -751,6 +752,45 @@ class TestLinkSubstitution:
                 assert not removal_breaks_controllability(g, edges=links), (sorted(agents), links)
 
 
+def _link_critical_mismatches(graphs, monkeypatch):
+    """The controllable graphs whose link-critical answer differs from the literal one, and how many ran a priced flow.
+
+    Every unit index is read before the answer, so a flow during it is
+    the re-priced one.
+    """
+    flows = []
+    original = connectivity._Flow.max_flow
+
+    def counting(self, cap, sources, sink, limit=None):
+        flows.append(sink)
+        return original(self, cap, sources, sink, limit)
+
+    monkeypatch.setattr(connectivity._Flow, "max_flow", counting)
+    mismatches, priced = [], 0
+    for g in graphs:
+        if not g.is_controllable():
+            continue
+        agent = g._kernels[1]
+        unit_index = functools.cache(functools.partial(criticality._unit_drop, agent))
+        for v in g.followers:
+            any(map(unit_index, g.out_edges(v)))
+        flows.clear()
+        answer = joint._link_critical(g, agent, unit_index)
+        priced += bool(flows)
+        if answer != literal_link_critical(g, unit_index):
+            mismatches.append(g)
+    return mismatches, priced
+
+
+def _relabeled(g, seed):
+    """``g`` with its vertex ids, roots included, permuted by a seeded shuffle."""
+    ids = sorted(g.vertices)
+    shuffled = ids[:]
+    random.Random(seed).shuffle(shuffled)
+    label = dict(zip(ids, shuffled))
+    return new_digraph(g.n, [label[v] for v in g.roots], [(label[t], label[h]) for t, h in g.edges])
+
+
 class TestClassification:
     def test_complete_graphs(self):
         for n in range(2, 6):
@@ -790,11 +830,12 @@ class TestClassification:
                 continue
             acv = literal_ac(g)
 
+            @functools.cache
             def unit_index(edge):
                 return acv - literal_ac(g.remove_edges({edge})) == 1
 
             agent_critical = all(unit_index(e) for e in g.out_cut(g.roots).sorted_members)
-            link_critical = joint._link_critical(g, acv, unit_index, DEFAULT_SUBSET_BUDGET)
+            link_critical = literal_link_critical(g, unit_index)
             if agent_critical and link_critical:
                 jointly = True
             else:
@@ -827,37 +868,70 @@ class TestClassification:
         # one lower" alone would answer yes
         assert deep_root_drops > 100
 
-    def test_link_critical_matches_the_literal_definition_on_the_seeded_sweep(self):
-        # reference: every breaking set of ac followers checked for
-        # minimality through the public removal test, as first written
-        def literal(g, q, unit_index, budget):
-            scanned = 0
-            for combo in combinations(g.followers, q):
-                scanned += 1
-                if scanned > budget:
-                    return None
-                if not removal_breaks_controllability(g, vertices=combo):
-                    continue
-                if any(
-                    removal_breaks_controllability(g, vertices=combo[:i] + combo[i + 1 :])
-                    for i in range(len(combo))
-                ):
-                    continue
-                if all(any(unit_index(e) for e in g.out_edges(v)) for v in combo):
-                    return True
-            return False
+    def test_link_critical_matches_the_literal_definition(self, g4, monkeypatch):
+        # reference: every set of ac followers, walked through the public
+        # removal test (literal_link_critical), with the same unit-index
+        # answers, so the two sides differ only in how they find the set
+        families = [g4, kautz_rooted(2, 2), kautz_rooted(2, 3), kautz_rooted(3, 2), preset("double_loop", 20)]
+        families += [preset("daisy_chain", 7), circulant_rooted(10, (1, 2, 3)), circulant_rooted(12, (1, 2, 3))]
+        families += [complete_rooted(n) for n in range(3, 9)]
+        randoms = [random_digraph(10 + i % 11, (3 + i // 11 % 2) * (10 + i % 11), 1 + i % 2, i) for i in range(176)]
+        mismatches, priced = _link_critical_mismatches([g for _, g in seeded_sweep(500)], monkeypatch)
+        assert mismatches == []
+        assert priced >= 20, priced
+        assert _link_critical_mismatches(families, monkeypatch)[0] == []
+        mismatches, priced = _link_critical_mismatches(randoms, monkeypatch)
+        assert mismatches == []
+        # the flow on re-priced split arcs decides 23 of the sweep's 244
+        # controllable graphs and 88 of these 150; the others close on a
+        # bracket or an in-degree, or sit at the cap
+        assert priced >= 80, priced
 
-        answers = set()
-        for seed, g in seeded_sweep(500):
-            if not g.is_controllable():
-                continue
-            agent = _DeletionDegrees(g, None, 1)
+    def test_link_critical_check_catches_underpriced_arcs(self, monkeypatch):
+        # planted fault: each re-priced split arc costs the degree, not one
+        # more, so a cut holding a follower with no unit-index out-edge
+        # still costs the degree; a five-vertex sweep graph shows it
+        original = connectivity._Flow.max_flow
+
+        def underpriced(self, cap, sources, sink, limit=None):
+            for arc in range(0, self.first_edge, 2):
+                if cap[arc] > 1:
+                    cap[arc] = limit - 1
+            return original(self, cap, sources, sink, limit)
+
+        monkeypatch.setattr(connectivity._Flow, "max_flow", underpriced)
+        mismatches, _ = _link_critical_mismatches([g for _, g in seeded_sweep(500)], monkeypatch)
+        assert mismatches and min(g.n for g in mismatches) == 5
+
+    def test_link_critical_walks_no_follower_set(self, monkeypatch):
+        # the enumeration walked each set of ac followers in id order until
+        # one broke with every member covered: 320 walks on Kautz(3,3) and
+        # 1-22 on these relabelings of Kautz(3,2)
+        walks, flows = [], []
+        reach, flow = digraph.Digraph._reach, connectivity._Flow.max_flow
+
+        def walking(self, *args, **kwargs):
+            walks.append(args)
+            return reach(self, *args, **kwargs)
+
+        def counting(self, cap, sources, sink, limit=None):
+            flows.append(sink)
+            return flow(self, cap, sources, sink, limit)
+
+        monkeypatch.setattr(digraph.Digraph, "_reach", walking)
+        monkeypatch.setattr(connectivity._Flow, "max_flow", counting)
+        kautz = kautz_rooted(3, 2)
+        cases = [(kautz_rooted(3, 3), True), (complete_rooted(12), False)]
+        cases += [(_relabeled(kautz, seed), True) for seed in range(1, 5)]
+        for g, expected in cases:
+            agent = g._kernels[1]
+            agent.base  # the degree's own walks and flows come first
             unit_index = functools.partial(criticality._unit_drop, agent)
-            for budget in (1, 3, 10, DEFAULT_SUBSET_BUDGET):
-                expected = literal(g, agent.base, unit_index, budget)
-                assert joint._link_critical(g, agent.base, unit_index, budget) == expected, (seed, budget)
-                answers.add(expected)
-        assert answers == {True, False, None}
+            walks.clear()
+            flows.clear()
+            assert joint._link_critical(g, agent, unit_index) is expected
+            assert walks == [], (g.n, len(walks))
+            assert len(flows) <= len(g.followers), (g.n, len(flows))
 
     def test_report_tests_each_region_cell_once(self, monkeypatch):
         tested = []

@@ -172,7 +172,7 @@ def link_controllability_index(g: Digraph, edge: Edge) -> int:
         raise EdgeIsCriticalError(
             f"edge {edge[0]}->{edge[1]} is critical; the index applies to uncritical links"
         )
-    return _critical_link_count(g.remove_edges({edge})) - _critical_link_count(g)
+    return _uncritical_link_index(g, [edge])
 
 
 def agent_link_indices(g: Digraph, v: int) -> tuple[int, int]:
@@ -286,9 +286,7 @@ def edge_records(g: Digraph) -> list[EdgeIndexRecord]:
                 edge=edge,
                 critical=critical,
                 agent_controllability_index=_drop(agent, frozenset((edge,))),
-                link_controllability_index=(
-                    None if critical else link_controllability_index(g, edge)
-                ),
+                link_controllability_index=None if critical else _uncritical_link_index(g, [edge]),
             )
         )
     return records

@@ -5,6 +5,11 @@ two always carry identical numbers.  Undefined values (indices on an
 uncontrollable graph, answers lost to the enumeration budget) are null in
 JSON and the word "undefined" in text.  Reports contain nothing
 run-dependent; repeated runs are byte-identical.
+
+Each index entry, the region, the classification and each bound row carry
+the fields of their public type (``EdgeIndexRecord``, ``AgentIndexRecord``,
+``JointRegion``, ``Classification``, ``BoundCheck``), tuples as lists; the
+region adds ``exact_for_degree``.
 """
 from __future__ import annotations
 
@@ -72,26 +77,8 @@ def build_report(
         edges = edge_records(g)
         agents = agent_records(g, {r.edge for r in edges if not r.critical})
         doc["indices"] = {
-            "edges": [
-                {
-                    "edge": list(r.edge),
-                    "critical": r.critical,
-                    "agent_controllability_index": r.agent_controllability_index,
-                    "link_controllability_index": r.link_controllability_index,
-                }
-                for r in edges
-            ],
-            "agents": [
-                {
-                    "vertex": r.vertex,
-                    "critical": r.critical,
-                    "agent_criticality_index": r.agent_criticality_index,
-                    "link_criticality_index": r.link_criticality_index,
-                    "critical_link_index": r.critical_link_index,
-                    "uncritical_link_index": r.uncritical_link_index,
-                }
-                for r in agents
-            ],
+            "edges": [dict(vars(r), edge=list(r.edge)) for r in edges],
+            "agents": [dict(vars(r)) for r in agents],
             "ranking": (
                 [r.vertex for r in sorted(agents, key=AgentIndexRecord.sort_key)]
                 if controllable
@@ -106,14 +93,12 @@ def build_report(
         else:
             try:
                 region = joint_region(g, budget=budget)
-                doc["region"] = {
-                    "lc": region.lc,
-                    "ac": region.ac,
-                    "jc": region.jc,
-                    "members": [list(p) for p in region.members],
-                    "frontier": [list(p) for p in region.frontier],
-                    "exact_for_degree": region.exact_for_degree,
-                }
+                doc["region"] = dict(
+                    vars(region),
+                    members=[list(p) for p in region.members],
+                    frontier=[list(p) for p in region.frontier],
+                    exact_for_degree=region.exact_for_degree,
+                )
             except InstanceTooLargeError as exc:
                 exhausted.append("region")
                 doc["region"] = {"error": str(exc)}
@@ -122,11 +107,7 @@ def build_report(
     if "classify" in wanted:
         if controllable:
             classification = classify(g, budget=budget, _region=region)
-            doc["classification"] = {
-                "agent_critical": classification.agent_critical,
-                "link_critical": classification.link_critical,
-                "jointly_critical": classification.jointly_critical,
-            }
+            doc["classification"] = dict(vars(classification))
         else:
             doc["classification"] = None
 
@@ -135,13 +116,7 @@ def build_report(
 
     if "classify" in wanted and "region" in wanted:
         doc["bounds"] = [
-            {
-                "name": row.name,
-                "applicable": row.applicable,
-                "holds": row.holds,
-                "detail": row.detail,
-            }
-            for row in check_bounds(g, region=region, classification=classification)
+            dict(vars(row)) for row in check_bounds(g, region=region, classification=classification)
         ]
 
     doc["budget"] = {"limit": budget, "exhausted_sections": sorted(exhausted)}

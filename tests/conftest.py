@@ -107,6 +107,25 @@ def literal_ac(g) -> int:
     return min(max_vertex_disjoint(g, v).value for v in g.followers)
 
 
+_literal_degrees: dict = {}
+
+
+def literal_degree(g, mode: int) -> int:
+    """:func:`literal_lc` (``mode`` 0) or :func:`literal_ac` (``mode`` 1) of ``g``, solved once per graph in a session.
+
+    The slowest references take the degrees of reduced graphs built from
+    the seeded sweep, and several tests build the same ones: this cache
+    shares each solve among them.  It keeps no graph alive: its key holds
+    the vertices and the edges as bit masks, a fraction of the memory of
+    the graph's frozensets.
+    """
+    width = max(g.vertices).bit_length()  # each head fits below its tail's bits
+    key = (mode, g.roots, sum(1 << v for v in g.vertices), sum(1 << (t << width | h) for t, h in g.edges))
+    if key not in _literal_degrees:
+        _literal_degrees[key] = (literal_lc, literal_ac)[mode](g)
+    return _literal_degrees[key]
+
+
 def literal_link_critical(g, unit_index) -> bool:
     """The link-critical class by its definition: some minimal breaking set of ``ac`` followers, each with an out-edge ``unit_index`` accepts.
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 import resource
@@ -6,8 +7,9 @@ import sys
 
 import pytest
 
-from robonet import cli
+from robonet import AgentIndexRecord, BoundCheck, Classification, EdgeIndexRecord, JointRegion, cli
 from robonet.graphio import dumps_json_graph, graph_to_dot, load_graph_file
+from robonet.report import build_report, render_text
 from robonet.families import complete_rooted, kautz_rooted, preset
 
 
@@ -107,6 +109,76 @@ class TestAnalyze:
             "link_critical": False,
             "jointly_critical": False,
         }
+
+    def test_json_schema(self, g4_file, tmp_path, capsys):
+        # the report serializes its result types: every section's keys are
+        # pinned, and each record's keys are its type's fields, so renaming
+        # or adding a field changes the schema and fails here
+        def fields(cls):
+            return {f.name for f in dataclasses.fields(cls)}
+
+        stranded = tmp_path / "stranded.json"  # follower 4 has no in-edge
+        stranded.write_text('{"n": 4, "roots": [1], "edges": [[1, 2], [1, 3], [2, 3]]}')
+        witness = {"edges", "vertices", "unreachable"}
+        for path, controllable in ((g4_file, True), (str(stranded), False)):
+            assert cli.main(["analyze", path, "--json"]) == 0
+            doc = json.loads(capsys.readouterr().out)
+            # JSON has no tuples, so the report dict holds lists throughout
+            assert doc == build_report(load_graph_file(path))
+            assert doc.keys() == {
+                "schema", "graph", "controllable", "degrees", "indices",
+                "classification", "region", "witnesses", "bounds", "budget",
+            }
+            assert doc["schema"] == "robonet-report/1" and doc["controllable"] is controllable
+            assert doc["graph"].keys() == {"n", "roots", "edges"}
+            assert doc["degrees"].keys() == {"lc", "ac", "jc"}
+            assert doc["budget"].keys() == {"limit", "exhausted_sections"}
+            indices = doc["indices"]
+            assert indices.keys() == {"edges", "agents", "ranking"}
+            assert indices["edges"] and indices["agents"]
+            for record in indices["edges"]:
+                assert record.keys() == fields(EdgeIndexRecord) == {
+                    "edge", "critical", "agent_controllability_index", "link_controllability_index",
+                }
+                assert type(record["edge"]) is list
+            for record in indices["agents"]:
+                assert record.keys() == fields(AgentIndexRecord) == {
+                    "vertex", "critical", "agent_criticality_index", "link_criticality_index",
+                    "critical_link_index", "uncritical_link_index",
+                }
+            assert len(doc["bounds"]) == 6
+            for row in doc["bounds"]:
+                assert row.keys() == fields(BoundCheck) == {"name", "applicable", "holds", "detail"}
+            if not controllable:
+                assert indices["ranking"] is None
+                assert doc["classification"] is doc["region"] is doc["witnesses"] is None
+                continue
+            assert type(indices["ranking"]) is list
+            assert doc["classification"].keys() == fields(Classification) == {
+                "agent_critical", "link_critical", "jointly_critical",
+            }
+            region = doc["region"]
+            assert region.keys() == fields(JointRegion) | {"exact_for_degree"} == {
+                "lc", "ac", "jc", "members", "frontier", "exact_for_degree",
+            }
+            for key in ("members", "frontier"):
+                assert type(region[key]) is list and all(type(pair) is list for pair in region[key])
+            assert doc["witnesses"].keys() == {"link", "agent", "mixed"}
+            for payload in doc["witnesses"].values():
+                assert payload.keys() == witness
+
+    def test_report_of_a_vertex_removed_graph_lists_its_vertices(self, g4):
+        # a graph file numbers its vertices 1..n, so a graph with a hole in
+        # its ids is summarized with its vertex list
+        g = g4.remove_vertices({3})
+        doc = build_report(g, ("degrees",))
+        assert doc["graph"] == {
+            "n": 5,
+            "vertices": [1, 2, 4, 5, 6],
+            "roots": [1],
+            "edges": [list(e) for e in g.sorted_edges],
+        }
+        assert render_text(doc).splitlines()[1] == f"graph: n=5 roots=[1] edges={len(doc['graph']['edges'])}"
 
     def test_indices_section(self, g4_file, capsys):
         assert cli.main(["analyze", g4_file, "--indices"]) == 0

@@ -25,7 +25,7 @@ from robonet.families import circulant_rooted, kautz_rooted, preset
 from robonet.joint import critical_agent_link_witness
 from robonet.oracle import oracle_ac, oracle_lc, random_digraph
 
-from conftest import digraphs, literal_ac, literal_lc, seeded_sweep
+from conftest import digraphs, literal_ac, literal_degree, literal_lc, seeded_sweep
 
 
 class TestEdgeDisjoint:
@@ -235,7 +235,7 @@ class TestDeletionKernels:
 def _built_degrees(g, followers=frozenset(), edges=frozenset()):
     """``(lc, ac)`` of the graph built with the followers and edges deleted: the masked reads' reference."""
     reduced = g.remove_edges(edges).remove_vertices(followers)
-    return literal_lc(reduced), literal_ac(reduced)
+    return literal_degree(reduced, 0), literal_degree(reduced, 1)
 
 
 def _small_deletions(g):

@@ -35,7 +35,7 @@ from robonet.families import circulant_rooted, complete_rooted, kautz_rooted, pr
 from robonet.oracle import random_digraph
 from robonet.report import build_report
 
-from conftest import digraphs, literal_ac, literal_lc, seeded_sweep
+from conftest import digraphs, literal_ac, literal_degree, literal_lc, seeded_sweep
 
 
 @pytest.fixture(scope="module")
@@ -158,6 +158,10 @@ class TestAgentCriticality:
 
     def test_star_followers_all_critical(self, star4):
         assert all(is_agent_critical(star4, v) for v in star4.followers)
+
+    def test_uncontrollable_graph_reports_all_critical(self, uncontrollable):
+        # follower 2 is reached and follower 3 is not; both count as critical
+        assert [is_agent_critical(uncontrollable, v) for v in uncontrollable.followers] == [True, True]
 
     def test_g4_criticals_match_pair_enumeration(self, g4):
         sets, _ = enumerate_critical_sets(g4, "agent")
@@ -534,14 +538,14 @@ def _reference_records(g):
     Every degree drop is the difference of ``lc`` or ``ac`` of ``g`` and of
     a reduced graph built with ``remove_edges``/``remove_vertices``, and
     every critical-link count counts such drops of one.  The degree of
-    each graph is solved once.
+    each graph is solved once in a session (:func:`conftest.literal_degree`).
     """
     if not g.is_controllable():
         return (
             [EdgeIndexRecord(e, True, None, None) for e in g.sorted_edges],
             [AgentIndexRecord(v, True, None, None, None, None) for v in g.followers],
         )
-    _lc, _ac = functools.cache(literal_lc), functools.cache(literal_ac)
+    _lc, _ac = (functools.partial(literal_degree, mode=mode) for mode in (0, 1))
 
     def critical_links(h):
         if not h.is_controllable():

@@ -42,7 +42,7 @@ from robonet.joint import (
     joint_region,
     link_set_from_agent_set,
 )
-from robonet.oracle import oracle_jc, oracle_region, random_digraph
+from robonet.oracle import OracleBudget, oracle_jc, oracle_joint_rs, oracle_region, random_digraph
 from robonet.report import SECTIONS, build_report
 
 from conftest import digraphs, literal_ac, literal_lc, literal_link_critical, seeded_sweep
@@ -811,6 +811,24 @@ class TestClassification:
     def test_kautz(self):
         c = classify(kautz_rooted(2, 2))
         assert (c.agent_critical, c.link_critical, c.jointly_critical) == (True, True, True)
+
+    def test_equal_degrees_alone_do_not_make_a_graph_jointly_critical(self):
+        # roots 1-3 feed followers 4-6, which feed each of the cycle
+        # 7->8->9->10->7, which feeds 11: lc = ac = 3, but (2, 2) above the
+        # triangle is a member, so the diagonal test of classify answers no
+        edges = [(r, f) for r in (1, 2, 3) for f in (4, 5, 6)]
+        edges += [(f, c) for f in (4, 5, 6) for c in (7, 8, 9, 10)]
+        edges += [(7, 8), (8, 9), (9, 10), (10, 7)] + [(c, 11) for c in (7, 8, 9, 10)]
+        g = new_digraph(11, [1, 2, 3], edges)
+        assert len(g.edges) == 29
+        assert (literal_lc(g), literal_ac(g)) == (3, 3)
+        assert classify(g).jointly_critical is False
+        region = joint_region(g)
+        triangle = {(r, s) for r in range(4) for s in range(4) if r + s <= 3}
+        assert set(region.members) == triangle | {(2, 2)}
+        budget = OracleBudget(max_vertices=11, max_edges=40)
+        assert oracle_joint_rs(g, 2, 2, budget)
+        assert oracle_region(g, budget) == region.members
 
     def test_star_is_not_jointly_critical(self, star4):
         c = classify(star4)

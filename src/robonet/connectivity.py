@@ -408,29 +408,39 @@ class _DeletionDegrees:
             return len(g.followers) > 1 and not followers
         return not edges
 
+    def _tight_flow(self, target: int, cap: list[int] | None = None) -> tuple[list[int], list[int | None]] | None:
+        """A flow to the target on a copy of ``cap`` (the network's by default), capped at :attr:`base` plus one.
+
+        Its residual and its last search's marks if it stops at :attr:`base`, and None otherwise.
+        """
+        net = self._built_net()
+        residual = (net.cap if cap is None else cap)[:]
+        value, marks = net.max_flow(residual, (0,), net.entry[target], self.base + 1)
+        return (residual, marks) if value == self.base else None
+
     def tight_cuts(self) -> Iterator[tuple[int, frozenset]]:
         """Each follower whose cut costs :attr:`base`, in ascending order, and its cut.
 
         A follower whose lower bracket is over the degree is skipped; any
-        other runs one flow, capped at the degree plus one, and one whose
-        flow stops at the degree has its cut read off that flow.
+        other runs one :meth:`_tight_flow`, and one whose flow stops at the
+        degree has its cut read off that flow.
         """
         degree = self.base
         nothing: frozenset = frozenset()
         for v in self._g.followers:
             if self._bracket(nothing, nothing, v)[0] > degree:
                 continue
-            value, cut = self._crossing(v, degree + 1)
-            if value == degree:
-                yield v, cut
+            flow = self._tight_flow(v)
+            if flow is not None:
+                yield v, self._checked_cut(degree, *flow)
 
     def tight_cut_within(self, allowed: Callable[[int], bool]) -> bool:
         """Does some follower have a cut of :attr:`base` followers, all ``allowed``, under the cap?
 
         On the ``ac`` network, a follower with a lower bracket over the
         degree (one a root feeds) is skipped, one with the degree as in-degree
-        and only allowed tails says yes, and any other runs a flow capped at
-        the degree plus one in which a follower not allowed costs that cap.
+        and only allowed tails says yes, and any other runs a :meth:`_tight_flow`
+        in which a follower not allowed costs the degree plus one.
         """
         assert (self._edge_cost, self._vertex_cost) == (None, 1), "agent cuts are read on the ac network"
         degree, followers = self.base, self._g.followers
@@ -441,11 +451,11 @@ class _DeletionDegrees:
             tails = self._g._pred[v][1]
             if len(tails) == degree and all(map(allowed, tails)):
                 return True
-            net = self._built_net()
             if priced is None:
+                net = self._built_net()
                 priced = net.cap[:]
                 priced[: net.first_edge : 2] = [1 if allowed(u) else degree + 1 for u in followers]
-            if net.max_flow(priced[:], (0,), net.entry[v], degree + 1)[0] == degree:
+            if self._tight_flow(v, priced) is not None:
                 return True
         return False
 
@@ -457,12 +467,12 @@ class _DeletionDegrees:
         head too (the head rule).  An in-degree equal to the degree (the
         upper end of the target's bracket) makes every in-edge critical and
         a lower bracket over it none, with no flow.  Any other target runs
-        one flow, capped at the degree plus one; at the cap no in-edge is
-        critical.  A flow that stops at the degree is maximum, and an arc
-        into the sink lies in some minimum cut exactly when its tail does
-        not reach the sink in the residual (Picard & Queyranne): one search
-        backwards from the sink (:meth:`_Flow.reaching`) answers every
-        in-edge.  The roots, the source, never reach it.
+        one :meth:`_tight_flow`; over the degree no in-edge is critical.
+        A flow that stops at the degree is maximum, and an arc into the
+        sink lies in some minimum cut exactly when its tail does not reach
+        the sink in the residual (Picard & Queyranne): one search backwards
+        from the sink (:meth:`_Flow.reaching`) answers every in-edge.  The
+        roots, the source, never reach it.
         """
         assert (self._edge_cost, self._vertex_cost) == (1, None), "critical links are read on the lc network"
         degree = self.base
@@ -471,12 +481,11 @@ class _DeletionDegrees:
             return ()
         if self._bracket(frozenset(), frozenset(), target)[0] > degree:
             return roots + tails
-        net = self._built_net()
-        residual = net.cap[:]
-        sink = net.entry[target]
-        if net.max_flow(residual, (0,), sink, degree + 1)[0] > degree:
+        flow = self._tight_flow(target)
+        if flow is None:
             return roots + tails
-        reach = net.reaching(residual, sink)
+        net = self._net
+        reach = net.reaching(flow[0], net.entry[target])
         return tuple([tail for tail in tails if reach[net.entry[tail]]])
 
     def cheapest(self) -> tuple[int, frozenset] | None:
@@ -515,28 +524,18 @@ class _DeletionDegrees:
         g = self._g
         if self._edge_cost is None and g._pred[target][0]:
             return self._cap(len(g.followers)), frozenset(g.followers)
-        return self._crossing(target)
-
-    def _crossing(self, target: int, limit: int | None = None) -> tuple[int, frozenset | None]:
-        """A flow to the target, and the elements it saturates out of its last search's marks; None at ``limit``.
-
-        A flow under ``limit`` ends on a search that misses the sink, so
-        its marks are the residual reach of the source, the same for every
-        maximum flow, and the cut is canonical.  An edge that cannot be cut
-        counts as infinite, so one in the cut fails the duality check.  A
-        flow that reaches ``limit`` may stop on a search that reached the
-        sink, so it gets no cut.
-        """
         net = self._built_net()
         residual = net.cap[:]
-        value, marks = net.max_flow(residual, (0,), net.entry[target], limit)
-        if limit is not None and value >= limit:
-            return value, None
-        cut = frozenset(net.cut_elements(residual, marks))
+        value, marks = net.max_flow(residual, (0,), net.entry[target])
+        return value, self._checked_cut(value, residual, marks)
+
+    def _checked_cut(self, value: int, residual: list[int], marks: list[int | None]) -> frozenset:
+        """The canonical cut a maximum flow of ``value`` saturates out of its marks, checked by max-flow/min-cut duality."""
+        cut = frozenset(self._net.cut_elements(residual, marks))
         assert value == sum(
             self._vertex_cost if type(element) is int else self._edge_cost or float("inf") for element in cut
         ), "max-flow/min-cut duality violated"
-        return value, cut
+        return cut
 
     def without(
         self, followers: frozenset[int] = frozenset(), edges: frozenset[Edge] = frozenset()

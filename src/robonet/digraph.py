@@ -509,14 +509,6 @@ class EdgeDuplicate:
     white_of: Mapping[int, int]
     black_of: Mapping[Edge, int]
 
-    @property
-    def white_vertices(self) -> tuple[int, ...]:
-        return tuple(sorted(self.white_of.values()))
-
-    @property
-    def black_vertices(self) -> tuple[int, ...]:
-        return tuple(sorted(self.black_of.values()))
-
     @cached_property
     def _edge_of_black(self) -> Mapping[int, Edge]:
         return {b: edge for edge, b in self.black_of.items()}

@@ -57,16 +57,16 @@ def parse_json_graph(text: str, strip_self_loops: bool = False) -> Digraph:
     n = payload["n"]
     roots = payload["roots"]
     edges = payload["edges"]
-    if not isinstance(n, int):
+    if type(n) is not int:  # a JSON true or false is a bool, which isinstance takes for an int
         raise GraphFormatError('"n" must be an integer')
-    if not isinstance(roots, list) or not all(isinstance(r, int) for r in roots):
+    if not isinstance(roots, list) or not all(type(r) is int for r in roots):
         raise GraphFormatError('"roots" must be a list of integers')
     if not isinstance(edges, list):
         raise GraphFormatError('"edges" must be a list of [tail, head] pairs')
     _check_edge_count(len(edges))
     for item in edges:
         pair = isinstance(item, list) and len(item) == 2
-        if not (pair and isinstance(item[0], int) and isinstance(item[1], int)):
+        if not (pair and type(item[0]) is int and type(item[1]) is int):
             raise GraphFormatError(
                 f'"edges" entry {reprlib.repr(item)} is not a [tail, head] pair'
             )

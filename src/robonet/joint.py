@@ -34,16 +34,16 @@ network of g is built at the first such flow.  The classification, the
 bound checks, the joint degree and the substitution routines read that
 kernel and g's second one, for ``ac``, and so does the mixed witness:
 it is the ``lc`` kernel's witness when ``lc <= ac``, and otherwise the
-witness of its own network, which is built only then.  A report tests
-each pair once: its classification reads off its region whether that is
-the triangle.  The region, and a classification without one, test each
+witness of its own network, which is built only then.  The
+classification reads off the region whether that is the triangle, and a
+report passes its own, so it tests each pair once.  The region tests each
 (u, v) removal pattern once per call: neighbouring pairs share patterns.
 Every "agent controllability index is 1" test is the index's own exact
 read, which masks one edge and runs at most one flow, to its head.
 
 The subset budget bounds the follower subsets of each tested pair, so it
 applies to the pairs above the triangle only; a region over budget names
-the first tested pair that needs more subsets than the budget allows.
+the first tested pair over it and leaves the joint class undecided.
 :func:`is_joint_rs_controllable` itself tests any pair, triangle or not,
 by enumeration.  The link-critical class enumerates nothing: it is one
 read of cheapest cuts on the ``ac`` kernel, so no budget bounds it.
@@ -175,9 +175,6 @@ class JointRegion:
     @property
     def exact_for_degree(self) -> bool:
         return all(r + s <= self.jc for r, s in self.members)
-
-    def __contains__(self, pair: tuple[int, int]) -> bool:
-        return tuple(pair) in set(self.members)
 
 
 def joint_region(g: Digraph, budget: int = DEFAULT_SUBSET_BUDGET) -> JointRegion:
@@ -360,7 +357,7 @@ class Classification:
     r + s <= jc, so the joint degree alone characterizes survivable
     failures.  Complete digraphs show the semantic class is strictly
     larger than the conjunction of the two certificates.  A ``None``
-    ``jointly_critical`` was not decidable within the enumeration budget.
+    ``jointly_critical`` means the joint region was over the budget.
     """
 
     agent_critical: bool
@@ -375,23 +372,27 @@ def classify(
 ) -> Classification:
     """The classes of ``g``, read on its ``lc`` and ``ac`` kernels.
 
-    Callers holding its joint region, computed within the budget, pass it
-    as ``_region``, whose ``exact_for_degree`` then answers
-    ``jointly_critical``: :func:`_region_is_exact` tests the same cells.
+    Unless both certificates hold, ``jointly_critical`` needs ``lc == ac``,
+    since (0, jc + 1) or (jc + 1, 0) is a member otherwise, and is then the
+    ``exact_for_degree`` of ``_region``, from a caller holding it, or of
+    :func:`joint_region`, which on the triangle tests only r + s = jc + 1.
     """
     if not g.is_controllable():
         raise UncontrollableError("classification is defined for controllable graphs")
-    agent = g._kernels[1]
+    link, agent = g._kernels
     unit_index = partial(_unit_drop, agent)
     root_out = g.out_cut(g.roots).sorted_members
     agent_critical = all(unit_index(e) for e in root_out)
     link_critical = _link_critical(g, agent, unit_index)
     if agent_critical and link_critical:
         jointly: bool | None = True
-    elif _region is not None:
-        jointly = _region.exact_for_degree
+    elif link.base != agent.base:
+        jointly = False
     else:
-        jointly = _region_is_exact(g, budget)
+        try:
+            jointly = (_region if _region is not None else joint_region(g, budget)).exact_for_degree
+        except InstanceTooLargeError:
+            jointly = None
     return Classification(
         agent_critical=agent_critical,
         link_critical=link_critical,
@@ -411,28 +412,6 @@ def _link_critical(g: Digraph, agent: _DeletionDegrees, unit_index: Callable[[Ed
     if agent.base < len(followers):
         return agent.tight_cut_within(complies)
     return bool(followers) and all(map(complies, followers))  # with no follower, no set breaks g
-
-
-def _region_is_exact(g: Digraph, budget: int) -> bool | None:
-    """Is the joint region exactly the triangle r + s <= jc?
-
-    By downward closure it suffices to show no pair on the diagonal
-    r + s = jc + 1 is joint-controllable; degree equality lc == ac is
-    necessary first.  Only a classification without a region computed
-    within the budget asks.
-    """
-    link, agent = g._kernels
-    degree = link.base
-    if degree != agent.base:
-        return False
-    broken: dict[tuple[int, int], bool] = {}
-    try:
-        for r in range(1, degree + 1):
-            if _rs_controllable(g, r, degree + 1 - r, budget, broken):
-                return False
-    except InstanceTooLargeError:
-        return None
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -167,6 +167,10 @@ class TestAnalyze:
             for payload in doc["witnesses"].values():
                 assert payload.keys() == witness
 
+    def test_unknown_section(self, g4):
+        with pytest.raises(ValueError, match="^unknown report section 'bogus'$"):
+            build_report(g4, ("bogus",))
+
     def test_report_of_a_vertex_removed_graph_lists_its_vertices(self, g4):
         # a graph file numbers its vertices 1..n, so a graph with a hole in
         # its ids is summarized with its vertex list

@@ -20,7 +20,7 @@ from robonet.connectivity import (
     min_link_cut_witness,
 )
 from robonet.digraph import new_digraph, removal_breaks_controllability, stranded_followers
-from robonet.errors import TargetIsRootError, UncontrollableError
+from robonet.errors import IndexOutOfRangeError, TargetIsRootError, UncontrollableError
 from robonet.families import circulant_rooted, kautz_rooted, preset
 from robonet.joint import critical_agent_link_witness
 from robonet.oracle import oracle_ac, oracle_lc, random_digraph
@@ -37,6 +37,10 @@ class TestEdgeDisjoint:
     def test_target_must_be_follower(self, path3):
         with pytest.raises(TargetIsRootError):
             max_edge_disjoint(path3, 1)
+
+    def test_target_must_be_a_vertex(self, path3):
+        with pytest.raises(IndexOutOfRangeError):
+            max_edge_disjoint(path3, 4)
 
     def test_complete_any_follower(self, complete4):
         for v in complete4.followers:

@@ -25,6 +25,7 @@ from robonet.criticality import (
 from robonet.digraph import Digraph, new_digraph, removal_breaks_controllability
 from robonet.errors import (
     EdgeIsCriticalError,
+    IndexOutOfRangeError,
     InstanceTooLargeError,
     RootQueriedError,
     UncontrollableError,
@@ -173,6 +174,10 @@ class TestAgentCriticality:
         with pytest.raises(RootQueriedError):
             is_agent_critical(path3, 1)
 
+    def test_unknown_vertex(self, path3):
+        with pytest.raises(IndexOutOfRangeError):
+            is_agent_critical(path3, 4)
+
     def test_matches_unit_criticality_index_on_the_seeded_sweep(self):
         # outside the all-directly-fed corner ac = |V| - |R|, a follower is
         # critical exactly when stripping its out-edges lowers ac by one;
@@ -294,6 +299,10 @@ class TestEnumeration:
     def test_budget_guard(self, complete4):
         with pytest.raises(InstanceTooLargeError):
             enumerate_critical_sets(complete4, "link", budget=3)
+
+    def test_kind_is_link_or_agent(self, path3):
+        with pytest.raises(ValueError, match="^kind must be 'link' or 'agent', not 'mixed'$"):
+            enumerate_critical_sets(path3, "mixed")
 
     def test_witnesses_replay(self, g4):
         for kind in ("link", "agent"):

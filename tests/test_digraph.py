@@ -57,6 +57,10 @@ class TestConstruction:
         with pytest.raises(EmptyRootSetError):
             new_digraph(3, [], [(1, 2)])
 
+    def test_root_must_be_a_vertex(self):
+        with pytest.raises(IndexOutOfRangeError, match="^root 5 is not a vertex$"):
+            Digraph(frozenset({1, 2}), (5,), frozenset())
+
     def test_duplicate_edges_collapse(self):
         g = new_digraph(3, [1], [(1, 2), (1, 2), (2, 3)])
         assert len(g.edges) == 2
@@ -193,6 +197,10 @@ class TestEdgeDuplicate:
         dup = edge_duplicate(path3)
         assert dup.black_of == {(1, 2): 4, (2, 3): 5}
         assert dup.edge_for_black(5) == (2, 3)
+
+    def test_white_vertex_has_no_edge(self, path3):
+        with pytest.raises(UnknownEdgeError, match="^1 is not a black vertex$"):
+            edge_duplicate(path3).edge_for_black(1)
 
 
 class TestBreakConvention:

@@ -29,6 +29,15 @@ class TestComplete:
         with pytest.raises(IndexOutOfRangeError):
             complete_rooted(1)
 
+    def test_edge_cap(self):
+        # n(n - 1) edges: 1001 vertices is the first count over the cap
+        with pytest.raises(ParameterOverflowError, match="1001000 edges"):
+            complete_rooted(1001)
+
+    def test_root_must_be_a_vertex(self):
+        with pytest.raises(IndexOutOfRangeError, match=r"^root 5 outside 1\.\.3$"):
+            complete_rooted(3, root=5)
+
     def test_always_validates_and_is_controllable(self):
         for n in range(2, 8):
             assert complete_rooted(n).is_controllable()
@@ -70,6 +79,8 @@ class TestCirculant:
         assert g.out_cut({1}).members == frozenset({(1, 3), (1, 4), (1, 6)})
 
     def test_connection_set_validation(self):
+        with pytest.raises(InvalidConnectionSetError, match="n >= 2"):
+            circulant_rooted(1, (1,))
         with pytest.raises(InvalidConnectionSetError):
             circulant_rooted(5, ())
         with pytest.raises(InvalidConnectionSetError):

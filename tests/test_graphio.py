@@ -62,15 +62,17 @@ class TestJson:
                 parse_json_graph(f'{{"n": 3, "roots": [1], "edges": {entries}}}')
             assert str(caught.value) == f'"edges" entry {quoted} is not a [tail, head] pair'
 
-    def test_boolean_endpoints_are_integers(self):
-        g = parse_json_graph('{"n": 2, "roots": [1], "edges": [[true, 2]]}')
-        assert g == new_digraph(2, [1], [(1, 2)])
-
     def test_bad_types(self):
         with pytest.raises(GraphFormatError):
             parse_json_graph('{"n": "3", "roots": [1], "edges": []}')
         with pytest.raises(GraphFormatError):
             parse_json_graph('{"n": 3, "roots": "1", "edges": []}')
+        with pytest.raises(GraphFormatError, match='^"edges" must be a list of'):
+            parse_json_graph('{"n": 3, "roots": [1], "edges": 5}')
+
+    def test_top_level_must_be_an_object(self):
+        with pytest.raises(GraphFormatError, match="^top-level JSON value must be an object$"):
+            parse_json_graph("[1, 2]")
 
     def test_model_validation_still_applies(self):
         with pytest.raises(RootInEdgeHeadError):
@@ -134,6 +136,25 @@ class TestDot:
             g = parse_dot_graph(text, strip_self_loops=True)
         assert g == new_digraph(2, [1], [(1, 2)])
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("digraph { 1 [root true]; }", "line 1 col 19: expected '=', got 'true'"),
+            ("digraph { 1 [root=]; }", "line 1 col 19: expected an attribute value"),
+            ("digraph { 1 -> x; }", "line 1 col 16: expected an integer node"),
+            ("digraph { 1; } 2", "line 1 col 16: trailing content '2'"),
+            ("digraph { }", "the digraph is empty"),
+        ],
+    )
+    def test_malformed_statements(self, text, message):
+        with pytest.raises(GraphFormatError) as caught:
+            parse_dot_graph(text)
+        assert str(caught.value) == message
+
+    def test_holed_graph_is_not_exportable(self, path3):
+        with pytest.raises(GraphFormatError, match="contiguous"):
+            graph_to_dot(path3.remove_vertices({2}))
+
     def test_truncated_input(self):
         with pytest.raises(GraphFormatError, match="unexpected end"):
             parse_dot_graph("digraph { 1 -> 2; ")
@@ -175,6 +196,10 @@ _FAULTS = [
     # a malformed entry is reported before any out-of-range one
     ('{"n": 3, "roots": [1], "edges": [[1, 9], [1]]}', GraphFormatError, '"edges" entry [1] is not a [tail, head] pair'),
     ('{"n": 3, "roots": [1], "edges": [[9, 9], [1, "2"]]}', GraphFormatError, "\"edges\" entry [1, '2'] is not a [tail, head] pair"),
+    # JSON true and false are not vertex ids, though Python counts a bool as an int
+    ('{"n": true, "roots": [1], "edges": []}', GraphFormatError, '"n" must be an integer'),
+    ('{"n": 3, "roots": [true], "edges": [[true, 2], [2, 3]]}', GraphFormatError, '"roots" must be a list of integers'),
+    ('{"n": 3, "roots": [1], "edges": [[1, 2], [false, 3]]}', GraphFormatError, '"edges" entry [False, 3] is not a [tail, head] pair'),
     ('{"n": 3, "roots": [], "edges": [[2, 2]]}', EmptyRootSetError, "the root-set must not be empty"),
     ('{"n": 3, "roots": [1], "edges": [[1, 2], [2, 2]]}', SelfLoopError,
      "self-loop 2->2: follower self-loops are implicit in the model and must be omitted"),
@@ -223,7 +248,7 @@ class TestValidationErrors:
 
     def test_a_valid_file_equals_the_checked_graph(self):
         # the file path builds the same value as the checking constructor
-        text = '{"n": 4, "roots": [2, 1, 2], "edges": [[2, 4], [1, 3], [true, 4], [1, 3], [3, 4]]}'
+        text = '{"n": 4, "roots": [2, 1, 2], "edges": [[2, 4], [1, 3], [1, 4], [1, 3], [3, 4]]}'
         g = parse_json_graph(text)
         checked = Digraph(frozenset({1, 2, 3, 4}), (1, 2), frozenset({(1, 3), (1, 4), (2, 4), (3, 4)}))
         assert g == checked and g.roots == (1, 2)

@@ -151,6 +151,10 @@ class TestJointPairs:
         with pytest.raises(InstanceTooLargeError):
             is_joint_rs_controllable(g4, 3, 2, budget=1)
 
+    def test_negative_pair(self, g4):
+        with pytest.raises(ValueError, match="^r and s must be non-negative$"):
+            is_joint_rs_controllable(g4, -1, 0)
+
 
 class TestRegion:
     def test_path_region(self, path3):
@@ -605,6 +609,10 @@ class TestMixedWitness:
     def test_complete4_size(self, complete4):
         assert critical_agent_link_witness(complete4).size == 3
 
+    def test_requires_controllable(self):
+        with pytest.raises(UncontrollableError):
+            critical_agent_link_witness(new_digraph(3, [1], [(1, 2)]))
+
     def test_builds_no_graph(self, g4, built_graphs):
         assert critical_agent_link_witness(g4).size == 2
         assert built_graphs == []  # no edge-duplicate graph, no graph per removal test
@@ -680,6 +688,10 @@ class TestCutSubstitution:
         with pytest.raises(NotAnOutCutError):
             agent_set_from_cut(g, {(1, 2)})  # 2 stays reachable through 3
 
+    def test_requires_controllable(self):
+        with pytest.raises(UncontrollableError):
+            agent_substitution_witness(new_digraph(3, [1], [(1, 2)]))
+
     def test_double_loop_cut_breaks(self, double_loop5):
         cut, agents = agent_substitution_witness(double_loop5)
         assert len(agents) == len(cut) == 2
@@ -716,6 +728,14 @@ class TestLinkSubstitution:
             link_set_from_agent_set(path3, {3})
         with pytest.raises(NotACriticalAgentSetError):
             link_set_from_agent_set(path3, {2, 3})
+        with pytest.raises(NotACriticalAgentSetError, match="^the agent set is empty$"):
+            link_set_from_agent_set(path3, set())
+        with pytest.raises(NotACriticalAgentSetError, match="^vertex 1 is not a follower$"):
+            link_set_from_agent_set(path3, {1})
+
+    def test_requires_controllable(self):
+        with pytest.raises(UncontrollableError):
+            link_set_from_agent_set(new_digraph(3, [1], [(1, 2)]), {2})
 
     def test_substituted_links_need_not_break(self):
         # documented defect: a compliant minimal breaking pair whose
@@ -815,7 +835,7 @@ class TestClassification:
     def test_equal_degrees_alone_do_not_make_a_graph_jointly_critical(self):
         # roots 1-3 feed followers 4-6, which feed each of the cycle
         # 7->8->9->10->7, which feeds 11: lc = ac = 3, but (2, 2) above the
-        # triangle is a member, so the diagonal test of classify answers no
+        # triangle is a member, so the region classify reads is not exact
         edges = [(r, f) for r in (1, 2, 3) for f in (4, 5, 6)]
         edges += [(f, c) for f in (4, 5, 6) for c in (7, 8, 9, 10)]
         edges += [(7, 8), (8, 9), (9, 10), (10, 7)] + [(c, 11) for c in (7, 8, 9, 10)]
@@ -840,8 +860,9 @@ class TestClassification:
 
     def test_kernel_unit_index_matches_the_index_on_the_seeded_sweep(self):
         # reference: the same rules with every unit-index test asked of the
-        # literal index, ac(g) - ac(g - e) on a built graph, and the region
-        # test on a graph of its own, so it shares no kernel with classify
+        # literal index, ac(g) - ac(g - e) on a built graph, and the joint
+        # class read off the oracle's region of a graph of its own, so it
+        # shares no code with classify
         seen = set()
         for seed, g in seeded_sweep(500):
             if not g.is_controllable():
@@ -858,7 +879,8 @@ class TestClassification:
                 jointly = True
             else:
                 copy = digraph.Digraph(g.vertices, g.roots, g.edges)
-                jointly = joint._region_is_exact(copy, DEFAULT_SUBSET_BUDGET)
+                jc = oracle_jc(copy)
+                jointly = all(r + s <= jc for r, s in oracle_region(copy))
             expected = Classification(agent_critical, link_critical, jointly)
             assert classify(g) == expected, f"seed {seed}"
             seen.add((agent_critical, link_critical))
@@ -979,7 +1001,7 @@ class TestClassification:
 
     def test_classify_alone_matches_the_report_on_the_seeded_sweep(self):
         # small budgets put the region over budget, and the classification
-        # then tests the diagonal above the triangle on its own
+        # then computes the region on its own, over budget as well
         paths = set()
         for seed, g in seeded_sweep(500):
             if not g.is_controllable():
@@ -994,7 +1016,7 @@ class TestClassification:
                 }, (seed, budget)
                 certified = alone.agent_critical and alone.link_critical
                 paths.add((certified, bool(doc["budget"]["exhausted_sections"])))
-        # the certificates, the report's region and the fallback all decide some graph
+        # each of the three paths occurs: the certificates, the report's region, a region over budget
         assert {(False, False), (False, True), (True, False)} <= paths
 
 

@@ -2,17 +2,21 @@
 
 Runs :func:`robonet.cli.main` in process on fixed input sets and prints one
 line per set: the sha256 of the exit code, stdout and stderr of each call
-in the set, in order, then the set's name.  The sets are
+in the set, in order, then the number of flows the set ran (calls of
+``robonet.connectivity._Flow.max_flow``), then the set's name.  So one diff
+shows both the bytes and the work.  The sets are
 
-- ``analyze`` as text, ``analyze --json``, ``analyze --budget 1`` and
-  ``verify``, each on the seeded 500-graph sweep of ``tests/conftest.py``
-  and on a list of family graphs;
+- ``analyze`` as text, ``analyze --json``, ``analyze --budget 1``,
+  ``analyze --classify`` (the classification without the report's region),
+  ``analyze --classify --budget 5`` and ``verify``, each on the seeded
+  500-graph sweep of ``tests/conftest.py`` and on a list of family graphs;
 - every operation of each of the four benchmark workloads at seeds 1-3,
   from ``perfbench/inputs.py`` (imported, never changed).
 
 ``robonet``, the sweep and the workloads are imported from the checkout
-named on the command line, by default the one holding this script, so two
-checkouts compare like this:
+named on the command line, by default the one holding this script, and
+the flow count wraps that checkout's ``_Flow``, so two checkouts compare
+like this:
 
     python tools/report_digest.py > after.txt
     python tools/report_digest.py ../parent > before.txt
@@ -30,7 +34,14 @@ import sys
 import tempfile
 from pathlib import Path
 
-MODES = (("analyze",), ("analyze", "--json"), ("analyze", "--budget", "1"), ("verify",))
+MODES = (
+    ("analyze",),
+    ("analyze", "--json"),
+    ("analyze", "--budget", "1"),
+    ("analyze", "--classify"),
+    ("analyze", "--classify", "--budget", "5"),
+    ("verify",),
+)
 
 # family graphs: (name, generator in robonet.families, arguments)
 FAMILIES = (
@@ -65,6 +76,19 @@ def _digest(main, calls) -> str:
     return h.hexdigest()
 
 
+def _counting(cls, name: str) -> list[int]:
+    """Count the calls of the method ``cls.name`` from now on, in the returned one-item list."""
+    method = getattr(cls, name)
+    count = [0]
+
+    def counted(*args, **kwargs):
+        count[0] += 1
+        return method(*args, **kwargs)
+
+    setattr(cls, name, counted)
+    return count
+
+
 def _write(directory: Path, name: str, text: str) -> str:
     path = directory / f"{name}.json"
     path.write_text(text, encoding="utf-8")
@@ -81,6 +105,12 @@ def main(argv: list[str] | None = None) -> int:
     dumps_json_graph = importlib.import_module("robonet.graphio").dumps_json_graph
     seeded_sweep = importlib.import_module("conftest").seeded_sweep
     inputs = importlib.import_module("inputs")  # perfbench/inputs.py
+    flows = _counting(importlib.import_module("robonet.connectivity")._Flow, "max_flow")
+
+    def show(calls, name: str) -> None:
+        flows[0] = 0
+        digest = _digest(cli.main, calls)
+        print(digest, f"{flows[0]:>9}", name, flush=True)
 
     os.environ.pop("ROBONET_BUDGET", None)  # the default budget, whatever the shell sets
     with tempfile.TemporaryDirectory(prefix="report-digest-") as tmp:
@@ -95,7 +125,7 @@ def main(argv: list[str] | None = None) -> int:
         for set_name, paths in graph_sets.items():
             for command, *flags in MODES:
                 calls = ([command, path, *flags] for path in paths)
-                print(_digest(cli.main, calls), set_name + ":", command, *flags, flush=True)
+                show(calls, " ".join([set_name + ":", command, *flags]))
         for workload in inputs.WORKLOADS:
             for seed in (1, 2, 3):
                 ops = inputs.workload_ops(workload, seed)
@@ -104,7 +134,7 @@ def main(argv: list[str] | None = None) -> int:
                     for name, g in inputs.workload_graphs(ops).items()
                 }
                 calls = (op.argv(paths[op.graph.name]) for op in ops)
-                print(_digest(cli.main, calls), f"{workload} seed {seed}", flush=True)
+                show(calls, f"{workload} seed {seed}")
     return 0
 
 
